@@ -5,7 +5,8 @@ Every tuning method — the baselines here and the paper's framework in
 ``suggest()`` returns the configuration for the next periodic
 execution, ``observe(config, result)`` feeds back what that execution
 reported. Capability flags are declared per class and printed by the
-Table 1 experiment.
+Table 1 experiment. :class:`FixedSubspaceTuner` is the schedule that
+Tuneful and LOCAT share.
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bo import RunHistory
+from repro.core.acquisition import propose
+from repro.core.bo import RunHistory, fit_surrogates
 from repro.core.config_space import ConfigSpace
 from repro.core.objective import ExecResult, TuningProblem
 
@@ -60,3 +62,36 @@ class Tuner:
     def best_config(self) -> dict:
         best = self.history.best()
         return best.config if best else self.space.default_config()
+
+
+class FixedSubspaceTuner(Tuner):
+    """Online BO whose sub-space is picked once (Table 1: Adaptive space
+    △): a Sobol initial design, random executions until ``sa_rounds``,
+    then the ``top_k`` parameters from :meth:`_pick_dims` stay fixed and
+    each suggestion maximizes EI over random candidates that vary only
+    those parameters of the incumbent."""
+
+    n_init = 3
+    sa_rounds = 10          # executions before the sensitivity analysis
+    top_k = 10              # parameters kept after it
+    n_candidates = 1000
+    with_datasize = False   # append the datasize input to the GP's
+    _dims: list[int] | None = None  # fixed after the analysis
+
+    def _pick_dims(self) -> list[int]:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def _fixed_subspace_suggest(self) -> dict:
+        it = len(self.history)
+        if it < self.n_init:
+            return self.space.sample_sobol(self.n_init, seed=self.seed)[it]
+        if it < self.sa_rounds:
+            return self.space.sample_random(1, self.rng)[0]
+        if self._dims is None:
+            self._dims = self._pick_dims()
+        surrogates = fit_surrogates(self.history, with_datasize=self.with_datasize)
+        cands = self.space.sample_random(
+            self.n_candidates, self.rng, subspace=self._dims, base=self.best_config()
+        )
+        idx, _ = propose(self.history, cands, surrogates)
+        return cands[idx]

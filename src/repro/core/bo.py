@@ -1,18 +1,23 @@
-"""Run history and the vanilla BO loop (Algorithm 1).
+"""Run history and the surrogates fitted on it.
 
 :class:`RunHistory` is the repository's per-task view: evaluated
 configurations, their execution results, objective values and
 feasibility. It vectorizes itself for surrogate fitting (optionally
 appending the datasize feature used by the mixed kernel, Eq. 4).
+:func:`fit_surrogates` fits the models one BO iteration scores its
+candidates with; the loop itself is
+:func:`repro.experiments.harness.run_tuning`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.config_space import ConfigSpace
+from repro.core.gp import GaussianProcess
 from repro.core.objective import ExecResult, TuningProblem
 
 
@@ -82,15 +87,42 @@ class RunHistory:
         return y
 
 
-def run_bo_loop(tuner, evaluate, budget: int) -> RunHistory:
-    """Algorithm 1: iterate suggest → online evaluation → observe.
+class Surrogates(NamedTuple):
+    """The models of one iteration, fitted once on the run history."""
 
-    ``tuner`` follows the Tuner protocol (suggest/observe/history);
-    ``evaluate(config, iteration) -> ExecResult`` is one periodic job
-    execution (in tests/benchmarks: the cluster simulator).
-    """
-    for it in range(budget):
-        config = tuner.suggest()
-        result = evaluate(config, it)
-        tuner.observe(config, result)
-    return tuner.history
+    objective: object                # GaussianProcess or meta-ensemble
+    runtime: GaussianProcess | None  # log-runtime GP, when asked for
+    with_datasize: bool              # inputs end in the datasize column
+
+    def rows(self, history: RunHistory, configs: list[dict]) -> np.ndarray:
+        """Model inputs for ``configs`` at the next run, whose datasize
+        is taken to be the last run's."""
+        U = np.array([history.space.to_unit(c) for c in configs])
+        if self.with_datasize:
+            ds = datasize_feature(history.observations[-1].result.datasize_mb)
+            U = np.concatenate([U, np.full((len(U), 1), ds)], axis=1)
+        return U
+
+
+def fit_surrogates(
+    history: RunHistory,
+    *,
+    with_datasize: bool = False,
+    runtime: bool = False,
+    meta_factory=None,
+) -> Surrogates:
+    """Fit the objective GP on the penalized objectives — wrapped into
+    the meta-ensemble by ``meta_factory`` when given (see
+    :meth:`repro.core.meta.MetaLearner.ensemble_factory`) — and, if
+    ``runtime``, a GP on log-runtime."""
+    X = history.X_unit(with_datasize=with_datasize)
+    y = history.penalized_objectives()
+    cat_mask = history.space.cat_mask
+    gp_f = GaussianProcess(cat_mask, has_datasize=with_datasize)
+    objective = meta_factory(X, y, gp_f) if meta_factory else gp_f.fit(X, y)
+    gp_t = None
+    if runtime:
+        gp_t = GaussianProcess(cat_mask, has_datasize=with_datasize)
+        # log-runtime: positive, multiplicative noise, long tails
+        gp_t.fit(X, np.log(np.maximum(history.runtimes(), 1e-9)))
+    return Surrogates(objective, gp_t, with_datasize)

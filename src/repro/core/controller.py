@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import Capabilities, Tuner, YES
-from repro.core.bo import datasize_feature
 from repro.core.config_space import ConfigSpace
 from repro.core.generator import ConfigGenerator
 from repro.core.meta import MetaLearner
@@ -87,9 +86,7 @@ class OnlineTuner(Tuner):
         violates them; scale the resource knobs down instead."""
         from repro.core.objective import resource
 
-        thresholds = [
-            c.threshold for c in self.problem.constraints if c.metric == "resource"
-        ]
+        thresholds = self.problem.thresholds("resource")
         if not thresholds:
             return config
         rmax = min(thresholds)
@@ -112,17 +109,21 @@ class OnlineTuner(Tuner):
 
     def suggest(self) -> dict:
         it = len(self.history)
-        if self.stopped:
-            return self.best_config()
+        best = self.history.best()
+        if self.stopped and best is not None:
+            # serve the incumbent and expect its own objective, so that
+            # runs coming back worse count towards the restart
+            self._expected[it] = float(best.objective)
+            return best.config
         if it < self.n_init:
             return self._init_configs[it]
         config = self.generator.suggest(self.history)
-        # record the surrogate's expectation for degradation detection
-        best = self.history.best()
+        # record the surrogate's expectation for degradation detection,
+        # from the objective model the generator fitted for this pick
         if best is not None:
-            self._expected[it] = min(
-                float(best.objective), self._predict_objective(config)
-            )
+            surrogates = self.generator.surrogates
+            mu, _ = surrogates.objective.predict(surrogates.rows(self.history, [config]))
+            self._expected[it] = min(float(best.objective), float(mu[0]))
         return config
 
     def observe(self, config: dict, result: ExecResult) -> None:
@@ -137,18 +138,6 @@ class OnlineTuner(Tuner):
 
     # -- stopping & restarting (§3.3) ----------------------------------
 
-    def _predict_objective(self, config: dict) -> float:
-        try:
-            gp_f, _ = self.generator._fit(self.history, self.generator.datasize_aware)
-            u = self.space.to_unit(config)[None, :]
-            if self.generator.datasize_aware:
-                ds = datasize_feature(self.history.observations[-1].result.datasize_mb)
-                u = np.concatenate([u, [[ds]]], axis=1)
-            mu, _ = gp_f.predict(u)
-            return float(mu[0])
-        except Exception:
-            return float("inf")
-
     def _check_stopping(self, obs) -> None:
         it = len(self.history)
         if it <= self.n_init:
@@ -156,7 +145,8 @@ class OnlineTuner(Tuner):
         best = self.history.best()
         if best is None:
             return
-        # stop: expected improvement fell below 10% of the incumbent
+        # stop: the last suggestion's EIC fell below ei_stop_rel percent
+        # of the incumbent's objective (0.1% at the default 0.10)
         scale = abs(best.objective) or 1.0
         if np.isfinite(self.generator.last_ei) and self.generator.last_ei < self.ei_stop_rel * scale * 0.01:
             self.stopped = True

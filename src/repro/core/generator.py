@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.acquisition import eic, safe_mask
+from repro.core.acquisition import propose
 from repro.core.agd import AGDStepper, N_AGD
-from repro.core.bo import RunHistory, datasize_feature
+from repro.core.bo import RunHistory, Surrogates, datasize_feature, fit_surrogates
 from repro.core.config_space import ConfigSpace
-from repro.core.gp import GaussianProcess
-from repro.core.objective import Constraint, TuningProblem, resource
+from repro.core.objective import TuningProblem, resource
 from repro.core.subspace import SubspaceManager
 
 
@@ -39,6 +38,8 @@ class ConfigGenerator:
     meta_surrogate_factory: object | None = None  # see core.meta
     subspace: SubspaceManager = field(init=False)
     last_ei: float = float("inf")  # inspected by the stopping criterion
+    # fitted by the last suggest(); the controller scores its pick with them
+    surrogates: Surrogates | None = field(init=False, default=None)
     _rng: np.random.Generator = field(init=False)
 
     def __post_init__(self) -> None:
@@ -46,25 +47,6 @@ class ConfigGenerator:
         self._rng = np.random.default_rng(self.seed)
 
     # -- helpers -------------------------------------------------------
-
-    def _runtime_constraints(self) -> list[Constraint]:
-        return [c for c in self.problem.constraints if c.metric == "runtime"]
-
-    def _resource_constraints(self) -> list[Constraint]:
-        return [c for c in self.problem.constraints if c.metric == "resource"]
-
-    def _fit(self, history: RunHistory, with_ds: bool):
-        X = history.X_unit(with_datasize=with_ds)
-        y = history.penalized_objectives()
-        gp_f = GaussianProcess(self.space.cat_mask, has_datasize=with_ds)
-        if self.meta_surrogate_factory is not None:
-            gp_f = self.meta_surrogate_factory(X, y, gp_f)
-        else:
-            gp_f.fit(X, y)
-        gp_t = GaussianProcess(self.space.cat_mask, has_datasize=with_ds)
-        # model log-runtime: positive, multiplicative noise, long tails
-        gp_t.fit(X, np.log(np.maximum(history.runtimes(), 1e-9)))
-        return gp_f, gp_t
 
     def _candidates(self, history: RunHistory) -> list[dict]:
         """Random + local candidates inside the current sub-space."""
@@ -88,21 +70,19 @@ class ConfigGenerator:
     def suggest(self, history: RunHistory) -> dict:
         if len(history) == 0:
             return self.space.default_config()
-        with_ds = self.datasize_aware
-        gp_f, gp_t = self._fit(history, with_ds)
+        self.surrogates = fit_surrogates(
+            history, with_datasize=self.datasize_aware, runtime=True,
+            meta_factory=self.meta_surrogate_factory,
+        )
         it = len(history) + 1
-        best = history.best()
-
-        ds_feat = datasize_feature(history.observations[-1].result.datasize_mb)
         # AGD needs "observations sufficient to approximate f" (§4.3):
         # gate it on a minimum history besides the every-N_AGD cadence
-        if self.use_agd and it % N_AGD == 0 and it >= 2 * N_AGD and best is not None:
-            stepper = AGDStepper(self.space, self.problem.beta)
-            dims = self.subspace.current_dims() if self.use_subspace else None
-            return stepper.step(
-                best.config, gp_t,
-                datasize_feature=ds_feat if with_ds else None,
-                dims=dims,
+        if self.use_agd and it % N_AGD == 0 and it >= 2 * N_AGD:
+            ds_feat = datasize_feature(history.observations[-1].result.datasize_mb)
+            return AGDStepper(self.space, self.problem.beta).step(
+                history.best().config, self.surrogates.runtime,
+                datasize_feature=ds_feat if self.datasize_aware else None,
+                dims=self.subspace.current_dims() if self.use_subspace else None,
             )
 
         if self.use_subspace:
@@ -110,37 +90,15 @@ class ConfigGenerator:
                 history.X_unit(), history.penalized_objectives()
             )
         cands = self._candidates(history)
-        if self.use_safe:
-            # white-box resource constraints: filter analytically
-            for c in self._resource_constraints():
-                kept = [x for x in cands if resource(x) <= c.threshold]
-                cands = kept or cands
-        U = np.array([self.space.to_unit(c) for c in cands])
-        if with_ds:
-            U = np.concatenate([U, np.full((len(U), 1), ds_feat)], axis=1)
-
-        mu_t, sd_t = gp_t.predict(U)
-        posteriors = []
-        safe = np.ones(len(cands), dtype=bool)
+        thresholds, gamma = [], None
         # use_safe=False is the paper's "vanilla BO" ablation: plain EI
         # with no constraint probability and no safe region
         if self.use_safe:
-            for c in self._runtime_constraints():
-                log_thr = np.log(max(c.threshold, 1e-9))
-                posteriors.append((mu_t, sd_t, log_thr))
-                safe &= safe_mask(mu_t, sd_t, log_thr, self.gamma)
-        if self.use_safe and not safe.any() and posteriors:
-            # no provably-safe candidate: pick the most plausibly safe one
-            # (minimal constraint upper bound), as in SafeOpt-style search
-            idx = int(np.argmin(mu_t + self.gamma * sd_t))
-            self.last_ei = float("inf")
-            return cands[idx]
-
-        mu_f, sd_f = gp_f.predict(U)
-        y_best = float(best.objective) if best else float(np.min(history.objectives()))
-        acq = eic(mu_f, sd_f, y_best, posteriors)
-        if self.use_safe and posteriors:
-            acq = np.where(safe, acq, -np.inf)
-        idx = int(np.argmax(acq))
-        self.last_ei = float(acq[idx]) if np.isfinite(acq[idx]) else 0.0
+            # white-box resource constraints: filter analytically
+            for thr in self.problem.thresholds("resource"):
+                cands = [x for x in cands if resource(x) <= thr] or cands
+            thresholds, gamma = self.problem.thresholds("runtime"), self.gamma
+        idx, self.last_ei = propose(
+            history, cands, self.surrogates, runtime_thresholds=thresholds, gamma=gamma
+        )
         return cands[idx]

@@ -6,10 +6,12 @@ categorical parameters, and a squared-exponential over the (log) data
 size appended as an extra input — this is how dynamic workloads are
 supported online. Inputs live in the unit cube (see
 :class:`repro.core.config_space.ConfigSpace`); targets are standardized
-internally. Hyperparameters (amplitude, shared numeric lengthscale,
-categorical decay, noise) are fit by grid-maximizing the exact log
-marginal likelihood — observation counts are tiny online (≤ tens), so
-a coarse grid is both robust and fast, and needs no scipy.
+internally, so the kernel amplitude is fixed at 1. The shared numeric
+lengthscale (also the datasize SE lengthscale) and the noise are
+grid-searched by maximizing the exact log marginal likelihood —
+observation counts are tiny online (≤ tens), so a coarse grid is both
+robust and fast, and needs no scipy; the categorical decay is set from
+the categorical-dimension count.
 """
 from __future__ import annotations
 

@@ -122,3 +122,7 @@ class TuningProblem:
         return result.feasible and all(
             c.satisfied(result, config) for c in self.constraints
         )
+
+    def thresholds(self, metric: str) -> list[float]:
+        """Thresholds of the constraints on ``metric``, in order."""
+        return [c.threshold for c in self.constraints if c.metric == metric]

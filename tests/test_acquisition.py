@@ -3,8 +3,11 @@ import numpy as np
 import pytest
 
 from repro.core.acquisition import (
-    eic, expected_improvement, norm_cdf, norm_pdf, prob_below, safe_mask,
+    eic, expected_improvement, norm_cdf, norm_pdf, prob_below, propose, safe_mask,
 )
+from repro.core.bo import RunHistory, Surrogates
+from repro.core.config_space import ConfigSpace
+from repro.core.objective import ExecResult, TuningProblem
 
 
 class TestNormal:
@@ -93,3 +96,59 @@ class TestSafeRegion:
             safe_mask(np.array([0.0]), np.array([1.0]), 1.0, gamma=0.0)
         with pytest.raises(ValueError):
             safe_mask(np.array([0.0]), np.array([1.0]), 1.0, gamma=1.5)
+
+
+
+class _Fixed:
+    """A surrogate with a given posterior over four candidates."""
+
+    def __init__(self, mu, sd):
+        self.mu, self.sd = np.array(mu), np.array(sd)
+
+    def predict(self, U):
+        assert len(U) == len(self.mu)
+        return self.mu, self.sd
+
+
+class TestPropose:
+    """The scoring step Ours and the BO baselines share. Incumbent: 10.
+    EI favours candidate 0, which likely breaks the runtime threshold;
+    EIC favours candidate 1, which is outside the safe region (γ=0.5);
+    candidate 2 is the best safe one."""
+
+    LOG_THR = 3.0
+    OBJ = _Fixed([5.0, 8.0, 9.0, 12.0], [1.0, 1.0, 1.0, 1.0])
+    LOG_RT = _Fixed([5.0, 2.5, 2.0, 1.0], [0.5, 1.2, 0.5, 0.5])
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        space = ConfigSpace()
+        h = RunHistory(space, TuningProblem(beta=1.0))
+        h.add(space.default_config(),
+              ExecResult(runtime_s=10.0, mem_gbh=1, cpu_coreh=1, datasize_mb=1000))
+        cands = space.sample_random(4, np.random.default_rng(0))
+        return h, cands, Surrogates(self.OBJ, self.LOG_RT, with_datasize=True)
+
+    def test_no_thresholds_is_ei_argmax(self, setup):
+        h, cands, s = setup
+        ei = expected_improvement(self.OBJ.mu, self.OBJ.sd, 10.0)
+        assert propose(h, cands, s) == (0, ei[0])
+
+    def test_runtime_threshold_is_eic_argmax(self, setup):
+        h, cands, s = setup
+        acq = eic(self.OBJ.mu, self.OBJ.sd, 10.0,
+                  [(self.LOG_RT.mu, self.LOG_RT.sd, self.LOG_THR)])
+        idx, value = propose(h, cands, s, runtime_thresholds=[np.exp(self.LOG_THR)])
+        assert idx == 1 == int(np.argmax(acq))
+        assert value == pytest.approx(acq[1])
+
+    def test_safe_region_masks_argmax(self, setup):
+        h, cands, s = setup
+        idx, _ = propose(h, cands, s, runtime_thresholds=[np.exp(self.LOG_THR)], gamma=0.5)
+        assert idx == 2
+
+    def test_empty_safe_region_picks_most_plausibly_safe(self, setup):
+        h, cands, s = setup
+        idx, value = propose(h, cands, s, runtime_thresholds=[1e-3], gamma=0.5)
+        assert idx == int(np.argmin(self.LOG_RT.mu + 0.5 * self.LOG_RT.sd)) == 3
+        assert value == float("inf")

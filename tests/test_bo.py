@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.bo import RunHistory, datasize_feature, run_bo_loop
+from repro.core.bo import RunHistory, datasize_feature
 from repro.core.config_space import ConfigSpace
 from repro.core.objective import Constraint, ExecResult, TuningProblem
 
@@ -76,27 +76,3 @@ class TestDatasizeFeature:
         assert 0.0 <= datasize_feature(1.0) <= 1.0
         assert datasize_feature(1e6) == pytest.approx(1.0)
 
-
-class TestLoop:
-    def test_run_bo_loop_budget(self):
-        space = ConfigSpace()
-
-        class Dummy:
-            def __init__(self):
-                self.history = RunHistory(space, TuningProblem(beta=1.0))
-
-            def suggest(self):
-                return space.default_config()
-
-            def observe(self, config, result):
-                self.history.add(config, result)
-
-        tuner = Dummy()
-        calls = []
-
-        def evaluate(config, it):
-            calls.append(it)
-            return _result(10)
-
-        h = run_bo_loop(tuner, evaluate, budget=7)
-        assert len(h) == 7 and calls == list(range(7))

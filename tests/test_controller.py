@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.base import YES
 from repro.core.config_space import ConfigSpace
 from repro.core.controller import OnlineTuner
+from repro.core.gp import GaussianProcess
 from repro.core.objective import Constraint, ExecResult, TuningProblem, resource
 
 
@@ -97,3 +98,64 @@ class TestStopping:
         t._expected[len(t.history)] = 10.0
         t.observe(cfg, _result(100))
         assert t._degradations == 0  # reset by the restart path
+
+    def _past_init(self, space, **kw):
+        t = OnlineTuner(space, TuningProblem(beta=1.0), seed=0, use_meta=False, **kw)
+        cfg = space.default_config()
+        for _ in range(t.n_init):
+            t.observe(cfg, _result(100))
+        return t, cfg
+
+    def test_stops_when_ei_below_threshold(self, space):
+        # threshold: ei_stop_rel percent of the incumbent, 0.1 here
+        t, cfg = self._past_init(space, ei_stop_rel=0.10)
+        t.generator.last_ei = 0.09
+        t.observe(cfg, _result(100))
+        assert t.stopped
+
+    def test_keeps_tuning_when_ei_above_threshold(self, space):
+        t, cfg = self._past_init(space, ei_stop_rel=0.10)
+        t.generator.last_ei = 0.11
+        t.observe(cfg, _result(100))
+        assert not t.stopped
+
+    def test_stopped_tuner_restarts_on_degraded_runs(self, space):
+        t, _ = self._past_init(space, degradation_patience=3)
+        t.stopped = True
+        for _ in range(3):
+            assert t.stopped
+            cfg = t.suggest()  # the incumbent, expected at its own objective
+            t.observe(cfg, _result(200))
+        assert not t.stopped
+
+
+class TestSurrogateFits:
+    def _ready(self, space):
+        t = OnlineTuner(space, TuningProblem(beta=0.5), seed=0, use_meta=False)
+        rng = np.random.default_rng(0)
+        for _ in range(t.n_init):
+            t.observe(t.suggest(), _result(float(rng.uniform(50, 150))))
+        return t
+
+    def test_one_suggest_fits_two_gps(self, space, monkeypatch):
+        t = self._ready(space)
+        fits = []
+        fit = GaussianProcess.fit
+
+        def counted(gp, X, y):
+            fits.append(len(X))
+            return fit(gp, X, y)
+
+        monkeypatch.setattr(GaussianProcess, "fit", counted)
+        t.suggest()
+        assert fits == [t.n_init, t.n_init]  # objective, log-runtime
+
+    def test_failing_fit_propagates(self, space, monkeypatch):
+        t = self._ready(space)
+
+        def broken(gp, X, y):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(GaussianProcess, "fit", broken)
+        with pytest.raises(np.linalg.LinAlgError):
+            t.suggest()

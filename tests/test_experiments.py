@@ -129,6 +129,27 @@ class TestHarness:
         res_c = next(c for c in cons if c.metric == "resource")
         assert res_c.threshold == pytest.approx(2.0 * resource(ref))
 
+    def test_run_tuning_budget(self):
+        from repro.baselines.base import Tuner
+        from repro.core.config_space import ConfigSpace
+        from repro.core.objective import ExecResult, TuningProblem
+
+        class Default(Tuner):
+            def suggest(self):
+                return self.space.default_config()
+
+        class Evaluator:
+            def __init__(self):
+                self.calls = []
+
+            def evaluate(self, config, it):
+                self.calls.append(it)
+                return ExecResult(runtime_s=10, mem_gbh=1, cpu_coreh=1, datasize_mb=1000)
+
+        ev = Evaluator()
+        h = harness.run_tuning(Default(ConfigSpace(), TuningProblem(beta=1.0)), ev, budget=7)
+        assert len(h) == 7 and ev.calls == list(range(7))
+
 
 class TestHiBenchSmoke:
     def test_two_methods_one_task(self):
