@@ -71,7 +71,8 @@ class GaussianProcess:
     """Zero-mean GP regression with the mixed kernel and white noise.
 
     ``fit`` selects hyperparameters on a small grid by log marginal
-    likelihood; ``predict`` returns the posterior mean and standard
+    likelihood; it raises ``ValueError`` on non-finite data and
+    ``LinAlgError`` if no grid point's kernel factorizes. ``predict`` returns the posterior mean and standard
     deviation in the original target units.
     """
 
@@ -93,6 +94,8 @@ class GaussianProcess:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcess":
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64)
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("GP inputs and targets must be finite")
         self._y_mean = float(y.mean())
         self._y_std = float(y.std()) or 1.0
         z = (y - self._y_mean) / self._y_std
@@ -121,12 +124,8 @@ class GaussianProcess:
                 )
                 if lml > best[0]:
                     best = (lml, (ls, nz, L, a))
-        if best[1] is None:  # pathological: fall back to heavy noise
-            ls, nz = 0.5, 1.0
-            K = self.kernel(X, X) + (nz + _JITTER) * np.eye(len(X))
-            L = np.linalg.cholesky(K)
-            a = np.linalg.solve(L.T, np.linalg.solve(L, z))
-            best = (0.0, (ls, nz, L, a))
+        if best[1] is None:
+            raise np.linalg.LinAlgError("no grid point gives a positive-definite kernel")
         ls, nz, L, a = best[1]
         self.kernel.lengthscale = ls
         self.kernel.ds_lengthscale = ls

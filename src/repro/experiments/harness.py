@@ -17,6 +17,7 @@ import numpy as np
 from repro.baselines.base import Tuner
 from repro.core.bo import RunHistory
 from repro.core.config_space import ConfigSpace
+from repro.core.controller import OnlineTuner
 from repro.core.objective import Constraint, ExecResult, TuningProblem
 from repro.simcluster.profile import WorkloadProfile
 from repro.simcluster.simulator import ClusterSimulator
@@ -89,3 +90,28 @@ def make_problem(
     constraints: tuple[Constraint, ...] = (),
 ) -> TuningProblem:
     return TuningProblem(beta=beta, constraints=constraints)
+
+
+def tune(
+    space: ConfigSpace,
+    simulator: ClusterSimulator,
+    profile: WorkloadProfile,
+    *,
+    seed: int,
+    budget: int,
+    beta: float = 0.5,
+    reference: dict | None = None,
+    method: type[Tuner] = OnlineTuner,
+    **tuner_kwargs,
+) -> RunHistory:
+    """One tuning task as every experiment runs it: constraints at 2× the
+    reference configuration's metrics (the space's default if none is
+    given), then ``budget`` simulated periodic executions. ``OnlineTuner``
+    starts from the reference and tunes without meta-learning unless
+    ``tuner_kwargs`` say otherwise."""
+    reference = space.default_config() if reference is None else reference
+    problem = make_problem(beta, default_constraints(space, profile, simulator, reference))
+    if method is OnlineTuner:
+        tuner_kwargs = {"use_meta": False, "reference_config": reference} | tuner_kwargs
+    tuner = method(space, problem, seed=seed, **tuner_kwargs)
+    return run_tuning(tuner, SimEvaluator(profile, simulator, seed=seed), budget)

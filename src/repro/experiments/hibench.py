@@ -21,7 +21,7 @@ from repro.baselines import (
 from repro.core.config_space import hibench_space
 from repro.core.controller import OnlineTuner
 from repro.core.objective import execution_cost
-from repro.experiments.harness import SimEvaluator, default_constraints, make_problem, run_tuning
+from repro.experiments.harness import tune
 from repro.simcluster import ClusterSimulator, get_profile
 
 HIBENCH_TASKS = ("bayes", "kmeans", "nweight", "wordcount", "pagerank", "terasort")
@@ -34,6 +34,11 @@ METHODS = (
 #: random (second-best 2.54–6.80×); cost reduction 71.22–88.97% vs random.
 PAPER_RANGES = {"speedup_ours": (3.08, 8.96), "speedup_second": (2.54, 6.80),
                 "cost_reduction_ours": (71.22, 88.97)}
+
+
+def hibench_env():
+    """The HiBench space and the 384-core cluster it is tuned on."""
+    return hibench_space(), ClusterSimulator(capacity_cores=384, capacity_mem_gb=2048)
 
 
 @dataclass
@@ -51,28 +56,20 @@ def _best_metric(history, objective: str) -> float:
 
 
 def run(
-    *, objective: str = "runtime", budget: int = 30, seeds: tuple[int, ...] = (0, 1, 2),
+    *, objective: str = "runtime", budget: int = 30, seeds: tuple[int, ...] = (0,),
     tasks: tuple[str, ...] = HIBENCH_TASKS, methods=METHODS,
 ) -> HiBenchResult:
     beta = 1.0 if objective == "runtime" else 0.5
-    space = hibench_space()
-    sim = ClusterSimulator(capacity_cores=384, capacity_mem_gb=2048)
+    space, sim = hibench_env()
     best: dict[str, dict[str, float]] = {m.name: {} for m in methods}
     for task in tasks:
         profile = get_profile(task)
-        default = space.default_config()
-        constraints = default_constraints(space, profile, sim, default)
-        problem = make_problem(beta, constraints)
         for method in methods:
-            vals = []
-            for seed in seeds:
-                kwargs = (
-                    {"use_meta": False, "reference_config": default}
-                    if method is OnlineTuner else {}
-                )
-                tuner = method(space, problem, seed=seed, **kwargs)
-                history = run_tuning(tuner, SimEvaluator(profile, sim, seed=seed), budget)
-                vals.append(_best_metric(history, objective))
+            vals = [
+                _best_metric(tune(space, sim, profile, seed=seed, budget=budget,
+                                  beta=beta, method=method), objective)
+                for seed in seeds
+            ]
             best[method.name][task] = float(np.mean(vals))
     relative = {}
     for name, per_task in best.items():

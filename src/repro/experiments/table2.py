@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config_space import ConfigSpace
-from repro.core.controller import OnlineTuner
 from repro.core.objective import execution_cost
-from repro.experiments.harness import SimEvaluator, default_constraints, make_problem, run_tuning
+from repro.experiments.harness import tune
 from repro.simcluster import ClusterSimulator, get_profile
 
 #: (display name, profile, manual instances/cores/memory GB) — manual
@@ -67,8 +66,6 @@ def run(*, budget: int = 20, seed: int = 0) -> list[TaskRow]:
     for display, prof_name, inst, cores, mem in TASKS:
         profile = get_profile(prof_name)
         manual = _manual_config(space, inst, cores, mem)
-        constraints = default_constraints(space, profile, sim, manual)
-        problem = make_problem(0.5, constraints)
         ref = sim.run(profile, manual, seed=seed + 1)
         rows.append(
             TaskRow(
@@ -77,9 +74,7 @@ def run(*, budget: int = 20, seed: int = 0) -> list[TaskRow]:
                 inst, cores, mem, None,
             )
         )
-        tuner = OnlineTuner(space, problem, seed=seed, use_meta=False, reference_config=manual)
-        evaluator = SimEvaluator(profile, sim, seed=seed)
-        history = run_tuning(tuner, evaluator, budget)
+        history = tune(space, sim, profile, seed=seed, budget=budget, reference=manual)
         best = history.best()
         best_iter = 1 + next(
             i for i, o in enumerate(history.observations) if o is best

@@ -8,7 +8,7 @@ configuration applied thereafter), both relative to *pre-tuning*
 
 Substitution (DESIGN.md): the population is synthetic
 (:func:`repro.simcluster.profile.production_population`), default
-N=60 here (configurable) — the statistics are population averages, so
+N=40 here (``run(n_tasks=N)``) — the statistics are population averages, so
 shape is carried by the family/size/manual-config mixture, not N.
 """
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config_space import ConfigSpace
-from repro.core.controller import OnlineTuner
-from repro.experiments.harness import SimEvaluator, default_constraints, make_problem, run_tuning
+from repro.experiments.harness import tune
 from repro.simcluster import ClusterSimulator
 from repro.simcluster.profile import production_population
 
@@ -42,7 +41,7 @@ class PopulationResult:
     objective_curve: np.ndarray         # mean best-objective reduction/iter
 
 
-def run(*, n_tasks: int = 60, budget: int = 20, seed: int = 0) -> PopulationResult:
+def run(*, n_tasks: int = 40, budget: int = 20, seed: int = 0) -> PopulationResult:
     space = ConfigSpace()
     sim = ClusterSimulator()
     population = production_population(n_tasks, seed=seed)
@@ -51,12 +50,8 @@ def run(*, n_tasks: int = 60, budget: int = 20, seed: int = 0) -> PopulationResu
     curves = []
     for ti, (profile, manual_over) in enumerate(population):
         manual = space.clip(space.default_config() | manual_over)
-        constraints = default_constraints(space, profile, sim, manual)
-        problem = make_problem(0.5, constraints)
         pre = sim.run(profile, manual, seed=seed + ti)
-        tuner = OnlineTuner(space, problem, seed=seed + ti, use_meta=False, reference_config=manual)
-        evaluator = SimEvaluator(profile, sim, seed=seed + ti)
-        history = run_tuning(tuner, evaluator, budget)
+        history = tune(space, sim, profile, seed=seed + ti, budget=budget, reference=manual)
         best = history.best()
         # post-tuning: best config applied to a fresh periodic execution
         post_run = sim.run(profile, best.config, seed=seed + ti + 10_000)
@@ -70,7 +65,7 @@ def run(*, n_tasks: int = 60, budget: int = 20, seed: int = 0) -> PopulationResu
             under[key].append(100.0 * (ref - during) / ref)
             post[key].append(100.0 * (ref - get(post_run)) / ref)
         # best-objective-so-far curve, as reduction vs pre (Fig. 2c shape)
-        pre_obj = problem.value(pre, manual)
+        pre_obj = history.problem.value(pre, manual)
         objs = [o.objective if o.feasible else np.inf for o in history.observations]
         best_so_far = np.minimum.accumulate(objs)
         best_so_far = np.minimum(best_so_far, pre_obj)
@@ -101,5 +96,8 @@ def format_table(res: PopulationResult) -> str:
     lines.append(
         f"tasks with >50% memory reduction: {100.0 * (mem > 50).mean():.2f}% (paper 66.49%); "
         f">25% CPU reduction: {100.0 * (cpu > 25).mean():.2f}% (paper 64.70%)"
+    )
+    lines.append(
+        "objective reduction/iter (%): " + ", ".join(f"{v:.1f}" for v in res.objective_curve)
     )
     return "\n".join(lines)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config_space import hibench_space
-from repro.core.controller import OnlineTuner
 from repro.core.objective import execution_cost
-from repro.experiments.harness import SimEvaluator, default_constraints, make_problem, run_tuning
-from repro.simcluster import ClusterSimulator, get_profile
+from repro.experiments.harness import tune
+from repro.experiments.hibench import hibench_env
+from repro.simcluster import get_profile
 
 #: (target, source) pairs as in the paper's Table 4 (LR ← PageRank,
 #: KMeans ← SVD, TeraSort ← Sort / WordCount).
@@ -77,18 +76,12 @@ def _cost(sim, profile, config, seed) -> float:
 
 
 def run(*, source_budget: int = 30, seed: int = 0) -> list[WarmStartRow]:
-    space = hibench_space()
-    sim = ClusterSimulator(capacity_cores=384, capacity_mem_gb=2048)
+    space, sim = hibench_env()
     rows = []
     source_histories: dict[str, list[dict]] = {}
     for target_name, source_name in PAIRS:
         if source_name not in source_histories:
-            profile = get_profile(source_name)
-            default = space.default_config()
-            constraints = default_constraints(space, profile, sim, default)
-            problem = make_problem(0.5, constraints)
-            tuner = OnlineTuner(space, problem, seed=seed, use_meta=False, reference_config=default)
-            history = run_tuning(tuner, SimEvaluator(profile, sim, seed=seed), source_budget)
+            history = tune(space, sim, get_profile(source_name), seed=seed, budget=source_budget)
             ranked = sorted(
                 history.observations, key=lambda o: (not o.feasible, o.objective)
             )

@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config_space import hibench_space
 from repro.core.objective import objective
+from repro.experiments.hibench import HIBENCH_TASKS, hibench_env
 from repro.ml.fanova import fanova_importance
 from repro.ml.forest import RandomForestRegressor
-from repro.simcluster import ClusterSimulator, get_profile
-
-HIBENCH_TASKS = ("bayes", "kmeans", "nweight", "wordcount", "pagerank", "terasort")
+from repro.simcluster import get_profile
 
 #: Paper Table 5 (importance mean ± std).
 PAPER_TABLE5 = (
@@ -44,8 +42,7 @@ class ImportanceRow:
 
 
 def run(*, n_samples: int = 120, seed: int = 0, beta: float = 0.5) -> list[ImportanceRow]:
-    space = hibench_space()
-    sim = ClusterSimulator(capacity_cores=384, capacity_mem_gb=2048)
+    space, sim = hibench_env()
     rng = np.random.default_rng(seed)
     per_task = []
     for task in HIBENCH_TASKS:

@@ -4,8 +4,8 @@ A :class:`WorkloadProfile` captures the execution shape of one periodic
 Spark job: its stage DAG (input / shuffle volume and CPU cost per
 stage), how iterative it is, how much it relies on RDD caching, and its
 skew. Constants for the HiBench-lite families are calibrated from
-profiling real PySpark runs of :mod:`repro.workloads` (see
-``jobs/profile_workloads.py`` which regenerates the ratios); absolute
+profiling real PySpark runs of :mod:`repro.workloads` (``python -m
+repro.workloads`` regenerates the ratios); absolute
 CPU ms/MB values are scaled so nominal runtimes land in the ranges the
 paper reports (minutes for daily production jobs, tens of seconds for
 hourly SQL jobs).
@@ -64,7 +64,7 @@ def _wc(name: str, **kw) -> WorkloadProfile:
 
 #: Calibrated profiles. Per-family shapes come from profiling the real
 #: PySpark implementations at SF<=0.1 (input/shuffle byte ratios, CPU
-#: shares); see tests/test_profiles.py and jobs/profile_workloads.py.
+#: shares); see tests/test_profiles.py and ``python -m repro.workloads``.
 PROFILES: dict[str, WorkloadProfile] = {
     "wordcount": _wc(
         "wordcount",

@@ -1,9 +1,8 @@
-"""Entrypoint: profile the real PySpark HiBench-lite workloads and
-print the measured byte/time ratios next to the simulator profile
-constants they calibrate (DESIGN.md §2 substitution).
+"""Profile the real PySpark HiBench-lite workloads and print the measured
+byte/time ratios next to the simulator profile constants they calibrate
+(DESIGN.md §2 substitution).
 
-Usage: ``spark-submit jobs/profile_workloads.py`` or
-``python jobs/profile_workloads.py [--sf 0.01]``.
+Usage: ``python -m repro.workloads [--sf 0.01]``.
 """
 import argparse
 import os
@@ -20,7 +19,7 @@ from repro.simcluster.profile import PROFILES  # noqa: E402
 from repro.workloads.runner import WORKLOAD_NAMES, run_workload  # noqa: E402
 
 if __name__ == "__main__":
-    ap = argparse.ArgumentParser()
+    ap = argparse.ArgumentParser(prog="python -m repro.workloads")
     ap.add_argument("--sf", type=float, default=0.01)
     args = ap.parse_args()
     spark = (

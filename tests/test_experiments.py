@@ -3,10 +3,26 @@
 Budgets here are tiny (smoke-level); the full-budget numbers are
 produced by the benchmarks and recorded in EXPERIMENTS.md.
 """
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.experiments import ablations, harness, hibench, table1, table2, table3, table4, table5
+from repro.experiments.registry import EXPERIMENTS
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _python(*args):
+    """A fresh interpreter that imports ``repro`` from this checkout."""
+    env = os.environ | {"PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 class TestTable1:
@@ -173,3 +189,26 @@ class TestAblationsSmoke:
     def test_agd_structure(self):
         a = ablations.agd(tasks=("wordcount",), budget=8, seeds=(0,))
         assert "wordcount" in a.per_task
+
+
+class TestRegistry:
+    def test_one_entry_per_saved_result(self):
+        stems = {p.stem for p in (ROOT / "benchmarks" / "results").glob("*.txt")}
+        assert set(EXPERIMENTS) == stems
+
+    def test_cli_prints_the_saved_text(self):
+        proc = _python("-m", "repro.experiments", "table1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == table1.format_table() + "\n"
+
+    def test_cli_rejects_unknown_name(self):
+        proc = _python("-m", "repro.experiments", "table9")
+        assert proc.returncode == 2
+        assert all(name in proc.stderr for name in EXPERIMENTS)
+
+    def test_hibench_import_stays_small(self):
+        proc = _python("-c", "import sys, repro.experiments.hibench; print(*sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert not [m for m in loaded if m.startswith(("repro.experiments.table", "repro.workloads"))
+                    or m in ("repro.experiments.ablations", "repro.experiments.registry")]

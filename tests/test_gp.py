@@ -1,6 +1,8 @@
 """Unit tests for the mixed-kernel Gaussian process surrogate."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.gp import GaussianProcess, MixedKernel, _matern52
 
@@ -129,3 +131,59 @@ class TestGP:
         gp, X, _ = self._fit(lambda X: X[:, 0])
         _, sd = gp.predict(np.random.default_rng(0).random((50, 2)))
         assert np.all(sd >= 0)
+
+    def test_nan_input_raises(self):
+        X = np.random.default_rng(0).random((6, 2))
+        X[2, 1] = np.nan
+        with pytest.raises(ValueError):
+            GaussianProcess(_numeric_mask(2)).fit(X, X[:, 0])
+
+    def test_inf_target_raises(self):
+        X = np.random.default_rng(0).random((6, 2))
+        y = X[:, 0].copy()
+        y[3] = np.inf
+        with pytest.raises(ValueError):
+            GaussianProcess(_numeric_mask(2)).fit(X, y)
+
+    def test_cholesky_failure_raises(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        X = np.random.default_rng(0).random((6, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            GaussianProcess(_numeric_mask(2)).fit(X, X[:, 0])
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def _data(draw, grid: bool):
+    """(X, y) in the unit square; ``grid`` puts the rows on distinct
+    points of a 5×5 grid, so that they are 0.25 apart at least."""
+    if grid:
+        cells = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                              min_size=2, max_size=10, unique=True))
+        X = np.array(cells, dtype=float) / 4.0
+    else:
+        n = draw(st.integers(1, 12))
+        X = np.array(draw(st.lists(st.tuples(_unit, _unit), min_size=n, max_size=n)))
+    y = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(X), max_size=len(X)))
+    return X, np.array(y)
+
+
+class TestGPProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(_data(grid=False), st.lists(st.tuples(_unit, _unit), min_size=1, max_size=8))
+    def test_posterior_std_nonnegative(self, data, queries):
+        X, y = data
+        mu, sd = GaussianProcess(_numeric_mask(2)).fit(X, y).predict(np.array(queries))
+        assert np.all(np.isfinite(mu)) and np.all(sd >= 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_data(grid=True))
+    def test_interpolates_at_low_noise(self, data):
+        X, y = data
+        mu, _ = GaussianProcess(_numeric_mask(2), noise_grid=(1e-4,)).fit(X, y).predict(X)
+        assert np.max(np.abs(mu - y)) <= 1e-2 * y.std() + 1e-9

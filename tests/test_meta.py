@@ -1,6 +1,8 @@
 """Unit tests for meta-learning (§5): similarity, warm-start, ensemble."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bo import RunHistory
 from repro.core.config_space import ConfigSpace
@@ -45,6 +47,21 @@ class TestKendallTau:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             kendall_tau(np.array([1.0]), np.array([1.0]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 30).flatmap(lambda n: st.tuples(
+        *(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n) for _ in range(2))
+    )))
+    def test_symmetric(self, ab):
+        a, b = np.array(ab[0]), np.array(ab[1])
+        assert kendall_tau(a, b) == kendall_tau(b, a)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30, unique=True))
+    def test_self_agreement(self, values):
+        # distinct entries only: ties count as neither concordant nor discordant
+        a = np.array(values)
+        assert kendall_tau(a, a) == 1.0 == -kendall_tau(a, -a)
 
     def test_rank_distance_range(self):
         assert rank_distance(1.0) == 0.0
