@@ -90,8 +90,8 @@ class FixedSubspaceTuner(Tuner):
         if self._dims is None:
             self._dims = self._pick_dims()
         surrogates = fit_surrogates(self.history, with_datasize=self.with_datasize)
-        cands = self.space.sample_random(
+        raw = self.space.sample_unit(
             self.n_candidates, self.rng, subspace=self._dims, base=self.best_config()
         )
-        idx, _ = propose(self.history, cands, surrogates)
-        return cands[idx]
+        idx, _ = propose(self.history, self.space.snap(raw)[1], surrogates)
+        return self.space.from_unit(raw[idx])

@@ -28,6 +28,7 @@ class CherryPickTuner(Tuner):
             return self.space.sample_sobol(self.n_init, seed=self.seed)[it]
         thresholds = self.problem.thresholds("runtime")
         surrogates = fit_surrogates(self.history, runtime=bool(thresholds))
-        cands = self.space.sample_random(self.n_candidates, self.rng)
-        idx, _ = propose(self.history, cands, surrogates, runtime_thresholds=thresholds)
-        return cands[idx]
+        raw = self.space.sample_unit(self.n_candidates, self.rng)
+        idx, _ = propose(self.history, self.space.snap(raw)[1], surrogates,
+                         runtime_thresholds=thresholds)
+        return self.space.from_unit(raw[idx])

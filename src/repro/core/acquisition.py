@@ -5,8 +5,9 @@ Implements Eq. 3 (Expected Improvement, minimization form), Eq. 6–7
 constraint surrogates) and Eq. 8 (safe region via the GP upper bound
 ``u(x) = mu(x) + gamma * sigma(x) <= threshold``). No scipy offline:
 the standard normal CDF uses ``math.erf``. :func:`propose` is the one
-scoring step that Ours and the BO baselines share: candidates →
-posteriors → EI/EIC (masked to the safe region) → argmax.
+scoring step that Ours and the BO baselines share: candidate unit
+rows → posteriors → EI/EIC (masked to the safe region) → argmax; only
+the winning row becomes a config dict, in the caller.
 """
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ def safe_mask(
 
 def propose(
     history: RunHistory,
-    cands: list[dict],
+    cands: np.ndarray,
     surrogates: Surrogates,
     *,
     runtime_thresholds: Sequence[float] = (),
@@ -77,12 +78,14 @@ def propose(
 ) -> tuple[int, float]:
     """Index of the candidate to run next, and its acquisition value.
 
-    Scores ``cands`` by EI over the incumbent, times Pr[runtime <= t]
-    for each of ``runtime_thresholds`` (EIC; ``surrogates.runtime`` must
-    be fitted then, on log-runtime). With ``gamma`` set, the argmax is
-    restricted to the safe region of those thresholds; when no candidate
-    is in it, the most plausibly safe one (least ``mu + gamma*sigma``,
-    as in SafeOpt-style search) is returned with value ``inf``.
+    Scores the candidates, one snapped unit row each (see
+    :meth:`repro.core.config_space.ConfigSpace.snap`), by EI over the
+    incumbent, times Pr[runtime <= t] for each of ``runtime_thresholds``
+    (EIC; ``surrogates.runtime`` must be fitted then, on log-runtime).
+    With ``gamma`` set, the argmax is restricted to the safe region of
+    those thresholds; when no candidate is in it, the most plausibly
+    safe one (least ``mu + gamma*sigma``, as in SafeOpt-style search) is
+    returned with value ``inf``.
     """
     U = surrogates.rows(history, cands)
     posteriors = []

@@ -94,10 +94,9 @@ class Surrogates(NamedTuple):
     runtime: GaussianProcess | None  # log-runtime GP, when asked for
     with_datasize: bool              # inputs end in the datasize column
 
-    def rows(self, history: RunHistory, configs: list[dict]) -> np.ndarray:
-        """Model inputs for ``configs`` at the next run, whose datasize
-        is taken to be the last run's."""
-        U = np.array([history.space.to_unit(c) for c in configs])
+    def rows(self, history: RunHistory, U: np.ndarray) -> np.ndarray:
+        """Model inputs for the configs with unit rows ``U`` at the next
+        run, whose datasize is taken to be the last run's."""
         if self.with_datasize:
             ds = datasize_feature(history.observations[-1].result.datasize_mb)
             U = np.concatenate([U, np.full((len(U), 1), ds)], axis=1)

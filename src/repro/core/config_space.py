@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -24,8 +25,8 @@ class Param:
     """One tunable Spark parameter.
 
     ``kind`` is one of ``int`` / ``float`` / ``cat``; booleans are
-    2-way categoricals. ``log`` scales the unit mapping logarithmically
-    (for wide integer ranges such as executor counts).
+    2-way categoricals. ``log`` scales the unit mapping logarithmically;
+    it is for wide integer ranges such as executor counts.
     """
 
     name: str
@@ -35,6 +36,10 @@ class Param:
     log: bool = False
     choices: tuple = ()
     default: object = None
+
+    def __post_init__(self) -> None:
+        if self.log and self.kind != "int":
+            raise ValueError(f"{self.name}: log scaling is for int params only")
 
     @property
     def n_choices(self) -> int:
@@ -64,6 +69,38 @@ class Param:
         if self.kind == "int":
             return int(min(max(round(v), self.low), self.high))
         return float(v)
+
+    def snap(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`from_unit` then :meth:`to_unit` over a column of unit
+        values: the values (a categorical as its choice index) and
+        their unit values, equal bit for bit to the scalar round trip.
+        NumPy's ``exp``/``log`` may differ from ``math``'s in the last
+        ulp, so ``exp`` only feeds the rounding to an int and log-scaled
+        ints get their unit values from a table built by ``to_unit``."""
+        u = np.clip(u, 0.0, 1.0)
+        if self.kind == "cat":
+            idx = np.rint(u * (self.n_choices - 1)).astype(np.int64)
+            return idx, idx / max(self.n_choices - 1, 1)
+        if self.log:
+            lo, hi = math.log(self.low), math.log(self.high)
+            v = np.exp(lo + u * (hi - lo))
+        else:
+            v = self.low + u * (self.high - self.low)
+        if self.kind == "float":
+            return v, (v - self.low) / (self.high - self.low)
+        v = np.clip(np.rint(v), self.low, self.high).astype(np.int64)
+        if self.log:
+            return v, _log_units(self)[v - int(self.low)]
+        return v, (v - self.low) / (self.high - self.low)
+
+
+@cache
+def _log_units(p: Param) -> np.ndarray:
+    """``p.to_unit(v)`` for every int ``v`` of a log-scaled param
+    (read-only: every caller shares it)."""
+    table = np.array([p.to_unit(v) for v in range(int(p.low), int(p.high) + 1)])
+    table.flags.writeable = False
+    return table
 
 
 def _bool(name: str, default: bool) -> Param:
@@ -143,21 +180,33 @@ class ConfigSpace:
         """Snap a config onto the space's grid/ranges."""
         return self.from_unit(self.to_unit(config))
 
+    def snap(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unit rows snapped onto the grid, in bulk: the value matrix
+        (categoricals as their choice index) and the unit matrix whose
+        rows equal ``to_unit(from_unit(u))`` bit for bit."""
+        V, S = np.empty(U.shape), np.empty(U.shape)
+        for i, p in enumerate(self.params):
+            V[:, i], S[:, i] = p.snap(U[:, i])
+        return V, S
+
+    def sample_unit(
+        self, n: int, rng: np.random.Generator, *, subspace: list[int] | None = None,
+        base: dict | None = None,
+    ) -> np.ndarray:
+        """``n`` uniform unit rows, not yet snapped; if ``subspace`` is
+        given, only those dims vary and the rest are pinned at ``base``
+        (default config if None)."""
+        dims = list(subspace) if subspace is not None else list(range(self.dim))
+        U = np.tile(self.to_unit(base or self.default_config()), (n, 1))
+        U[:, dims] = rng.random((n, len(dims)))
+        return U
+
     def sample_random(
         self, n: int, rng: np.random.Generator, *, subspace: list[int] | None = None,
         base: dict | None = None,
     ) -> list[dict]:
-        """Uniform samples; if ``subspace`` given, only those dims vary
-        and the rest are pinned at ``base`` (default config if None)."""
-        u0 = self.to_unit(base or self.default_config())
-        out = []
-        for _ in range(n):
-            u = u0.copy()
-            dims = subspace if subspace is not None else range(self.dim)
-            for i in dims:
-                u[i] = rng.random()
-            out.append(self.from_unit(u))
-        return out
+        """:meth:`sample_unit` as configs."""
+        return [self.from_unit(u) for u in self.sample_unit(n, rng, subspace=subspace, base=base)]
 
     def sample_sobol(
         self, n: int, *, seed: int = 0, subspace: list[int] | None = None,

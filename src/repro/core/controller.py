@@ -122,7 +122,8 @@ class OnlineTuner(Tuner):
         # from the objective model the generator fitted for this pick
         if best is not None:
             surrogates = self.generator.surrogates
-            mu, _ = surrogates.objective.predict(surrogates.rows(self.history, [config]))
+            U = self.space.to_unit(config)[None, :]
+            mu, _ = surrogates.objective.predict(surrogates.rows(self.history, U))
             self._expected[it] = min(float(best.objective), float(mu[0]))
         return config
 

@@ -48,22 +48,24 @@ class ConfigGenerator:
 
     # -- helpers -------------------------------------------------------
 
-    def _candidates(self, history: RunHistory) -> list[dict]:
-        """Random + local candidates inside the current sub-space."""
+    def _candidates(self, history: RunHistory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Random + local candidates inside the current sub-space: the
+        unit rows as drawn, their values and their snapped unit rows (see
+        :meth:`ConfigSpace.snap`). Rows equal to a history config are
+        dropped, unless every row is one."""
         best = history.best()
         base = best.config if best else self.space.default_config()
         dims = self.subspace.current_dims() if self.use_subspace else list(range(self.space.dim))
         n_rand = int(self.n_candidates * 0.7)
-        cands = self.space.sample_random(n_rand, self._rng, subspace=dims, base=base)
+        rand = self.space.sample_unit(n_rand, self._rng, subspace=dims, base=base)
         # local Gaussian perturbations of the incumbent (exploitation pool)
-        u0 = self.space.to_unit(base)
-        for _ in range(self.n_candidates - n_rand):
-            u = u0.copy()
-            for i in dims:
-                u[i] = float(np.clip(u[i] + self._rng.normal(0.0, 0.12), 0.0, 1.0))
-            cands.append(self.space.from_unit(u))
-        seen = {tuple(sorted(o.config.items())) for o in history.observations}
-        return [c for c in cands if tuple(sorted(c.items())) not in seen] or cands
+        local = np.tile(self.space.to_unit(base), (self.n_candidates - n_rand, 1))
+        noise = self._rng.normal(0.0, 0.12, (len(local), len(dims)))
+        local[:, dims] = np.clip(local[:, dims] + noise, 0.0, 1.0)
+        raw = np.concatenate([rand, local])
+        V, U = self.space.snap(raw)
+        new = ~(U[:, None, :] == history.X_unit()[None, :, :]).all(axis=2).any(axis=1)
+        return (raw[new], V[new], U[new]) if new.any() else (raw, V, U)
 
     # -- Algorithm 2 ---------------------------------------------------
 
@@ -89,16 +91,19 @@ class ConfigGenerator:
             self.subspace.update_importance(
                 history.X_unit(), history.penalized_objectives()
             )
-        cands = self._candidates(history)
+        raw, V, U = self._candidates(history)
         thresholds, gamma = [], None
         # use_safe=False is the paper's "vanilla BO" ablation: plain EI
         # with no constraint probability and no safe region
         if self.use_safe:
             # white-box resource constraints: filter analytically
+            r = resource(dict(zip(self.space.names, V.T)))
             for thr in self.problem.thresholds("resource"):
-                cands = [x for x in cands if resource(x) <= thr] or cands
+                ok = r <= thr
+                if ok.any():
+                    raw, U, r = raw[ok], U[ok], r[ok]
             thresholds, gamma = self.problem.thresholds("runtime"), self.gamma
         idx, self.last_ei = propose(
-            history, cands, self.surrogates, runtime_thresholds=thresholds, gamma=gamma
+            history, U, self.surrogates, runtime_thresholds=thresholds, gamma=gamma
         )
-        return cands[idx]
+        return self.space.from_unit(raw[idx])

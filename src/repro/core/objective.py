@@ -43,14 +43,14 @@ def resource(config: dict, *, c: float = MEM_CORE_PRICE_RATIO) -> float:
     """White-box resource function R(x): vcores + c * memory-GB.
 
     Counts executors (instances × cores, instances × memory) plus the
-    driver. Off-heap memory is charged when enabled.
+    driver. Off-heap memory is charged when enabled. ``config`` may map
+    each name to an array with one value per config (the off-heap flag
+    as 0/1), giving every config's R(x) in one call.
     """
     inst = config["spark.executor.instances"]
     cores = config["spark.executor.cores"]
-    mem = config["spark.executor.memory"]
-    mem += config["spark.executor.memoryOverhead"] / 1024.0
-    if config.get("spark.memory.offHeap.enabled"):
-        mem += config["spark.memory.offHeap.size"]
+    mem = config["spark.executor.memory"] + config["spark.executor.memoryOverhead"] / 1024.0
+    mem = mem + config["spark.memory.offHeap.enabled"] * config["spark.memory.offHeap.size"]
     vcores = inst * cores + config["spark.driver.cores"]
     mem_gb = inst * mem + config["spark.driver.memory"]
     return vcores + c * mem_gb

@@ -126,7 +126,7 @@ class TestPropose:
         h = RunHistory(space, TuningProblem(beta=1.0))
         h.add(space.default_config(),
               ExecResult(runtime_s=10.0, mem_gbh=1, cpu_coreh=1, datasize_mb=1000))
-        cands = space.sample_random(4, np.random.default_rng(0))
+        _, cands = space.snap(space.sample_unit(4, np.random.default_rng(0)))
         return h, cands, Surrogates(self.OBJ, self.LOG_RT, with_datasize=True)
 
     def test_no_thresholds_is_ei_argmax(self, setup):

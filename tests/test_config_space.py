@@ -116,6 +116,53 @@ class TestSpace:
                     assert c[p.name] == base[p.name]
 
 
+_UNIT = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+_SPACES = {"spark": ConfigSpace(), "hibench": hibench_space()}
+
+
+class TestVectorized:
+    """The bulk paths equal the scalar ones exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(_SPACES)),
+           st.lists(st.lists(_UNIT, min_size=30, max_size=30), min_size=1, max_size=8))
+    def test_snap_equals_scalar_roundtrip(self, which, rows):
+        space, U = _SPACES[which], np.array(rows)
+        V, S = space.snap(U)
+        assert np.array_equal(S, np.array([space.to_unit(space.from_unit(u)) for u in U]))
+        for v, u in zip(V, U):
+            c = space.from_unit(u)
+            assert list(v) == [p.choices.index(c[p.name]) if p.kind == "cat" else c[p.name]
+                               for p in space.params]
+
+    def test_snap_equals_scalar_roundtrip_bulk(self):
+        # many rows, inside and outside the cube (from_unit clamps)
+        U = np.random.default_rng(0).uniform(-0.2, 1.2, (4000, 30))
+        for space in _SPACES.values():
+            _, S = space.snap(U)
+            assert np.array_equal(S, np.array([space.to_unit(space.from_unit(u)) for u in U]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(_SPACES)), st.integers(0, 12), st.integers(0, 2**32 - 1),
+           st.one_of(st.none(), st.sets(st.integers(0, 29), max_size=30).map(sorted)),
+           st.lists(_UNIT, min_size=30, max_size=30))
+    def test_sample_random_equals_scalar_loop(self, which, n, seed, subspace, base_u):
+        space = _SPACES[which]
+        base = space.from_unit(np.array(base_u))
+        got = space.sample_random(n, np.random.default_rng(seed), subspace=subspace, base=base)
+        rng, u0, expect = np.random.default_rng(seed), space.to_unit(base), []
+        for _ in range(n):
+            u = u0.copy()
+            for i in subspace if subspace is not None else range(space.dim):
+                u[i] = rng.random()
+            expect.append(space.from_unit(u))
+        assert got == expect
+
+    def test_log_scaling_is_int_only(self):
+        with pytest.raises(ValueError):
+            Param("x", "float", 1.0, 10.0, log=True)
+
+
 class TestSobol:
     def test_shape_and_range(self):
         pts = sobol(64, 31)

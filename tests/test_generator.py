@@ -108,3 +108,72 @@ class TestSuggest:
             i for i, p in enumerate(space.params) if cfg[p.name] != best[p.name]
         ]
         assert set(diffs) <= dims
+
+
+class TestCandidates:
+    """Rows of the candidate matrix that the history and the white-box
+    resource constraint rule out."""
+
+    N = 40
+    I_FLAG = ConfigSpace().index_of("spark.shuffle.compress")  # True by default
+
+    def _gen(self, space, problem, dims):
+        gen = ConfigGenerator(space, problem, seed=0, use_agd=False, n_candidates=self.N)
+        gen.subspace.current_dims = lambda: dims
+        return gen
+
+    @staticmethod
+    def _history(space, problem, configs):
+        h = RunHistory(space, problem)
+        for rt, cfg in enumerate(configs, start=100):  # the first is the incumbent
+            h.add(cfg, ExecResult(runtime_s=float(rt), mem_gbh=1, cpu_coreh=1, datasize_mb=1000))
+        return h
+
+    def test_drops_history_configs(self, space):
+        prob = TuningProblem(beta=0.5)
+        h = self._history(space, prob, [space.default_config()])
+        raw, V, U = self._gen(space, prob, [self.I_FLAG])._candidates(h)
+        # only the flag varies: every row left is the default with it flipped
+        assert 0 < len(U) < self.N
+        assert not (U[:, None, :] == h.X_unit()[None]).all(axis=2).any()
+        assert (V[:, self.I_FLAG] == 0).all()
+        flipped = space.default_config() | {"spark.shuffle.compress": False}
+        assert [space.from_unit(u) for u in raw] == [flipped] * len(raw)
+
+    def test_keeps_all_when_every_candidate_is_seen(self, space):
+        prob = TuningProblem(beta=0.5)
+        flipped = space.default_config() | {"spark.shuffle.compress": False}
+        h = self._history(space, prob, [space.default_config(), flipped])
+        raw, V, U = self._gen(space, prob, [self.I_FLAG])._candidates(h)
+        assert len(raw) == len(V) == len(U) == self.N
+
+    def _proposed(self, space, threshold, monkeypatch):
+        """The candidate count, and the resource of every row handed to
+        propose()."""
+        prob = TuningProblem(beta=0.5, constraints=(Constraint("resource", threshold),))
+        gen = self._gen(space, prob, [space.index_of("spark.executor.instances")])
+        pool, seen = [], []
+        candidates = gen._candidates
+
+        def spy_candidates(history):
+            out = candidates(history)
+            pool.append(len(out[0]))
+            return out
+
+        def spy_propose(history, cands, *args, **kwargs):
+            seen.extend(resource(space.from_unit(u)) for u in cands)
+            return 0, 1.0
+
+        gen._candidates = spy_candidates
+        monkeypatch.setattr("repro.core.generator.propose", spy_propose)
+        gen.suggest(_history(space, prob))
+        return pool[0], seen
+
+    def test_resource_filter_drops_violations(self, space, monkeypatch):
+        small = resource(space.clip(space.default_config() | {"spark.executor.instances": 20}))
+        n, seen = self._proposed(space, small, monkeypatch)
+        assert 0 < len(seen) < n and max(seen) <= small
+
+    def test_resource_filter_keeps_all_when_none_pass(self, space, monkeypatch):
+        n, seen = self._proposed(space, 1e-3, monkeypatch)
+        assert len(seen) == n > 0

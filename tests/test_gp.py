@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config_space import ConfigSpace
 from repro.core.gp import GaussianProcess, MixedKernel, _matern52
 
 
@@ -187,3 +188,34 @@ class TestGPProperties:
         X, y = data
         mu, _ = GaussianProcess(_numeric_mask(2), noise_grid=(1e-4,)).fit(X, y).predict(X)
         assert np.max(np.abs(mu - y)) <= 1e-2 * y.std() + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 30),
+           st.floats(0.15, 5.0), st.booleans())
+    def test_kernel_prior_variance_is_one(self, seed, n, d, ls, has_datasize):
+        rng = np.random.default_rng(seed)
+        cat_mask = rng.random(d) < 0.3
+        X = rng.random((n, d + has_datasize))
+        X[:, :d][:, cat_mask] = np.rint(X[:, :d][:, cat_mask] * 2) / 2
+        k = MixedKernel(cat_mask, has_datasize, lengthscale=ls,
+                        cat_decay=max(cat_mask.sum() / 2.0, 0.5), ds_lengthscale=ls)
+        np.testing.assert_allclose(k(X, X).diagonal(), 1.0, rtol=0, atol=1e-12)
+        for x in X:
+            assert k(x[None], x[None])[0, 0] == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+def test_predict_std_matches_full_prior_diagonal():
+    # predict() takes k(x, x) = 1 instead of building kernel(X, X)
+    space, rng = ConfigSpace(), np.random.default_rng(3)
+
+    def rows(n):
+        _, U = space.snap(rng.random((n, space.dim)))
+        return np.concatenate([U, rng.random((n, 1))], axis=1)
+
+    X, Xs = rows(40), rows(300)
+    gp = GaussianProcess(space.cat_mask, has_datasize=True).fit(X, rng.normal(size=40))
+    for Q in (Xs, X):
+        _, sd = gp.predict(Q)
+        v = np.linalg.solve(gp._L, gp.kernel(Q, gp._X).T)
+        var = np.clip(gp.kernel(Q, Q).diagonal() + gp.noise - (v**2).sum(0), 1e-12, None)
+        np.testing.assert_allclose(sd, np.sqrt(var) * gp._y_std, rtol=1e-12, atol=0)

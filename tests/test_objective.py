@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config_space import ConfigSpace
+from repro.core.config_space import ConfigSpace, hibench_space
 from repro.core.objective import (
     Constraint, ExecResult, TuningProblem, execution_cost, objective,
     resource, resource_gradient,
@@ -35,6 +35,15 @@ class TestResource:
         small = dict(cfg, **{"spark.executor.instances": 5})
         big = dict(cfg, **{"spark.executor.instances": 50})
         assert resource(big) > resource(small)
+
+    def test_columns_equal_scalar_exactly(self):
+        # the generator's bulk filter: one call over value columns
+        for space in (ConfigSpace(), hibench_space()):
+            U = np.random.default_rng(0).random((400, space.dim))
+            U[:, space.index_of("spark.memory.offHeap.enabled")] = np.arange(400) % 2
+            V, _ = space.snap(U)
+            bulk = resource(dict(zip(space.names, V.T)))
+            assert bulk.tolist() == [resource(space.from_unit(u)) for u in U]
 
     def test_gradient_matches_finite_difference(self, cfg):
         g = resource_gradient(cfg)
