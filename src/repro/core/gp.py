@@ -11,10 +11,14 @@ lengthscale (also the datasize SE lengthscale) and the noise are
 grid-searched by maximizing the exact log marginal likelihood —
 observation counts are tiny online (≤ tens), so a coarse grid is both
 robust and fast, and needs no scipy; the categorical decay is set from
-the categorical-dimension count.
+the categorical-dimension count. A fit builds the kernels of all grid
+lengthscales as one ``(lengthscales, n, n)`` stack
+(:meth:`MixedKernel.stack`): the distances and mismatch counts beneath
+them do not depend on the lengthscale, so they are computed once.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,19 +54,30 @@ class MixedKernel:
     ds_lengthscale: float = 0.5
 
     def __call__(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        return self.stack(A, B, [self.lengthscale], [self.ds_lengthscale])[0]
+
+    def stack(
+        self,
+        A: np.ndarray,
+        B: np.ndarray,
+        lengthscales: Sequence[float],
+        ds_lengthscales: Sequence[float],
+    ) -> np.ndarray:
+        """``k(A, B)`` at each (numeric, datasize) lengthscale pair, as
+        one ``(len(lengthscales), len(A), len(B))`` array."""
         d = len(self.cat_mask)
         num = ~self.cat_mask
         An, Bn = A[:, :d][:, num], B[:, :d][:, num]
-        K = _matern52(np.sqrt(_pairwise_sq(An, Bn)) / max(self.lengthscale, 1e-6))
+        scale = np.array([max(ls, 1e-6) for ls in lengthscales])[:, None, None]
+        K = _matern52(np.sqrt(_pairwise_sq(An, Bn)) / scale)
         if self.cat_mask.any():
             Ac, Bc = A[:, :d][:, self.cat_mask], B[:, :d][:, self.cat_mask]
             mism = (np.abs(Ac[:, None, :] - Bc[None, :, :]) > 1e-9).sum(axis=2)
             K = K * np.exp(-mism / max(self.cat_decay, 1e-6))
         if self.has_datasize:
             ds_a, ds_b = A[:, d:], B[:, d:]
-            K = K * np.exp(
-                -_pairwise_sq(ds_a, ds_b) / (2.0 * max(self.ds_lengthscale, 1e-6) ** 2)
-            )
+            two_sq = np.array([2.0 * max(ls, 1e-6) ** 2 for ls in ds_lengthscales])
+            K = K * np.exp(-_pairwise_sq(ds_a, ds_b) / two_sq[:, None, None])
         return K
 
 
@@ -107,11 +122,12 @@ class GaussianProcess:
         # same story for the Hamming factor: its decay must scale with
         # the categorical-dimension count or every config pair is "far"
         self.kernel.cat_decay = max(float(np.asarray(self.cat_mask).sum()) / 2.0, 0.5)
-        for ls in tuple(self.ls_grid) + tuple(g * dim_scale for g in self.ls_grid):
+        lengthscales = tuple(self.ls_grid) + tuple(g * dim_scale for g in self.ls_grid)
+        stack = self.kernel.stack(X, X, lengthscales, lengthscales)
+        eye = np.eye(len(X))
+        for ls, K_ls in zip(lengthscales, stack):
             for nz in self.noise_grid:
-                self.kernel.lengthscale = ls
-                self.kernel.ds_lengthscale = ls
-                K = self.kernel(X, X) + (nz + _JITTER) * np.eye(len(X))
+                K = K_ls + (nz + _JITTER) * eye
                 try:
                     L = np.linalg.cholesky(K)
                 except np.linalg.LinAlgError:

@@ -58,7 +58,6 @@ class SubspaceManager:
     _succ: int = 0
     _fail: int = 0
     _ranking: list[int] = field(init=False)
-    _n_seen: int = 0
     importance: np.ndarray | None = None
     importance_std: np.ndarray | None = None
 
@@ -80,7 +79,6 @@ class SubspaceManager:
         and anchored by a small expert-prior term — otherwise one bad
         refit can evict a critical parameter from the sub-space.
         """
-        self._n_seen = len(y)
         if len(y) < self.min_history or len(y) % self.refit_every != 0:
             return
         forest = RandomForestRegressor(

@@ -123,30 +123,35 @@ class RegressionTree:
         return node
 
     def _best_split(self, X: np.ndarray, y: np.ndarray) -> tuple[int, float]:
+        """Best (feature, threshold) over the candidate features, scored
+        in one pass: each column sorted, every cut's SSE from cumulative
+        sums, invalid cuts at +inf; ``(-1, 0.0)`` when no cut gains."""
         n, d = X.shape
         feats = np.arange(d)
         if self.max_features is not None and self.max_features < d:
             feats = self.rng.choice(d, size=self.max_features, replace=False)
         best_gain, best = 0.0, (-1, 0.0)
+        if n < 2:
+            return best
         base_sse = float(((y - y.mean()) ** 2).sum())
         msl = self.min_samples_leaf
-        for f in feats:
-            order = np.argsort(X[:, f], kind="stable")
-            xs, ys = X[order, f], y[order]
-            # cumulative sums → SSE of every prefix/suffix split in O(n)
-            csum, csq = np.cumsum(ys), np.cumsum(ys**2)
-            tot, totsq = csum[-1], csq[-1]
-            idx = np.arange(1, n)
-            valid = (xs[1:] > xs[:-1]) & (idx >= msl) & (n - idx >= msl)
-            if not valid.any():
-                continue
-            nl = idx[valid].astype(np.float64)
-            sl, sql = csum[:-1][valid], csq[:-1][valid]
-            sse = (sql - sl**2 / nl) + ((totsq - sql) - (tot - sl) ** 2 / (n - nl))
-            k = int(np.argmin(sse))
-            gain = base_sse - float(sse[k])
+        Xf = X[:, feats]
+        order = np.argsort(Xf, axis=0, kind="stable")
+        xs, ys = np.take_along_axis(Xf, order, axis=0), y[order]
+        # cumulative sums → SSE of every prefix/suffix split in O(n)
+        csum, csq = np.cumsum(ys, axis=0), np.cumsum(ys**2, axis=0)
+        tot, totsq = csum[-1], csq[-1]
+        idx = np.arange(1, n)
+        valid = (xs[1:] > xs[:-1]) & ((idx >= msl) & (n - idx >= msl))[:, None]
+        nl = idx.astype(np.float64)[:, None]
+        sl, sql = csum[:-1], csq[:-1]
+        sse = (sql - sl**2 / nl) + ((totsq - sql) - (tot - sl) ** 2 / (n - nl))
+        sse[~valid] = np.inf
+        ks = np.argmin(sse, axis=0)
+        for j in np.flatnonzero(valid.any(axis=0)):
+            gain = base_sse - float(sse[ks[j], j])
             if gain > best_gain + 1e-12:
-                i = idx[valid][k]
+                i = ks[j] + 1
                 best_gain = gain
-                best = (int(f), float((xs[i - 1] + xs[i]) / 2.0))
+                best = (int(feats[j]), float((xs[i - 1, j] + xs[i, j]) / 2.0))
         return best

@@ -192,3 +192,11 @@ class TestSobol:
         pts = sobol(32, d, seed=seed)
         assert pts.shape == (32, d)
         assert pts.min() >= 0.0 and pts.max() < 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 9), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_every_column_stratified(self, m, d, seed):
+        # n = 2**m points: each column has one point in every [k/n, (k+1)/n)
+        n = 2**m
+        cells = np.floor(sobol(n, d, seed=seed) * n).astype(int)
+        assert np.array_equal(np.sort(cells, axis=0), np.tile(np.arange(n)[:, None], (1, d)))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config_space import ConfigSpace
-from repro.core.gp import GaussianProcess, MixedKernel, _matern52
+from repro.core.gp import _JITTER, GaussianProcess, MixedKernel, _matern52, _pairwise_sq
 
 
 def _numeric_mask(d):
@@ -219,3 +219,102 @@ def test_predict_std_matches_full_prior_diagonal():
         v = np.linalg.solve(gp._L, gp.kernel(Q, gp._X).T)
         var = np.clip(gp.kernel(Q, Q).diagonal() + gp.noise - (v**2).sum(0), 1e-12, None)
         np.testing.assert_allclose(sd, np.sqrt(var) * gp._y_std, rtol=1e-12, atol=0)
+
+
+def _reference_kernel(k, A, B):
+    """Matérn52 × Hamming × SE at ``k``'s lengthscales, one matrix."""
+    d = len(k.cat_mask)
+    num = ~k.cat_mask
+    K = _matern52(np.sqrt(_pairwise_sq(A[:, :d][:, num], B[:, :d][:, num]))
+                  / max(k.lengthscale, 1e-6))
+    if k.cat_mask.any():
+        Ac, Bc = A[:, :d][:, k.cat_mask], B[:, :d][:, k.cat_mask]
+        mism = (np.abs(Ac[:, None, :] - Bc[None, :, :]) > 1e-9).sum(axis=2)
+        K = K * np.exp(-mism / max(k.cat_decay, 1e-6))
+    if k.has_datasize:
+        K = K * np.exp(-_pairwise_sq(A[:, d:], B[:, d:])
+                       / (2.0 * max(k.ds_lengthscale, 1e-6) ** 2))
+    return K
+
+
+def _reference_fit(gp, X, y):
+    """``fit``'s grid search with one kernel built per grid point:
+    (lengthscale, noise, L, alpha) of the best point."""
+    z = (y - y.mean()) / (y.std() or 1.0)
+    dim_scale = max(np.sqrt((~gp.kernel.cat_mask).sum() / 2.0), 1.0)
+    k = MixedKernel(gp.kernel.cat_mask, gp.has_datasize,
+                    cat_decay=max(float(gp.kernel.cat_mask.sum()) / 2.0, 0.5))
+    best = (-np.inf, None)
+    for ls in tuple(gp.ls_grid) + tuple(g * dim_scale for g in gp.ls_grid):
+        for nz in gp.noise_grid:
+            k.lengthscale = k.ds_lengthscale = ls
+            K = _reference_kernel(k, X, X) + (nz + _JITTER) * np.eye(len(X))
+            try:
+                L = np.linalg.cholesky(K)
+            except np.linalg.LinAlgError:
+                continue
+            a = np.linalg.solve(L.T, np.linalg.solve(L, z))
+            lml = -0.5 * z @ a - np.log(np.diag(L)).sum() - 0.5 * len(X) * np.log(2 * np.pi)
+            if lml > best[0]:
+                best = (lml, (ls, nz, L, a))
+    return best[1]
+
+
+def _mixed_rows(rng, n, d, cat_mask):
+    """``n`` unit rows over ``d`` dims (categoricals on {0, 0.5, 1}) plus
+    a datasize column."""
+    X = rng.random((n, d + 1))
+    X[:, :d][:, cat_mask] = np.rint(X[:, :d][:, cat_mask] * 2) / 2
+    return X
+
+
+def _assert_fit_equals_reference(gp, X, y):
+    ls, nz, L, a = _reference_fit(gp, X, y)
+    assert (gp.kernel.lengthscale, gp.kernel.ds_lengthscale, gp.noise) == (ls, ls, nz)
+    assert np.array_equal(gp._L, L) and np.array_equal(gp._alpha, a)
+
+
+class TestKernelStackExact:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 12),
+           st.lists(st.floats(1e-7, 5.0), min_size=1, max_size=8))
+    def test_slices_equal_scalar_kernel(self, seed, n, d, lengthscales):
+        rng = np.random.default_rng(seed)
+        cat_mask = rng.random(d) < 0.3
+        X, Q = _mixed_rows(rng, n, d, cat_mask), _mixed_rows(rng, 7, d, cat_mask)
+        k = MixedKernel(cat_mask, True, cat_decay=max(cat_mask.sum() / 2.0, 0.5))
+        ds_lengthscales = lengthscales[::-1]
+        for A, B in ((X, X), (Q, X)):
+            stack = k.stack(A, B, lengthscales, ds_lengthscales)
+            assert stack.shape == (len(lengthscales), len(A), len(B))
+            for K, ls, ds_ls in zip(stack, lengthscales, ds_lengthscales):
+                k.lengthscale, k.ds_lengthscale = ls, ds_ls
+                assert np.array_equal(K, _reference_kernel(k, A, B))
+                assert np.array_equal(k(A, B), K)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 12))
+    def test_fit_equals_scalar_grid_loop(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        cat_mask = rng.random(d) < 0.3
+        X = _mixed_rows(rng, n, d, cat_mask)
+        y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        _assert_fit_equals_reference(GaussianProcess(cat_mask, has_datasize=True).fit(X, y), X, y)
+
+    def test_skips_only_the_grid_points_that_fail(self, monkeypatch):
+        # smooth noiseless data: the best point has noise below 1e-2
+        rng = np.random.default_rng(7)
+        X = rng.random((20, 2))
+        y = np.sin(3 * X[:, 0]) + X[:, 1]
+        assert GaussianProcess(_numeric_mask(2)).fit(X, y).noise < 1e-2
+        cholesky = np.linalg.cholesky
+
+        def fail_low_noise(K):
+            if K.diagonal().min() < 1.0 + 1e-2:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(K)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail_low_noise)
+        gp = GaussianProcess(_numeric_mask(2)).fit(X, y)
+        assert gp.noise >= 1e-2
+        _assert_fit_equals_reference(gp, X, y)

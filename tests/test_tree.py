@@ -106,3 +106,64 @@ class TestLeafBoxes:
     def test_unfitted_boxes_raises(self):
         with pytest.raises(RuntimeError):
             RegressionTree().leaf_boxes(np.zeros(2), np.ones(2))
+
+
+def _reference_best_split(tree, X, y):
+    """The per-feature split search, one feature at a time."""
+    n, d = X.shape
+    feats = np.arange(d)
+    if tree.max_features is not None and tree.max_features < d:
+        feats = tree.rng.choice(d, size=tree.max_features, replace=False)
+    best_gain, best = 0.0, (-1, 0.0)
+    base_sse = float(((y - y.mean()) ** 2).sum())
+    msl = tree.min_samples_leaf
+    for f in feats:
+        order = np.argsort(X[:, f], kind="stable")
+        xs, ys = X[order, f], y[order]
+        csum, csq = np.cumsum(ys), np.cumsum(ys**2)
+        tot, totsq = csum[-1], csq[-1]
+        idx = np.arange(1, n)
+        valid = (xs[1:] > xs[:-1]) & (idx >= msl) & (n - idx >= msl)
+        if not valid.any():
+            continue
+        nl = idx[valid].astype(np.float64)
+        sl, sql = csum[:-1][valid], csq[:-1][valid]
+        sse = (sql - sl**2 / nl) + ((totsq - sql) - (tot - sl) ** 2 / (n - nl))
+        k = int(np.argmin(sse))
+        gain = base_sse - float(sse[k])
+        if gain > best_gain + 1e-12:
+            i = idx[valid][k]
+            best_gain = gain
+            best = (int(f), float((xs[i - 1] + xs[i]) / 2.0))
+    return best
+
+
+@st.composite
+def _split_case(draw):
+    """X with repeated values and constant columns, y with ties, and the
+    tree's leaf size and feature subsampling."""
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 6))
+    levels = draw(st.integers(1, 6))
+    X = np.array(draw(st.lists(st.integers(0, levels), min_size=n * d, max_size=n * d)),
+                 dtype=float).reshape(n, d) / levels
+    for j in range(d):
+        if draw(st.booleans()) and draw(st.booleans()):
+            X[:, j] = X[0, j]
+    y = np.array(draw(st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3)),
+                               min_size=n, max_size=n)))
+    msl = draw(st.integers(1, 3))
+    max_features = draw(st.one_of(st.none(), st.integers(1, d)))
+    return X, y, msl, max_features, draw(st.integers(0, 2**32 - 1))
+
+
+class TestBestSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(_split_case())
+    def test_equals_per_feature_loop(self, case):
+        X, y, msl, max_features, seed = case
+
+        def tree():
+            return RegressionTree(min_samples_leaf=msl, max_features=max_features,
+                                  rng=np.random.default_rng(seed))
+
+        assert tree()._best_split(X, y) == _reference_best_split(tree(), X, y)
