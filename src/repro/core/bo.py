@@ -2,8 +2,9 @@
 
 :class:`RunHistory` is the repository's per-task view: evaluated
 configurations, their execution results, objective values and
-feasibility. It vectorizes itself for surrogate fitting (optionally
-appending the datasize feature used by the mixed kernel, Eq. 4).
+feasibility. It keeps the configs as a unit matrix, one row appended
+per run, for surrogate fitting (optionally with the datasize feature
+used by the mixed kernel, Eq. 4, as a last column).
 :func:`fit_surrogates` fits the models one BO iteration scores its
 candidates with; the loop itself is
 :func:`repro.experiments.harness.run_tuning`.
@@ -38,11 +39,18 @@ class Observation:
 
 @dataclass
 class RunHistory:
-    """Ordered observations of one tuning task."""
+    """Ordered observations of one tuning task, with their configs kept
+    as unit rows and their datasize features, one row appended per run."""
 
     space: ConfigSpace
     problem: TuningProblem
-    observations: list[Observation] = field(default_factory=list)
+    observations: list[Observation] = field(default_factory=list, init=False)
+    _U: np.ndarray = field(init=False, repr=False)
+    _ds: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._U = np.empty((0, self.space.dim))
+        self._ds = np.empty(0)
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -55,21 +63,26 @@ class RunHistory:
             feasible=self.problem.feasible(result, config),
         )
         self.observations.append(obs)
+        self._U = np.vstack([self._U, self.space.to_unit(config)])
+        self._U.flags.writeable = False
+        self._ds = np.append(self._ds, datasize_feature(result.datasize_mb))
         return obs
 
-    def best(self, *, feasible_only: bool = True) -> Observation | None:
-        """Incumbent: lowest objective (feasible preferred)."""
-        cands = [o for o in self.observations if o.feasible] if feasible_only else []
-        if not cands:
-            cands = self.observations
-        return min(cands, key=lambda o: o.objective) if cands else None
+    def best(self) -> Observation | None:
+        """Incumbent: the best feasible run, or the best run while none is."""
+        return self.best_feasible() or min(self.observations, key=lambda o: o.objective,
+                                           default=None)
+
+    def best_feasible(self) -> Observation | None:
+        """The lowest objective among feasible runs; None if there is none."""
+        feasible = [o for o in self.observations if o.feasible]
+        return min(feasible, key=lambda o: o.objective, default=None)
 
     def X_unit(self, *, with_datasize: bool = False) -> np.ndarray:
-        X = np.array([self.space.to_unit(o.config) for o in self.observations])
+        """The configs' unit rows (read-only), datasize feature last if asked."""
         if with_datasize:
-            ds = np.array([[datasize_feature(o.result.datasize_mb)] for o in self.observations])
-            X = np.concatenate([X, ds], axis=1)
-        return X
+            return np.concatenate([self._U, self._ds[:, None]], axis=1)
+        return self._U
 
     def objectives(self) -> np.ndarray:
         return np.array([o.objective for o in self.observations])

@@ -1,8 +1,9 @@
 """Adaptive sub-space generation (§4.1).
 
 Parameter importance comes from fANOVA over a random forest fitted on
-the task's run history (single-parameter plus pairwise-interaction
-contributions). The sub-space is the top-K important parameters, and K
+the task's run history: single-parameter contributions, refit every
+``refit_every`` observations and blended into a running average plus a
+small expert prior. The sub-space is the top-K important parameters, and K
 evolves TuRBO-style: after ``tau_succ`` consecutive improvements over
 the incumbent the space grows (K ← min(K_max, K+2)); after ``tau_fail``
 consecutive failures it shrinks (K ← max(K_min, K−2)); counters reset
@@ -59,7 +60,6 @@ class SubspaceManager:
     _fail: int = 0
     _ranking: list[int] = field(init=False)
     importance: np.ndarray | None = None
-    importance_std: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.k_max = self.k_max or self.space.dim
@@ -85,14 +85,11 @@ class SubspaceManager:
             n_estimators=16, max_depth=5, max_features=max(3, self.space.dim // 3),
             seed=self.seed,
         ).fit(np.asarray(X_unit), np.asarray(y))
-        res = fanova_importance(
-            forest, np.zeros(self.space.dim), np.ones(self.space.dim), pairs=False
-        )
+        res = fanova_importance(forest, np.zeros(self.space.dim), np.ones(self.space.dim))
         if self.importance is None:
             self.importance = res.single_mean
         else:
             self.importance = 0.5 * self.importance + 0.5 * res.single_mean
-        self.importance_std = res.single_std
         prior = np.zeros(self.space.dim)
         for r, name in enumerate(EXPERT_RANKING):
             if name in self.space.names:

@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from repro.core.controller import OnlineTuner
 from repro.core.meta import MetaLearner, SourceTask
 from repro.core.objective import objective as obj_fn
 from repro.experiments.harness import (
-    SimEvaluator, default_constraints, make_problem, run_tuning, tune,
+    SimEvaluator, default_constraints, incumbent_score, make_problem, reference_run,
+    run_tuning, tune,
 )
 from repro.experiments.hibench import HIBENCH_TASKS, hibench_env
 from repro.simcluster import get_profile
@@ -80,12 +82,15 @@ def agd(*, tasks=HIBENCH_TASKS, budget: int = 30, seeds=(0, 1)) -> AGDResult:
     space, sim = hibench_env()
     per_task = {}
     extras = []
+    default = space.default_config()
     for task in tasks:
+        profile = get_profile(task)
+        ref = obj_fn(reference_run(profile, sim, default).runtime_s, default, 0.5)
         cost = {}
         for use_agd in (True, False):
             vals = [
-                tune(space, sim, get_profile(task), seed=s, budget=budget, use_agd=use_agd)
-                .best().objective
+                incumbent_score(tune(space, sim, profile, seed=s, budget=budget,
+                                     use_agd=use_agd), attrgetter("objective"), ref)
                 for s in seeds
             ]
             cost[use_agd] = float(np.mean(vals))
@@ -129,7 +134,7 @@ def subspace(*, tasks=("pagerank", "terasort"), budget: int = 30, seeds=(0, 1)) 
                         space, sim, profile, seed=s, budget=budget,
                         use_subspace=(mode == "adaptive"),
                     )
-                vals.append(h.best().objective)
+                vals.append(incumbent_score(h, attrgetter("objective"), ref))
             modes[mode] = 100.0 * (ref - float(np.mean(vals))) / ref
         out[task] = modes
     return SubspaceResult(out)

@@ -55,6 +55,18 @@ class SimEvaluator:
         )
 
 
+def reference_run(profile: WorkloadProfile, simulator: ClusterSimulator, reference: dict):
+    """The reference config's run (base data size) the constraints come from."""
+    return simulator.run(profile, reference, seed=123)
+
+
+def incumbent_score(history: RunHistory, metric, reference: float) -> float:
+    """``metric`` of the best feasible run, else ``reference``: the value of
+    the known-safe reference config the service would keep serving."""
+    best = history.best_feasible()
+    return reference if best is None else metric(best)
+
+
 def default_constraints(
     space: ConfigSpace,
     profile: WorkloadProfile,
@@ -67,7 +79,7 @@ def default_constraints(
     metrics of the reference (manual/default) configuration."""
     from repro.core.objective import resource
 
-    ref = simulator.run(profile, reference, seed=123)
+    ref = reference_run(profile, simulator, reference)
     return (
         Constraint("runtime", factor * ref.runtime_s),
         Constraint("resource", factor * resource(reference)),

@@ -1,15 +1,16 @@
 """Functional ANOVA parameter importance over a random forest.
 
-Implements the linear-time tree-marginal algorithm of Hutter, Hoos &
-Leyton-Brown (ICML 2014), which the paper adopts to rank Spark
-parameters for sub-space generation (§4.1): each tree is a piecewise
-constant function over axis-aligned leaf boxes, so marginal means over
-any subset of dimensions — and hence the variance contributions
-``V_U / V`` of single parameters and pairwise interactions — have exact
-closed forms under an independent uniform input distribution.
+Implements the tree-marginal algorithm of Hutter, Hoos & Leyton-Brown
+(ICML 2014), which the paper adopts to rank Spark parameters for
+sub-space generation (§4.1): each tree is a piecewise constant function
+over axis-aligned leaf boxes, so the marginal mean over any single
+dimension — and hence its variance contribution ``V_i / V`` — has an
+exact closed form under an independent uniform input distribution.
 
-Importances are computed per tree and averaged over the forest; the
-per-tree values also give the std reported in the paper's Table 5.
+Only single-parameter importances are computed: per tree, for the
+dimensions the tree splits on (every other dimension's marginal is the
+constant mean, so its importance is exactly 0), then averaged over the
+forest.
 """
 from __future__ import annotations
 
@@ -18,19 +19,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.tree import LeafBox, RegressionTree
+from repro.ml.tree import RegressionTree
 
 
-def _tree_stats(boxes: list[LeafBox], lower: np.ndarray, upper: np.ndarray):
-    """Per-leaf total coverage fraction and per-dim fractions."""
-    rng = upper - lower
-    rng = np.where(rng <= 0, 1.0, rng)
-    vals = np.array([b.value for b in boxes])
-    lo = np.array([b.lower for b in boxes])
-    hi = np.array([b.upper for b in boxes])
-    frac = np.clip((hi - lo) / rng, 0.0, 1.0)  # (n_leaves, d)
-    keep = (frac > 0).all(axis=1)
-    return vals[keep], lo[keep], hi[keep], frac[keep]
+def _leaf_boxes(tree: RegressionTree, lower: np.ndarray, upper: np.ndarray):
+    """The leaves' values and boxes ``lo``, ``hi`` (``(n_leaves, d)``)
+    clipped to the domain ``[lower, upper]``, in preorder. A leaf whose
+    region misses the domain gets an empty box (``hi <= lo`` somewhere)."""
+    if tree.feature is None:
+        raise RuntimeError("tree is not fitted")
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
+    lo, hi = [None] * len(feature), [None] * len(feature)
+    lo[0], hi[0] = lower.tolist(), upper.tolist()
+    leaves = []
+    for i, f in enumerate(feature):  # preorder: a node comes before its children
+        if f < 0:
+            leaves.append(i)
+            continue
+        t, l, r = threshold[i], left[i], right[i]
+        lo[l], hi[l] = lo[i], hi[i][:]
+        hi[l][f] = min(hi[i][f], t)
+        lo[r], hi[r] = lo[i][:], hi[i]
+        lo[r][f] = max(lo[i][f], t)
+    return (tree.value[leaves], np.array([lo[i] for i in leaves]),
+            np.array([hi[i] for i in leaves]))
 
 
 def _intervals(lo_col: np.ndarray, hi_col: np.ndarray, lo: float, hi: float):
@@ -40,66 +53,40 @@ def _intervals(lo_col: np.ndarray, hi_col: np.ndarray, lo: float, hi: float):
     return cuts[:-1], cuts[1:]
 
 
-def _tree_importance(
-    tree: RegressionTree,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    pairs: bool,
-) -> tuple[np.ndarray, dict[tuple[int, int], float]]:
-    d = len(lower)
-    vals, lo, hi, frac = _tree_stats(tree.leaf_boxes(lower, upper), lower, upper)
+def _tree_importance(tree: RegressionTree, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    single = np.zeros(len(lower))
+    vals, lo, hi = _leaf_boxes(tree, lower, upper)
+    rng = upper - lower
+    rng = np.where(rng <= 0, 1.0, rng)
+    frac = np.clip((hi - lo) / rng, 0.0, 1.0)  # (n_leaves, d)
+    keep = (frac > 0).all(axis=1)
+    vals, lo, hi, frac = vals[keep], lo[keep], hi[keep], frac[keep]
     if len(vals) == 0:
-        return np.zeros(d), {}
+        return single
     w_total = frac.prod(axis=1)  # leaf coverage of whole domain
     mean = float(vals @ w_total)
     total_var = float(vals**2 @ w_total) - mean**2
     if total_var <= 1e-12:
-        return np.zeros(d), {}
-
-    single = np.zeros(d)
-    # f_i on each interval, cached for the pairwise pass
-    fi_cache: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for i in range(d):
+        return single
+    for i in np.unique(tree.feature[tree.feature >= 0]):
         a, b = _intervals(lo[:, i], hi[:, i], lower[i], upper[i])
         mids = (a + b) / 2.0
+        # a fresh array per dimension: a matvec on a view of a stacked
+        # array can round differently (BLAS alignment)
         w_not_i = w_total / frac[:, i]
         cover = (lo[:, i][None, :] <= mids[:, None]) & (mids[:, None] < hi[:, i][None, :])
         marg = cover @ (vals * w_not_i)  # a_i(interval)
         f_i = marg - mean
         w_int = (b - a) / max(upper[i] - lower[i], 1e-300)
         single[i] = float(w_int @ f_i**2) / total_var
-        fi_cache.append((a, b, f_i))
-
-    pair_imp: dict[tuple[int, int], float] = {}
-    if pairs:
-        for i in range(d):
-            ai, bi, fi = fi_cache[i]
-            mi = (ai + bi) / 2.0
-            wi = (bi - ai) / max(upper[i] - lower[i], 1e-300)
-            cov_i = (lo[:, i][None, :] <= mi[:, None]) & (mi[:, None] < hi[:, i][None, :])
-            for j in range(i + 1, d):
-                aj, bj, fj = fi_cache[j]
-                mj = (aj + bj) / 2.0
-                wj = (bj - aj) / max(upper[j] - lower[j], 1e-300)
-                cov_j = (lo[:, j][None, :] <= mj[:, None]) & (mj[:, None] < hi[:, j][None, :])
-                w_not_ij = w_total / (frac[:, i] * frac[:, j])
-                # marginal a_ij over the (interval_i × interval_j) grid
-                marg = np.einsum(
-                    "il,jl,l->ij", cov_i, cov_j, vals * w_not_ij, optimize=True
-                )
-                f_ij = marg - mean - fi[:, None] - fj[None, :]
-                v = float(np.einsum("i,j,ij->", wi, wj, f_ij**2))
-                pair_imp[(i, j)] = v / total_var
-    return single, pair_imp
+    return single
 
 
 @dataclass
 class FanovaResult:
-    """Importance fractions: mean/std over trees for singles; pair means."""
+    """Single-parameter importance fractions, averaged over the trees."""
 
     single_mean: np.ndarray
-    single_std: np.ndarray
-    pair_mean: dict[tuple[int, int], float]
 
     def ranking(self) -> np.ndarray:
         """Dimensions ordered by decreasing single-parameter importance."""
@@ -107,24 +94,10 @@ class FanovaResult:
 
 
 def fanova_importance(
-    forest: RandomForestRegressor,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    *,
-    pairs: bool = False,
+    forest: RandomForestRegressor, lower: np.ndarray, upper: np.ndarray
 ) -> FanovaResult:
-    """fANOVA importance fractions for every dimension (and pair)."""
+    """fANOVA importance fraction of every dimension."""
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
-    singles, pair_accum = [], {}
-    for t in forest.trees:
-        s, p = _tree_importance(t, lower, upper, pairs)
-        singles.append(s)
-        for k, v in p.items():
-            pair_accum.setdefault(k, []).append(v)
-    S = np.array(singles)
-    return FanovaResult(
-        single_mean=S.mean(axis=0),
-        single_std=S.std(axis=0),
-        pair_mean={k: float(np.mean(v)) for k, v in pair_accum.items()},
-    )
+    S = np.array([_tree_importance(t, lower, upper) for t in forest.trees])
+    return FanovaResult(single_mean=S.mean(axis=0))

@@ -1,8 +1,9 @@
 """Bagged random forest regressor (NumPy).
 
 Used by (a) the fANOVA parameter-importance module of the paper's
-sub-space generator, and (b) the RFHOC / DAC baselines, both of which
-build tree-ensemble performance models.
+sub-space generator and Tuneful's one-shot pick, and (b) the RFHOC
+baseline's performance model. Predictions are the mean over the trees
+of one stacked walk (:class:`repro.ml.tree.TreeStack`).
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree
+from repro.ml.tree import RegressionTree, TreeStack
 
 
 @dataclass
@@ -27,6 +28,7 @@ class RandomForestRegressor:
     max_features: int | None = None
     seed: int = 0
     trees: list[RegressionTree] = field(default_factory=list)
+    _stack: TreeStack | None = field(init=False, default=None)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -45,9 +47,10 @@ class RandomForestRegressor:
             )
             t.fit(X[idx], y[idx])
             self.trees.append(t)
+        self._stack = TreeStack(self.trees)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not self.trees:
             raise RuntimeError("forest is not fitted")
-        return np.mean([t.predict(X) for t in self.trees], axis=0)
+        return np.mean(self._stack.leaf_values(X), axis=0)

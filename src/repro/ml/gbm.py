@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree
+from repro.ml.tree import RegressionTree, TreeStack
 
 
 @dataclass
@@ -26,6 +26,7 @@ class GradientBoostedRegressor:
     seed: int = 0
     _init: float = 0.0
     _trees: list[RegressionTree] = field(default_factory=list)
+    _stack: TreeStack | None = field(init=False, default=None)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -49,6 +50,7 @@ class GradientBoostedRegressor:
             t.fit(X[idx], resid[idx])
             pred += self.learning_rate * t.predict(X)
             self._trees.append(t)
+        self._stack = TreeStack(self._trees)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -56,6 +58,6 @@ class GradientBoostedRegressor:
             raise RuntimeError("model is not fitted")
         X = np.asarray(X, dtype=np.float64)
         out = np.full(len(X), self._init)
-        for t in self._trees:
-            out += self.learning_rate * t.predict(X)
+        for v in self._stack.leaf_values(X):  # the trees in fit order
+            out += self.learning_rate * v
         return out

@@ -1,15 +1,16 @@
-"""CART regression tree (NumPy).
+"""CART regression tree (NumPy), fitted into flat node arrays.
 
 Greedy variance-reduction splitting on a dense float matrix. Categorical
 features are expected integer-coded and are split ordinally — a standard
 simplification (LightGBM's default pre-4.0 behaviour) that fANOVA's
 interval-marginal machinery also assumes.
 
-The tree can export its leaves as axis-aligned boxes over a bounding
-domain (:meth:`RegressionTree.leaf_boxes`), which is what exact fANOVA
-marginalization needs: the marginal prediction over any subset of
-dimensions is a weighted sum of leaf values with weights equal to the
-fraction of the marginalized dimensions' ranges each leaf box covers.
+A fitted tree is five arrays over its nodes in depth-first preorder:
+``feature`` (−1 at a leaf), ``threshold`` (a row goes left iff
+``x[feature] <= threshold``), ``left``, ``right`` (a leaf's are itself)
+and ``value`` (the node's mean target). :class:`TreeStack` is the one
+predict path of the tree, the forest and the boosted trees; fANOVA reads
+the leaves' boxes off the same arrays.
 """
 from __future__ import annotations
 
@@ -19,32 +20,13 @@ import numpy as np
 
 
 @dataclass
-class _Node:
-    """Internal tree node; a leaf iff ``feature < 0``."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    value: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-
-@dataclass
-class LeafBox:
-    """A leaf's value plus its axis-aligned box within the domain."""
-
-    value: float
-    lower: np.ndarray
-    upper: np.ndarray
-
-
-@dataclass
 class RegressionTree:
     """CART regression tree minimizing within-node variance.
 
     Parameters mirror sklearn's ``DecisionTreeRegressor`` where they
     share a name. ``max_features`` (int) subsamples candidate features
-    per node — used by the random forest.
+    per node — used by the random forest. ``depth`` is the deepest
+    leaf's depth once fitted.
     """
 
     max_depth: int = 12
@@ -52,80 +34,56 @@ class RegressionTree:
     min_samples_leaf: int = 1
     max_features: int | None = None
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
-    _root: _Node | None = None
-    _n_features: int = 0
+    # the fitted node arrays
+    feature: np.ndarray | None = field(init=False, default=None, repr=False)
+    threshold: np.ndarray | None = field(init=False, default=None, repr=False)
+    left: np.ndarray | None = field(init=False, default=None, repr=False)
+    right: np.ndarray | None = field(init=False, default=None, repr=False)
+    value: np.ndarray | None = field(init=False, default=None, repr=False)
+    depth: int = field(init=False, default=0)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
             raise ValueError("X must be 2-D and aligned with non-empty y")
-        self._n_features = X.shape[1]
-        self._root = self._build(X, y, depth=0)
+        nodes: list[list] = []  # [feature, threshold, left, right, value]
+        self.depth = 0
+        self._build(X, y, 0, nodes, np.arange(1.0, len(y))[:, None])
+        self.feature, self.threshold, self.left, self.right, self.value = map(
+            np.array, zip(*nodes))
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self._root is None:
-            raise RuntimeError("tree is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(len(X))
-        for i, row in enumerate(X):
-            node = self._root
-            while node.feature >= 0:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
-
-    def leaf_boxes(self, lower: np.ndarray, upper: np.ndarray) -> list[LeafBox]:
-        """All leaves as boxes clipped to the domain ``[lower, upper]``."""
-        if self._root is None:
-            raise RuntimeError("tree is not fitted")
-        lower = np.asarray(lower, dtype=np.float64)
-        upper = np.asarray(upper, dtype=np.float64)
-        boxes: list[LeafBox] = []
-
-        def walk(node: _Node, lo: np.ndarray, hi: np.ndarray) -> None:
-            if node.feature < 0:
-                boxes.append(LeafBox(node.value, lo.copy(), hi.copy()))
-                return
-            f, t = node.feature, node.threshold
-            if t >= lo[f]:  # left child region non-empty
-                saved = hi[f]
-                hi[f] = min(hi[f], t)
-                walk(node.left, lo, hi)
-                hi[f] = saved
-            if t < hi[f]:  # right child region non-empty
-                saved = lo[f]
-                lo[f] = max(lo[f], t)
-                walk(node.right, lo, hi)
-                lo[f] = saved
-
-        walk(self._root, lower.copy(), upper.copy())
-        return boxes
+        return TreeStack([self]).leaf_values(X)[0]
 
     # -- internals ----------------------------------------------------
 
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        node = _Node(value=float(y.mean()))
-        if (
-            depth >= self.max_depth
-            or len(y) < self.min_samples_split
-            or np.ptp(y) == 0.0
-        ):
-            return node
-        feat, thr = self._best_split(X, y)
+    def _build(self, X: np.ndarray, y: np.ndarray, depth: int, nodes: list,
+               nl: np.ndarray) -> int:
+        """Append the subtree of these rows to ``nodes`` in preorder;
+        return its root's index."""
+        i, n = len(nodes), len(y)
+        nodes.append([-1, 0.0, i, i, y.sum() / n])
+        self.depth = max(self.depth, depth)
+        if depth >= self.max_depth or n < self.min_samples_split or y.max() == y.min():
+            return i
+        feat, thr = self._best_split(X, y, nl[: n - 1])
         if feat < 0:
-            return node
-        mask = X[:, feat] <= thr
-        node.feature, node.threshold = feat, thr
-        node.left = self._build(X[mask], y[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], depth + 1)
-        return node
+            return i
+        go_left = X[:, feat] <= thr
+        go_right = ~go_left
+        node = nodes[i]
+        node[0], node[1] = feat, thr
+        node[2] = self._build(X[go_left], y[go_left], depth + 1, nodes, nl)
+        node[3] = self._build(X[go_right], y[go_right], depth + 1, nodes, nl)
+        return i
 
-    def _best_split(self, X: np.ndarray, y: np.ndarray) -> tuple[int, float]:
+    def _best_split(self, X: np.ndarray, y: np.ndarray, nl: np.ndarray) -> tuple[int, float]:
         """Best (feature, threshold) over the candidate features, scored
         in one pass: each column sorted, every cut's SSE from cumulative
-        sums, invalid cuts at +inf; ``(-1, 0.0)`` when no cut gains."""
+        sums, invalid cuts at +inf; ``(-1, 0.0)`` when no cut gains.
+        ``nl`` is the ``(n - 1, 1)`` column of left sizes 1 … n−1."""
         n, d = X.shape
         feats = np.arange(d)
         if self.max_features is not None and self.max_features < d:
@@ -133,25 +91,56 @@ class RegressionTree:
         best_gain, best = 0.0, (-1, 0.0)
         if n < 2:
             return best
-        base_sse = float(((y - y.mean()) ** 2).sum())
-        msl = self.min_samples_leaf
+        base_sse = float(((y - y.sum() / n) ** 2).sum())
         Xf = X[:, feats]
-        order = np.argsort(Xf, axis=0, kind="stable")
-        xs, ys = np.take_along_axis(Xf, order, axis=0), y[order]
+        order = Xf.argsort(axis=0, kind="stable")
+        cols = np.arange(len(feats))
+        xs, ys = Xf[order, cols], y[order]
         # cumulative sums → SSE of every prefix/suffix split in O(n)
-        csum, csq = np.cumsum(ys, axis=0), np.cumsum(ys**2, axis=0)
+        csum, csq = ys.cumsum(axis=0), (ys**2).cumsum(axis=0)
         tot, totsq = csum[-1], csq[-1]
-        idx = np.arange(1, n)
-        valid = (xs[1:] > xs[:-1]) & ((idx >= msl) & (n - idx >= msl))[:, None]
-        nl = idx.astype(np.float64)[:, None]
+        valid = xs[1:] > xs[:-1]
+        msl = self.min_samples_leaf
+        if msl > 1:
+            idx = np.arange(1, n)
+            valid &= ((idx >= msl) & (n - idx >= msl))[:, None]
         sl, sql = csum[:-1], csq[:-1]
-        sse = (sql - sl**2 / nl) + ((totsq - sql) - (tot - sl) ** 2 / (n - nl))
+        sse = (sql - sl**2 / nl) + ((totsq - sql) - (tot - sl) ** 2 / nl[::-1])
         sse[~valid] = np.inf
-        ks = np.argmin(sse, axis=0)
-        for j in np.flatnonzero(valid.any(axis=0)):
-            gain = base_sse - float(sse[ks[j], j])
+        ks = sse.argmin(axis=0)
+        # a column with no valid cut has gain -inf and is never picked
+        for j, gain in enumerate((base_sse - sse[ks, cols]).tolist()):
             if gain > best_gain + 1e-12:
                 i = ks[j] + 1
                 best_gain = gain
                 best = (int(feats[j]), float((xs[i - 1, j] + xs[i, j]) / 2.0))
         return best
+
+
+class TreeStack:
+    """Fitted trees' node arrays laid end to end: tree ``t`` starts at
+    ``roots[t]``, its child indices shifted with it. One walk takes every
+    (tree, row) pair down at once, one level per step."""
+
+    def __init__(self, trees: list[RegressionTree]):
+        if not trees or any(t.feature is None for t in trees):
+            raise RuntimeError("tree is not fitted")
+        self.roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
+        self.feature = np.concatenate([t.feature for t in trees])
+        self.threshold = np.concatenate([t.threshold for t in trees])
+        self.value = np.concatenate([t.value for t in trees])
+        self.left = np.concatenate([t.left + r for t, r in zip(trees, self.roots)])
+        self.right = np.concatenate([t.right + r for t, r in zip(trees, self.roots)])
+        self.depth = max(t.depth for t in trees)
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """``(n_trees, n_rows)`` values of the leaf each row reaches in
+        each tree. A leaf's ``feature`` of −1 reads the last column, but
+        both of its branches lead back to it."""
+        X = np.asarray(X, dtype=np.float64)
+        rows = np.arange(len(X))
+        node = np.repeat(self.roots[:, None], len(X), axis=1)
+        for _ in range(self.depth):
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.value[node]

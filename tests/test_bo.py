@@ -56,6 +56,29 @@ class TestRunHistory:
         assert history.X_unit().shape == (2, 30)
         assert history.X_unit(with_datasize=True).shape == (2, 31)
 
+    def test_X_unit_is_the_encoded_configs(self, history):
+        rng = np.random.default_rng(0)
+        configs = history.space.sample_random(5, rng)
+        sizes = [10.0, 3e3, 1e4, 7.5, 2e5]
+        for c, ds in zip(configs, sizes):
+            history.add(c, _result(10, ds=ds))
+        X = np.array([history.space.to_unit(c) for c in configs])
+        ds = np.array([[datasize_feature(s)] for s in sizes])
+        assert np.array_equal(history.X_unit(), X)
+        assert np.array_equal(history.X_unit(with_datasize=True), np.concatenate([X, ds], axis=1))
+
+    def test_X_unit_is_read_only(self, history):
+        history.add(history.space.default_config(), _result(10))
+        with pytest.raises(ValueError):
+            history.X_unit()[0, 0] = 0.5
+
+    def test_best_feasible_none_without_feasible_run(self, history):
+        cfg = history.space.default_config()
+        history.add(cfg, _result(5, feasible=False))
+        assert history.best_feasible() is None
+        history.add(cfg, _result(50))
+        assert history.best_feasible().objective == pytest.approx(50)
+
     def test_penalized_objectives(self, history):
         cfg = history.space.default_config()
         history.add(cfg, _result(10))

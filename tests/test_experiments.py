@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 import repro
+from repro.baselines.base import Tuner
+from repro.core.objective import execution_cost
 from repro.experiments import ablations, harness, hibench, table1, table2, table3, table4, table5
 from repro.experiments.registry import EXPERIMENTS
+from repro.simcluster import get_profile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -179,6 +182,45 @@ class TestHiBenchSmoke:
         assert res.relative["Random"]["wordcount"] == pytest.approx(0.0)
         assert "wordcount" in res.relative["Ours"]
         assert "cost reduction" in hibench.format_table(res)
+
+
+class _OverCapTuner(Tuner):
+    """Always runs the space's largest executor set: over the 2×
+    resource cap, so none of its runs is feasible."""
+
+    name = "OverCap"
+
+    def suggest(self) -> dict:
+        return self.space.default_config() | {
+            "spark.executor.instances": 800, "spark.executor.memory": 32}
+
+
+class TestFeasibleOnlyScoring:
+    def test_no_feasible_run_scores_the_reference(self):
+        from repro.baselines import RandomSearchTuner
+
+        for objective in ("runtime", "cost"):
+            res = hibench.run(objective=objective, budget=3, tasks=("wordcount",),
+                              methods=(RandomSearchTuner, _OverCapTuner))
+            space, sim = hibench.hibench_env()
+            default = space.default_config()
+            ref = harness.reference_run(get_profile("wordcount"), sim, default)
+            want = ref.runtime_s if objective == "runtime" else execution_cost(
+                ref.runtime_s, default)
+            assert res.best["OverCap"]["wordcount"] == want
+
+    def test_incumbent_score(self):
+        space, sim = hibench.hibench_env()
+        profile = get_profile("wordcount")
+        history = harness.tune(space, sim, profile, seed=0, budget=3, method=_OverCapTuner)
+        assert not any(o.feasible for o in history.observations)
+        assert history.best() is not None  # tuners still get a base
+        assert harness.incumbent_score(history, lambda o: o.objective, -1.0) == -1.0
+        history.add(space.default_config(), harness.reference_run(profile, sim,
+                                                                  space.default_config()))
+        best = history.best_feasible()
+        assert best is history.observations[-1]
+        assert harness.incumbent_score(history, lambda o: o.objective, -1.0) == best.objective
 
 
 class TestAblationsSmoke:

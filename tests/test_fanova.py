@@ -1,9 +1,12 @@
 """Unit tests for fANOVA importance over random forests."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ml.fanova import fanova_importance
+from repro.ml.fanova import _tree_importance, fanova_importance
 from repro.ml.forest import RandomForestRegressor
+from repro.ml.tree import RegressionTree
 
 
 def _fit_forest(fn, d=4, n=400, seed=0, **kw):
@@ -37,12 +40,6 @@ class TestSingleImportance:
         res = fanova_importance(f, np.zeros(d), np.ones(d))
         assert np.allclose(res.single_mean, 0.0)
 
-    def test_std_reported(self):
-        f, d = _fit_forest(lambda X: X[:, 0])
-        res = fanova_importance(f, np.zeros(d), np.ones(d))
-        assert res.single_std.shape == (d,)
-        assert np.all(res.single_std >= 0)
-
     def test_nonunit_domain(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(-5, 5, (300, 3))
@@ -50,27 +47,6 @@ class TestSingleImportance:
         f = RandomForestRegressor(n_estimators=8, seed=0, max_features=3).fit(X, y)
         res = fanova_importance(f, np.full(3, -5.0), np.full(3, 5.0))
         assert res.ranking()[0] == 2
-
-
-class TestPairImportance:
-    def test_interaction_detected(self):
-        # pure XOR-like interaction: no single-dim main effect
-        f, d = _fit_forest(
-            lambda X: np.sign((X[:, 0] - 0.5) * (X[:, 1] - 0.5)), n=600
-        )
-        res = fanova_importance(f, np.zeros(d), np.ones(d), pairs=True)
-        assert res.pair_mean[(0, 1)] > 0.3
-        assert res.pair_mean[(2, 3)] < 0.05
-
-    def test_additive_has_no_interaction(self):
-        f, d = _fit_forest(lambda X: 3 * X[:, 0] + 3 * X[:, 1], n=500)
-        res = fanova_importance(f, np.zeros(d), np.ones(d), pairs=True)
-        assert res.pair_mean[(0, 1)] < 0.05
-
-    def test_pairs_off_by_default(self):
-        f, d = _fit_forest(lambda X: X[:, 0])
-        res = fanova_importance(f, np.zeros(d), np.ones(d))
-        assert res.pair_mean == {}
 
 
 class TestVarianceDecomposition:
@@ -84,3 +60,111 @@ class TestVarianceDecomposition:
         f, d = _fit_forest(lambda X: X @ np.array([1.0, 2.0, 3.0, 4.0]))
         res = fanova_importance(f, np.zeros(d), np.ones(d))
         assert sorted(res.ranking()) == list(range(d))
+
+
+def _reference_leaf_boxes(tree, lower, upper):
+    """Leaves as (value, lo, hi), from a recursive walk that skips any
+    child whose region misses the domain."""
+    boxes = []
+
+    def walk(node, lo, hi):
+        f, t = tree.feature[node], tree.threshold[node]
+        if f < 0:
+            boxes.append((tree.value[node], lo.copy(), hi.copy()))
+            return
+        if t >= lo[f]:  # left child region non-empty
+            saved = hi[f]
+            hi[f] = min(hi[f], t)
+            walk(tree.left[node], lo, hi)
+            hi[f] = saved
+        if t < hi[f]:  # right child region non-empty
+            saved = lo[f]
+            lo[f] = max(lo[f], t)
+            walk(tree.right[node], lo, hi)
+            lo[f] = saved
+
+    walk(0, lower.copy(), upper.copy())
+    return boxes
+
+
+def _reference_tree_importance(tree, lower, upper):
+    """Every dimension's importance, one dimension at a time, split on
+    or not."""
+    d = len(lower)
+    boxes = _reference_leaf_boxes(tree, lower, upper)
+    rng = upper - lower
+    rng = np.where(rng <= 0, 1.0, rng)
+    vals = np.array([b[0] for b in boxes])
+    lo = np.array([b[1] for b in boxes])
+    hi = np.array([b[2] for b in boxes])
+    frac = np.clip((hi - lo) / rng, 0.0, 1.0)
+    keep = (frac > 0).all(axis=1)
+    vals, lo, hi, frac = vals[keep], lo[keep], hi[keep], frac[keep]
+    if len(vals) == 0:
+        return np.zeros(d)
+    w_total = frac.prod(axis=1)
+    mean = float(vals @ w_total)
+    total_var = float(vals**2 @ w_total) - mean**2
+    if total_var <= 1e-12:
+        return np.zeros(d)
+    single = np.zeros(d)
+    for i in range(d):
+        cuts = np.unique(np.concatenate([[lower[i], upper[i]], lo[:, i], hi[:, i]]))
+        cuts = cuts[(cuts >= lower[i]) & (cuts <= upper[i])]
+        a, b = cuts[:-1], cuts[1:]
+        mids = (a + b) / 2.0
+        w_not_i = w_total / frac[:, i]
+        cover = (lo[:, i][None, :] <= mids[:, None]) & (mids[:, None] < hi[:, i][None, :])
+        f_i = cover @ (vals * w_not_i) - mean
+        w_int = (b - a) / max(upper[i] - lower[i], 1e-300)
+        single[i] = float(w_int @ f_i**2) / total_var
+    return single
+
+
+@st.composite
+def _tree_case(draw):
+    """A fitted tree and a domain: data with repeated values, some of it
+    outside the domain, so that splits can fall outside it too."""
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-5, 5, d).round(draw(st.integers(0, 3)))
+    upper = lower + rng.uniform(0.1, 10, d)
+    spill = draw(st.sampled_from([0.0, 0.3]))
+    width = upper - lower
+    X = rng.uniform(lower - spill * width, upper + spill * width, (n, d))
+    X = X.round(draw(st.integers(0, 3)))
+    y = rng.normal(size=n).round(draw(st.integers(0, 3)))
+    tree = RegressionTree(
+        max_depth=draw(st.integers(0, 6)),
+        min_samples_leaf=draw(st.integers(1, 3)),
+        max_features=draw(st.one_of(st.none(), st.integers(1, d))),
+        rng=np.random.default_rng(seed),
+    ).fit(X, y)
+    return tree, lower, upper
+
+
+class TestExactness:
+    @settings(max_examples=300, deadline=None)
+    @given(_tree_case())
+    def test_equals_per_dimension_reference(self, case):
+        tree, lower, upper = case
+        got = _tree_importance(tree, lower, upper)
+        assert np.array_equal(got, _reference_tree_importance(tree, lower, upper))
+        unsplit = np.setdiff1d(np.arange(len(lower)), tree.feature)
+        assert np.all(got[unsplit] == 0.0)
+
+    def test_forest_on_refit_shaped_data(self):
+        """30 dims, 16 trees of depth 5 on 10 features per node: the
+        sub-space refit's forest, where most dimensions are unsplit."""
+        rng = np.random.default_rng(4)
+        X = rng.random((25, 30))
+        y = X[:, 0] * 3 + rng.normal(size=25)
+        forest = RandomForestRegressor(n_estimators=16, max_depth=5, max_features=10,
+                                       seed=0).fit(X, y)
+        lower, upper = np.zeros(30), np.ones(30)
+        ref = np.array([_reference_tree_importance(t, lower, upper) for t in forest.trees])
+        got = fanova_importance(forest, lower, upper).single_mean
+        assert np.array_equal(got, ref.mean(axis=0))
+        split = np.unique(np.concatenate([t.feature for t in forest.trees]))
+        assert np.all(got[np.setdiff1d(np.arange(30), split)] == 0.0)

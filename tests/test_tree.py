@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ml.fanova import _leaf_boxes
+from repro.ml.forest import RandomForestRegressor
+from repro.ml.gbm import GradientBoostedRegressor
 from repro.ml.tree import RegressionTree
 
 
@@ -77,35 +80,116 @@ class TestFitPredict:
 
 
 class TestLeafBoxes:
+    """The leaf boxes fANOVA reads off the node arrays."""
+
+    @staticmethod
+    def _nonempty(tree, lower, upper):
+        vals, lo, hi = _leaf_boxes(tree, lower, upper)
+        keep = (hi > lo).all(axis=1)
+        return vals[keep], lo[keep], hi[keep]
+
     def test_boxes_partition_domain(self):
         X, y = _xor_data()
         t = RegressionTree(max_depth=3).fit(X, y)
-        boxes = t.leaf_boxes(np.zeros(2), np.ones(2))
-        vol = sum(np.prod(b.upper - b.lower) for b in boxes)
+        _, lo, hi = _leaf_boxes(t, np.zeros(2), np.ones(2))
+        vol = np.clip(hi - lo, 0.0, None).prod(axis=1).sum()
         assert vol == pytest.approx(1.0)
 
     def test_boxes_predict_consistent(self):
         X, y = _xor_data()
         t = RegressionTree(max_depth=4).fit(X, y)
-        boxes = t.leaf_boxes(np.zeros(2), np.ones(2))
+        vals, lo, hi = self._nonempty(t, np.zeros(2), np.ones(2))
         rng = np.random.default_rng(2)
         pts = rng.random((100, 2))
         preds = t.predict(pts)
         for p, pred in zip(pts, preds):
-            matching = [
-                b for b in boxes
-                if np.all(b.lower <= p) and np.all(p <= b.upper)
-            ]
-            assert any(abs(b.value - pred) < 1e-12 for b in matching)
+            matching = ((lo <= p) & (p <= hi)).all(axis=1)
+            assert np.any(vals[matching] == pred)
 
     def test_stump_single_box(self):
         t = RegressionTree(max_depth=0).fit(np.zeros((5, 2)), np.ones(5))
-        boxes = t.leaf_boxes(np.zeros(2), np.ones(2))
-        assert len(boxes) == 1 and boxes[0].value == 1.0
+        vals, lo, hi = _leaf_boxes(t, np.zeros(2), np.ones(2))
+        assert vals.tolist() == [1.0]
+        assert lo.tolist() == [[0.0, 0.0]] and hi.tolist() == [[1.0, 1.0]]
 
     def test_unfitted_boxes_raises(self):
         with pytest.raises(RuntimeError):
-            RegressionTree().leaf_boxes(np.zeros(2), np.ones(2))
+            _leaf_boxes(RegressionTree(), np.zeros(2), np.ones(2))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 60), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_nonempty_boxes_tile_a_domain_inside_the_data(self, n, d, seed):
+        """Split points can fall outside a domain narrower than the data:
+        the non-empty boxes still tile it, and agree with predict."""
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, d)).round(1)
+        t = RegressionTree(rng=np.random.default_rng(seed)).fit(X, rng.normal(size=n))
+        lower, upper = np.full(d, 0.25), np.full(d, 0.65)
+        vals, lo, hi = self._nonempty(t, lower, upper)
+        assert (hi - lo).prod(axis=1).sum() == pytest.approx(0.4**d)
+        pts = rng.uniform(0.25, 0.65, (30, d))
+        inside = (lo[None] < pts[:, None]) & (pts[:, None] <= hi[None])
+        assert np.all(inside.all(axis=2).sum(axis=1) <= 1)
+        for p, pred, box in zip(pts, t.predict(pts), inside.all(axis=2)):
+            assert np.all(vals[box] == pred)
+
+
+def _walk(tree, X):
+    """Predictions one row at a time, down the node arrays."""
+    out = np.empty(len(X))
+    for r, row in enumerate(X):
+        node = 0
+        while tree.feature[node] >= 0:
+            f = tree.feature[node]
+            node = tree.left[node] if row[f] <= tree.threshold[node] else tree.right[node]
+        out[r] = tree.value[node]
+    return out
+
+
+@st.composite
+def _predict_case(draw):
+    """Training data with ties and query rows that include NaN, ±inf and
+    values equal to the training values (so to split points' sides)."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, d)).round(draw(st.integers(0, 2)))
+    y = rng.normal(size=n)
+    Q = np.concatenate([X, rng.random((draw(st.integers(0, 20)), d)) * 1.4 - 0.2])
+    if draw(st.booleans()):
+        Q[rng.random(Q.shape) < 0.1] = rng.choice([np.nan, np.inf, -np.inf])
+    return X, y, Q, seed
+
+
+class TestPredictExact:
+    """The stacked walk equals the per-row walk for a tree, the forest's
+    mean and the boosted trees' sum."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_predict_case(), st.integers(0, 8))
+    def test_tree(self, case, max_depth):
+        X, y, Q, seed = case
+        t = RegressionTree(max_depth=max_depth, rng=np.random.default_rng(seed)).fit(X, y)
+        assert np.array_equal(t.predict(Q), _walk(t, Q))
+
+    @settings(max_examples=50, deadline=None)
+    @given(_predict_case(), st.integers(1, 12))
+    def test_forest_mean(self, case, n_trees):
+        X, y, Q, seed = case
+        f = RandomForestRegressor(n_estimators=n_trees, max_depth=6, seed=seed % 1000).fit(X, y)
+        ref = np.mean([_walk(t, Q) for t in f.trees], axis=0)
+        assert np.array_equal(f.predict(Q), ref)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_predict_case(), st.integers(1, 30))
+    def test_gbm_sum(self, case, n_trees):
+        X, y, Q, seed = case
+        m = GradientBoostedRegressor(n_estimators=n_trees, max_depth=3, min_samples_leaf=1,
+                                     seed=seed % 1000).fit(X, y)
+        ref = np.full(len(Q), m._init)
+        for t in m._trees:
+            ref += m.learning_rate * _walk(t, Q)
+        assert np.array_equal(m.predict(Q), ref)
 
 
 def _reference_best_split(tree, X, y):
@@ -166,4 +250,20 @@ class TestBestSplit:
             return RegressionTree(min_samples_leaf=msl, max_features=max_features,
                                   rng=np.random.default_rng(seed))
 
-        assert tree()._best_split(X, y) == _reference_best_split(tree(), X, y)
+        nl = np.arange(1.0, len(y))[:, None]
+        assert tree()._best_split(X, y, nl) == _reference_best_split(tree(), X, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 6), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_equals_per_feature_loop_on_distinct_values(self, n, d, msl, seed):
+        """No ties anywhere, so that the leaf-size limit, not repeated
+        values, decides which cuts are valid."""
+        rng = np.random.default_rng(seed)
+        X, y = rng.random((n, d)), rng.normal(size=n)
+
+        def tree():
+            return RegressionTree(min_samples_leaf=msl, rng=np.random.default_rng(seed))
+
+        nl = np.arange(1.0, n)[:, None]
+        assert tree()._best_split(X, y, nl) == _reference_best_split(tree(), X, y)
