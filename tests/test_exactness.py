@@ -1,12 +1,20 @@
 """Exactness regression: a sha256 over the configs that short tuning runs
-suggest, against digests recorded before the trees became flat arrays.
+suggest, against digests recorded before the trees became flat arrays
+(the CherryPick, LOCAT, 30-iteration and meta-learned ones before the
+tuner options became module constants).
 
 Each run reaches the models its tuner fits. On HiBench terasort, a
 15-iteration ``OnlineTuner`` passes an AGD step (iteration 10), the first
 sub-space refit (random forest + fANOVA, iteration 11) and the EIC
-proposals around them. A 14-iteration ``TunefulTuner`` passes its
-one-shot fANOVA pick (iteration 11); RFHOC and DAC pass their forest and
-boosted-tree fits and the GA searches over their predictions.
+proposals around them; a 30-iteration one that never stops passes all
+five AGD steps (iterations 10, 15, …, 30) and four refits. A meta-learned
+``OnlineTuner`` on HiBench lr starts from the best configs of three short
+source runs and scores with the boosted-tree similarity model and the
+meta-ensemble surrogate. A 14-iteration ``TunefulTuner`` passes its
+one-shot fANOVA pick (iteration 11), ``LOCATTuner`` its Spearman pick and
+datasize-aware GP, ``CherryPickTuner`` its full-space constrained EI;
+RFHOC and DAC pass their forest and boosted-tree fits and the GA
+searches over their predictions.
 
 A change meant to keep behaviour (a refactor, a speed-up) must keep
 every digest. A change meant to alter what the tuners suggest updates
@@ -17,34 +25,45 @@ import json
 
 import pytest
 
-from repro.baselines import DACTuner, RFHOCTuner, TunefulTuner
+from repro.baselines import CherryPickTuner, DACTuner, LOCATTuner, RFHOCTuner, TunefulTuner
 from repro.core.controller import OnlineTuner
+from repro.core.meta import MetaLearner, SourceTask
 from repro.experiments.harness import (
     SimEvaluator, default_constraints, make_problem, run_tuning,
 )
 from repro.experiments.hibench import hibench_env
 from repro.simcluster import get_profile
+from repro.simcluster.eventlog import meta_features
 
 DIGESTS = {
     "Ours": "ebaec21d5822353d47b95346da355b6f83e14fd07363313906588f4c1920f0ba",
+    "Ours-30": "c61ffe3246742678adcd8231af638b45a13e640c2ee3abb254cd60b4ad4ab6d8",
+    "Ours-meta": "01b34a812f0b610fc23855a572e8535e07d4701f3b0ab514a74d059b988761a7",
     "Tuneful": "d3f00a86962f08786a00038239555f9e4025cb4fde0ef9400b7c2cede7c64c55",
+    "CherryPick": "46fbc500c87ed23192b27690ad24ae7795d3c8297e176fbfffa12908ae6a30eb",
+    "LOCAT": "04d4e4903157438672718f0814c090360be7d8efad4ef5dfd28be0105c62854b",
     "RFHOC": "adcd610f0fa3a47aed97390a72f20885520b779fb2a7e0d020f662fda9adb870",
     "DAC": "acf864badabbbf765b8dbbfb10598c48095216da85cd101b15fc31080208562e",
 }
 
 
-def _run(method, budget: int):
+def _digest(history) -> str:
+    digest = hashlib.sha256()
+    for obs in history.observations:
+        digest.update(json.dumps(obs.config, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def _run(method, budget: int, task: str = "terasort", **kwargs):
     """``harness.tune`` at seed 0, keeping the tuner to inspect."""
     space, sim = hibench_env()
-    profile, default = get_profile("terasort"), space.default_config()
+    profile, default = get_profile(task), space.default_config()
     problem = make_problem(0.5, default_constraints(space, profile, sim, default))
-    kwargs = {"use_meta": False, "reference_config": default} if method is OnlineTuner else {}
+    if method is OnlineTuner and "meta_learner" not in kwargs:
+        kwargs = {"use_meta": False, "reference_config": default} | kwargs
     tuner = method(space, problem, seed=0, **kwargs)
     run_tuning(tuner, SimEvaluator(profile, sim, seed=0), budget)
-    digest = hashlib.sha256()
-    for obs in tuner.history.observations:
-        digest.update(json.dumps(obs.config, sort_keys=True).encode())
-    return tuner, digest.hexdigest()
+    return tuner, _digest(tuner.history)
 
 
 class TestSuggestedConfigsUnchanged:
@@ -54,10 +73,40 @@ class TestSuggestedConfigsUnchanged:
         assert not tuner.stopped
         assert digest == DIGESTS["Ours"]
 
+    def test_online_tuner_every_agd_step(self):
+        tuner, digest = _run(OnlineTuner, 30, ei_stop_rel=0.0)
+        assert not tuner.stopped
+        assert digest == DIGESTS["Ours-30"]
+
+    def test_meta_learned_online_tuner(self):
+        space, sim = hibench_env()
+        sources = []
+        for name in ("terasort", "kmeans", "wordcount"):
+            tuner, _ = _run(OnlineTuner, 8, task=name)
+            history = tuner.history
+            sources.append(
+                SourceTask(name, meta_features(history.observations[0].result), history)
+            )
+        learner = MetaLearner(space, seed=0).fit(sources)
+        probe = sim.run(get_profile("lr"), space.default_config(), seed=0)
+        tuner, digest = _run(OnlineTuner, 12, task="lr", meta_learner=learner,
+                             target_meta=meta_features(probe))
+        assert tuner.generator.meta_surrogate_factory is not None
+        assert digest == DIGESTS["Ours-meta"]
+
     def test_tuneful(self):
         tuner, digest = _run(TunefulTuner, 14)
         assert tuner._dims is not None  # the fANOVA pick ran
         assert digest == DIGESTS["Tuneful"]
+
+    def test_cherrypick(self):
+        tuner, digest = _run(CherryPickTuner, 14)
+        assert digest == DIGESTS["CherryPick"]
+
+    def test_locat(self):
+        tuner, digest = _run(LOCATTuner, 14)
+        assert tuner._dims is not None  # the Spearman pick ran
+        assert digest == DIGESTS["LOCAT"]
 
     @pytest.mark.parametrize("method", [RFHOCTuner, DACTuner], ids=lambda m: m.name)
     def test_tree_model_baselines(self, method):
