@@ -30,10 +30,8 @@ class TunefulTuner(FixedSubspaceTuner):
     def _pick_dims(self) -> list[int]:
         forest = RandomForestRegressor(n_estimators=16, max_depth=5, seed=self.seed)
         forest.fit(self.history.X_unit(), self.history.objectives())
-        res = fanova_importance(
-            forest, np.zeros(self.space.dim), np.ones(self.space.dim)
-        )
-        return list(res.ranking()[: self.top_k])
+        imp = fanova_importance(forest, self.space.dim)
+        return list(np.argsort(-imp, kind="stable")[: self.top_k])
 
     def suggest(self) -> dict:
         return self._fixed_subspace_suggest()

@@ -3,8 +3,9 @@
 Every ``N_AGD`` iterations the next configuration is produced not by
 the acquisition function but by one gradient step from the incumbent:
 
-- ``∂R/∂x`` is analytic (the resource function is white-box; see
-  :func:`repro.core.objective.resource_gradient`),
+- ``∂R/∂x`` is a central finite difference of the white-box resource
+  function R(x) at the probes snapped onto the grid, all probes' R in
+  one call (no job executions: R is computed from the config),
 - ``∂T/∂x`` is approximated by a central finite difference of the
   *runtime surrogate* (Eq. 10) — no extra job executions,
 - the generalized objective's partial derivative combines them via
@@ -26,19 +27,19 @@ from repro.core.config_space import ConfigSpace
 from repro.core.gp import GaussianProcess
 from repro.core.objective import resource
 
-N_AGD = 5  # every N_AGD-th iteration uses AGD instead of EIC (paper value)
+N_AGD = 5        # every N_AGD-th iteration uses AGD instead of EIC (paper value)
+ETA = 0.001      # learning rate on the raw objective scale (paper value)
+FD_EPS = 0.05    # finite-difference half-width in unit space
+MAX_STEP = 0.08  # unit-space norm clip per AGD move
 
 
 @dataclass
 class AGDStepper:
-    """One approximate-gradient-descent step from the incumbent config."""
+    """One approximate-gradient-descent step from the incumbent config.
+    The runtime surrogate models log(T)."""
 
     space: ConfigSpace
     beta: float
-    eta: float = 0.001          # paper's learning rate (raw objective scale)
-    fd_eps: float = 0.05        # finite-difference half-width in unit space
-    max_step: float = 0.08      # unit-space norm clip per AGD move
-    log_runtime: bool = True    # the runtime surrogate models log(T)
 
     def step(
         self,
@@ -60,32 +61,36 @@ class AGDStepper:
             mu, _ = runtime_gp.predict(x)
             # the generator's runtime GP is fit on log-runtime; Eq. 9/10
             # need T itself, so map back before differencing
-            return float(np.exp(mu[0])) if self.log_runtime else float(mu[0])
+            return float(np.exp(mu[0]))
 
-        def R_of(uu: np.ndarray) -> float:
-            return resource(self.space.from_unit(uu))
+        # probe rows: the incumbent, then one row up and one down per dim
+        k = len(dims)
+        P = np.tile(u, (1 + 2 * k, 1))
+        rows = np.arange(k)
+        P[1 + rows, dims] = np.minimum(1.0, u[dims] + FD_EPS)
+        P[1 + k + rows, dims] = np.maximum(0.0, u[dims] - FD_EPS)
+        V, _ = self.space.snap(P)
+        R = resource(dict(zip(self.space.names, V.T))).tolist()
 
         grad = np.zeros(self.space.dim)
-        T0, R0 = max(predict_T(u), 1e-9), max(R_of(u), 1e-9)
+        T0, R0 = max(predict_T(u), 1e-9), max(R[0], 1e-9)
         ratio = T0 / R0
-        for i in dims:
-            up, dn = u.copy(), u.copy()
-            up[i] = min(1.0, u[i] + self.fd_eps)
-            dn[i] = max(0.0, u[i] - self.fd_eps)
+        for j, i in enumerate(dims):
+            up, dn = P[1 + j], P[1 + k + j]
             width = up[i] - dn[i]
             if width <= 0:
                 continue
             dT = (predict_T(up) - predict_T(dn)) / width       # Eq. 10
-            dR = (R_of(up) - R_of(dn)) / width                 # analytic in x,
-            # finite-differenced through the unit mapping for the chain rule
+            # R through the grid, finite-differenced in unit space
+            dR = (R[1 + j] - R[1 + k + j]) / width
             grad[i] = (
                 self.beta * ratio ** (self.beta - 1.0) * dT
                 + (1.0 - self.beta) * ratio**self.beta * dR
             )                                                   # Eq. 9
-        step = self.eta * grad
+        step = ETA * grad
         norm = float(np.linalg.norm(step))
-        if norm > self.max_step:
-            step *= self.max_step / norm
+        if norm > MAX_STEP:
+            step *= MAX_STEP / norm
         elif 0.0 < norm < 0.02:
             # η=0.001 on a well-scaled surrogate stalls in unit space;
             # take a short fixed-length step along the gradient instead

@@ -201,27 +201,13 @@ class ConfigSpace:
         U[:, dims] = rng.random((n, len(dims)))
         return U
 
-    def sample_random(
-        self, n: int, rng: np.random.Generator, *, subspace: list[int] | None = None,
-        base: dict | None = None,
-    ) -> list[dict]:
-        """:meth:`sample_unit` as configs."""
-        return [self.from_unit(u) for u in self.sample_unit(n, rng, subspace=subspace, base=base)]
+    def sample_random(self, n: int, rng: np.random.Generator) -> list[dict]:
+        """:meth:`sample_unit` over the whole space, as configs."""
+        return [self.from_unit(u) for u in self.sample_unit(n, rng)]
 
-    def sample_sobol(
-        self, n: int, *, seed: int = 0, subspace: list[int] | None = None,
-        base: dict | None = None,
-    ) -> list[dict]:
+    def sample_sobol(self, n: int, *, seed: int = 0) -> list[dict]:
         """Low-discrepancy initial design (§3.3 "Initial configurations")."""
-        dims = list(subspace) if subspace is not None else list(range(self.dim))
-        pts = sobol(n, len(dims), seed=seed)
-        u0 = self.to_unit(base or self.default_config())
-        out = []
-        for row in pts:
-            u = u0.copy()
-            u[dims] = row
-            out.append(self.from_unit(u))
-        return out
+        return [self.from_unit(u) for u in sobol(n, self.dim, seed=seed)]
 
 
 def hibench_space() -> ConfigSpace:

@@ -8,9 +8,8 @@ a threshold, or budget exhausted → keep serving the best-found config)
 and the restarting criterion (continuous degradation between expected
 and actual results → resume tuning).
 
-Ablation flags (``use_subspace`` / ``use_agd`` / ``use_safe`` /
-``datasize_aware``) switch the §4 techniques individually; the §6.5
-experiments use them.
+Ablation flags (``use_subspace`` / ``use_agd`` / ``use_safe``) switch
+the §4 techniques individually; the §6.5 experiments use them.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from repro.baselines.base import Capabilities, Tuner, YES
 from repro.core.config_space import ConfigSpace
 from repro.core.generator import ConfigGenerator
 from repro.core.meta import MetaLearner
-from repro.core.objective import ExecResult, TuningProblem
+from repro.core.objective import ExecResult, TuningProblem, resource
 
 
 class OnlineTuner(Tuner):
@@ -31,6 +30,8 @@ class OnlineTuner(Tuner):
         general_obj=YES, constraints=YES, noer=YES,
         safety=YES, adaptive_space=YES, meta_learn=YES,
     )
+    n_init = 3                # initial design size
+    degradation_patience = 3  # degraded runs in a row that restart tuning
 
     def __init__(
         self,
@@ -38,22 +39,17 @@ class OnlineTuner(Tuner):
         problem: TuningProblem,
         *,
         seed: int = 0,
-        n_init: int = 3,
         use_subspace: bool = True,
         use_agd: bool = True,
         use_safe: bool = True,
         use_meta: bool = True,
-        datasize_aware: bool = True,
         meta_learner: MetaLearner | None = None,
         target_meta: np.ndarray | None = None,
         reference_config: dict | None = None,
         ei_stop_rel: float = 0.10,
-        degradation_patience: int = 3,
     ):
         super().__init__(space, problem, seed=seed)
-        self.n_init = n_init
         self.ei_stop_rel = ei_stop_rel
-        self.degradation_patience = degradation_patience
         self.stopped = False
         self._degradations = 0
         self._expected: dict[int, float] = {}  # iteration → predicted objective
@@ -63,20 +59,20 @@ class OnlineTuner(Tuner):
         self.generator = ConfigGenerator(
             space, problem, seed=seed,
             use_subspace=use_subspace, use_agd=use_agd, use_safe=use_safe,
-            datasize_aware=datasize_aware, meta_surrogate_factory=factory,
+            meta_surrogate_factory=factory,
         )
         if use_meta and meta_learner is not None and target_meta is not None:
-            self._init_configs = meta_learner.warm_start_configs(target_meta, k=n_init)
+            self._init_configs = meta_learner.warm_start_configs(target_meta, k=self.n_init)
         elif reference_config is not None:
             # online production setting: the pre-tuning (manual/default)
             # configuration is evaluated first — it is the known-safe
             # anchor the safe region grows from, then low-discrepancy
             # samples widen the design
             self._init_configs = [space.clip(reference_config)] + space.sample_sobol(
-                max(n_init - 1, 0), seed=seed
+                self.n_init - 1, seed=seed
             )
         else:
-            self._init_configs = space.sample_sobol(n_init, seed=seed)
+            self._init_configs = space.sample_sobol(self.n_init, seed=seed)
         if use_safe:
             self._init_configs = [self._repair(c) for c in self._init_configs]
 
@@ -84,8 +80,6 @@ class OnlineTuner(Tuner):
         """White-box resource constraints are checkable *before* running
         a config — never launch an initial design point that provably
         violates them; scale the resource knobs down instead."""
-        from repro.core.objective import resource
-
         thresholds = self.problem.thresholds("resource")
         if not thresholds:
             return config

@@ -21,6 +21,9 @@ from repro.core.config_space import ConfigSpace
 from repro.core.objective import TuningProblem, resource
 from repro.core.subspace import SubspaceManager
 
+GAMMA = 0.5          # safe-region bound multiplier (Eq. 8)
+N_CANDIDATES = 1200  # candidate rows per EIC pick, 70% random, 30% local
+
 
 @dataclass
 class ConfigGenerator:
@@ -32,12 +35,10 @@ class ConfigGenerator:
     use_subspace: bool = True
     use_agd: bool = True
     use_safe: bool = True
-    datasize_aware: bool = True
-    gamma: float = 0.5          # safe-region bound multiplier (Eq. 8)
-    n_candidates: int = 1200
     meta_surrogate_factory: object | None = None  # see core.meta
     subspace: SubspaceManager = field(init=False)
-    last_ei: float = float("inf")  # inspected by the stopping criterion
+    # inspected by the stopping criterion
+    last_ei: float = field(init=False, default=float("inf"))
     # fitted by the last suggest(); the controller scores its pick with them
     surrogates: Surrogates | None = field(init=False, default=None)
     _rng: np.random.Generator = field(init=False)
@@ -56,10 +57,10 @@ class ConfigGenerator:
         best = history.best()
         base = best.config if best else self.space.default_config()
         dims = self.subspace.current_dims() if self.use_subspace else list(range(self.space.dim))
-        n_rand = int(self.n_candidates * 0.7)
+        n_rand = int(N_CANDIDATES * 0.7)
         rand = self.space.sample_unit(n_rand, self._rng, subspace=dims, base=base)
         # local Gaussian perturbations of the incumbent (exploitation pool)
-        local = np.tile(self.space.to_unit(base), (self.n_candidates - n_rand, 1))
+        local = np.tile(self.space.to_unit(base), (N_CANDIDATES - n_rand, 1))
         noise = self._rng.normal(0.0, 0.12, (len(local), len(dims)))
         local[:, dims] = np.clip(local[:, dims] + noise, 0.0, 1.0)
         raw = np.concatenate([rand, local])
@@ -73,7 +74,7 @@ class ConfigGenerator:
         if len(history) == 0:
             return self.space.default_config()
         self.surrogates = fit_surrogates(
-            history, with_datasize=self.datasize_aware, runtime=True,
+            history, with_datasize=True, runtime=True,
             meta_factory=self.meta_surrogate_factory,
         )
         it = len(history) + 1
@@ -83,7 +84,7 @@ class ConfigGenerator:
             ds_feat = datasize_feature(history.observations[-1].result.datasize_mb)
             return AGDStepper(self.space, self.problem.beta).step(
                 history.best().config, self.surrogates.runtime,
-                datasize_feature=ds_feat if self.datasize_aware else None,
+                datasize_feature=ds_feat,
                 dims=self.subspace.current_dims() if self.use_subspace else None,
             )
 
@@ -102,7 +103,7 @@ class ConfigGenerator:
                 ok = r <= thr
                 if ok.any():
                     raw, U, r = raw[ok], U[ok], r[ok]
-            thresholds, gamma = self.problem.thresholds("runtime"), self.gamma
+            thresholds, gamma = self.problem.thresholds("runtime"), GAMMA
         idx, self.last_ei = propose(
             history, U, self.surrogates, runtime_thresholds=thresholds, gamma=gamma
         )

@@ -24,6 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _JITTER = 1e-8
+#: The hyperparameter grid ``fit`` searches: white-noise variances and
+#: numeric lengthscales (each also taken times the dimension scale).
+NOISE_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
+LS_GRID = (0.15, 0.3, 0.6, 1.2)
 
 
 def _matern52(d: np.ndarray) -> np.ndarray:
@@ -93,15 +97,14 @@ class GaussianProcess:
 
     cat_mask: np.ndarray
     has_datasize: bool = False
-    noise_grid: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1)
-    ls_grid: tuple[float, ...] = (0.15, 0.3, 0.6, 1.2)
-    _X: np.ndarray | None = None
-    _alpha: np.ndarray | None = None
-    _L: np.ndarray | None = None
-    _y_mean: float = 0.0
-    _y_std: float = 1.0
     kernel: MixedKernel = field(init=False)
-    noise: float = 1e-3
+    # fitted state
+    _X: np.ndarray | None = field(init=False, default=None)
+    _alpha: np.ndarray | None = field(init=False, default=None)
+    _L: np.ndarray | None = field(init=False, default=None)
+    _y_mean: float = field(init=False, default=0.0)
+    _y_std: float = field(init=False, default=1.0)
+    noise: float = field(init=False, default=1e-3)
 
     def __post_init__(self) -> None:
         self.kernel = MixedKernel(np.asarray(self.cat_mask, bool), self.has_datasize)
@@ -122,11 +125,11 @@ class GaussianProcess:
         # same story for the Hamming factor: its decay must scale with
         # the categorical-dimension count or every config pair is "far"
         self.kernel.cat_decay = max(float(np.asarray(self.cat_mask).sum()) / 2.0, 0.5)
-        lengthscales = tuple(self.ls_grid) + tuple(g * dim_scale for g in self.ls_grid)
+        lengthscales = LS_GRID + tuple(g * dim_scale for g in LS_GRID)
         stack = self.kernel.stack(X, X, lengthscales, lengthscales)
         eye = np.eye(len(X))
         for ls, K_ls in zip(lengthscales, stack):
-            for nz in self.noise_grid:
+            for nz in NOISE_GRID:
                 K = K_ls + (nz + _JITTER) * eye
                 try:
                     L = np.linalg.cholesky(K)

@@ -93,8 +93,9 @@ class MetaLearner:
 
     space: ConfigSpace
     seed: int = 0
-    tasks: list[SourceTask] = field(default_factory=list)
-    model: GradientBoostedRegressor | None = None
+    # fitted state
+    tasks: list[SourceTask] = field(init=False, default_factory=list)
+    model: GradientBoostedRegressor | None = field(init=False, default=None)
 
     def fit(self, tasks: list[SourceTask]) -> "MetaLearner":
         """Train M_reg on all source-task pairs."""

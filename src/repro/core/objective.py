@@ -11,7 +11,8 @@ The paper minimizes ``f(x) = T(x)^beta * R(x)^(1-beta)`` subject to
 
 ``R(x)`` is white-box: the paper uses
 ``R(x) = #cpu_vcores(x) + c * #mem(x)`` computed directly from the
-resource parameters; its analytic gradient feeds AGD (Eq. 9).
+resource parameters. AGD (Eq. 9) takes its partial derivatives as
+central differences of R over configs snapped onto the grid.
 """
 from __future__ import annotations
 
@@ -54,26 +55,6 @@ def resource(config: dict, *, c: float = MEM_CORE_PRICE_RATIO) -> float:
     vcores = inst * cores + config["spark.driver.cores"]
     mem_gb = inst * mem + config["spark.driver.memory"]
     return vcores + c * mem_gb
-
-
-def resource_gradient(config: dict, *, c: float = MEM_CORE_PRICE_RATIO) -> dict[str, float]:
-    """Analytic ∂R/∂x for the resource-related parameters (others 0)."""
-    inst = config["spark.executor.instances"]
-    cores = config["spark.executor.cores"]
-    mem = config["spark.executor.memory"] + config["spark.executor.memoryOverhead"] / 1024.0
-    if config.get("spark.memory.offHeap.enabled"):
-        mem += config["spark.memory.offHeap.size"]
-    g = {
-        "spark.executor.instances": cores + c * mem,
-        "spark.executor.cores": inst,
-        "spark.executor.memory": c * inst,
-        "spark.executor.memoryOverhead": c * inst / 1024.0,
-        "spark.driver.cores": 1.0,
-        "spark.driver.memory": c,
-    }
-    if config.get("spark.memory.offHeap.enabled"):
-        g["spark.memory.offHeap.size"] = c * inst
-    return g
 
 
 def objective(runtime_s: float, config: dict, beta: float) -> float:

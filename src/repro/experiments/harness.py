@@ -3,14 +3,12 @@
 ``SimEvaluator`` plays the role of the data platform in Figure 1: each
 ``evaluate`` call is one periodic job execution with the suggested
 configuration, returning the metrics the OnlineTune controller stores.
-Data sizes drift per iteration (lognormal around the profile's base,
-optionally with a periodic daily component), exercising the
-datasize-aware surrogate.
+Data sizes drift per iteration (lognormal around the profile's base),
+exercising the datasize-aware surrogate.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +16,12 @@ from repro.baselines.base import Tuner
 from repro.core.bo import RunHistory
 from repro.core.config_space import ConfigSpace
 from repro.core.controller import OnlineTuner
-from repro.core.objective import Constraint, ExecResult, TuningProblem
+from repro.core.objective import Constraint, ExecResult, TuningProblem, resource
 from repro.simcluster.profile import WorkloadProfile
 from repro.simcluster.simulator import ClusterSimulator
+
+DATASIZE_SIGMA = 0.10    # lognormal sigma of each run's data size
+CONSTRAINT_FACTOR = 2.0  # constraints are this many times the reference's metrics
 
 
 @dataclass
@@ -30,23 +31,12 @@ class SimEvaluator:
     profile: WorkloadProfile
     simulator: ClusterSimulator
     seed: int = 0
-    datasize_drift: float = 0.10     # lognormal sigma of per-run size
-    periodic_amplitude: float = 0.0  # optional sinusoidal daily component
-    n_evals: int = field(default=0, init=False)
 
     def datasize(self, iteration: int) -> float:
         rng = np.random.default_rng((self.seed, iteration, 7))
-        size = self.profile.base_datasize_mb * float(
-            rng.lognormal(0.0, self.datasize_drift)
-        )
-        if self.periodic_amplitude:
-            size *= 1.0 + self.periodic_amplitude * math.sin(
-                2.0 * math.pi * iteration / 24.0
-            )
-        return size
+        return self.profile.base_datasize_mb * float(rng.lognormal(0.0, DATASIZE_SIGMA))
 
     def evaluate(self, config: dict, iteration: int) -> ExecResult:
-        self.n_evals += 1
         return self.simulator.run(
             self.profile,
             config,
@@ -72,17 +62,14 @@ def default_constraints(
     profile: WorkloadProfile,
     simulator: ClusterSimulator,
     reference: dict,
-    *,
-    factor: float = 2.0,
 ) -> tuple[Constraint, ...]:
-    """The paper's production setting: constraints are ``factor``× the
-    metrics of the reference (manual/default) configuration."""
-    from repro.core.objective import resource
-
+    """The paper's production setting: constraints are
+    ``CONSTRAINT_FACTOR``× the metrics of the reference (manual/default)
+    configuration."""
     ref = reference_run(profile, simulator, reference)
     return (
-        Constraint("runtime", factor * ref.runtime_s),
-        Constraint("resource", factor * resource(reference)),
+        Constraint("runtime", CONSTRAINT_FACTOR * ref.runtime_s),
+        Constraint("resource", CONSTRAINT_FACTOR * resource(reference)),
     )
 
 

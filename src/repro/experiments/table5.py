@@ -56,8 +56,7 @@ def run(*, n_samples: int = 120, seed: int = 0, beta: float = 0.5) -> list[Impor
         ])
         forest = RandomForestRegressor(n_estimators=16, max_depth=6, seed=seed)
         forest.fit(X, np.log(y))
-        res = fanova_importance(forest, np.zeros(space.dim), np.ones(space.dim))
-        per_task.append(res.single_mean)
+        per_task.append(fanova_importance(forest, space.dim))
     S = np.array(per_task)  # (tasks, dim): std is across tasks, as in the paper
     mean, std = S.mean(axis=0), S.std(axis=0)
     order = np.argsort(-mean, kind="stable")[:10]

@@ -5,7 +5,8 @@ Implements the tree-marginal algorithm of Hutter, Hoos & Leyton-Brown
 sub-space generation (§4.1): each tree is a piecewise constant function
 over axis-aligned leaf boxes, so the marginal mean over any single
 dimension — and hence its variance contribution ``V_i / V`` — has an
-exact closed form under an independent uniform input distribution.
+exact closed form under an independent uniform input distribution. The
+domain is the unit cube, where the tuners keep their configs.
 
 Only single-parameter importances are computed: per tree, for the
 dimensions the tree splits on (every other dimension's marginal is the
@@ -14,24 +15,22 @@ forest.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import RegressionTree
 
 
-def _leaf_boxes(tree: RegressionTree, lower: np.ndarray, upper: np.ndarray):
-    """The leaves' values and boxes ``lo``, ``hi`` (``(n_leaves, d)``)
-    clipped to the domain ``[lower, upper]``, in preorder. A leaf whose
-    region misses the domain gets an empty box (``hi <= lo`` somewhere)."""
+def _leaf_boxes(tree: RegressionTree, dim: int):
+    """The leaves' values and boxes ``lo``, ``hi`` (``(n_leaves, dim)``)
+    clipped to the unit cube, in preorder. A leaf whose region misses
+    the cube gets an empty box (``hi <= lo`` somewhere)."""
     if tree.feature is None:
         raise RuntimeError("tree is not fitted")
     feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
     left, right = tree.left.tolist(), tree.right.tolist()
     lo, hi = [None] * len(feature), [None] * len(feature)
-    lo[0], hi[0] = lower.tolist(), upper.tolist()
+    lo[0], hi[0] = [0.0] * dim, [1.0] * dim
     leaves = []
     for i, f in enumerate(feature):  # preorder: a node comes before its children
         if f < 0:
@@ -46,19 +45,17 @@ def _leaf_boxes(tree: RegressionTree, lower: np.ndarray, upper: np.ndarray):
             np.array([hi[i] for i in leaves]))
 
 
-def _intervals(lo_col: np.ndarray, hi_col: np.ndarray, lo: float, hi: float):
-    """Break ``[lo, hi]`` at every leaf boundary in this dimension."""
-    cuts = np.unique(np.concatenate([[lo, hi], lo_col, hi_col]))
-    cuts = cuts[(cuts >= lo) & (cuts <= hi)]
+def _intervals(lo_col: np.ndarray, hi_col: np.ndarray):
+    """Break ``[0, 1]`` at every leaf boundary in this dimension."""
+    cuts = np.unique(np.concatenate([[0.0, 1.0], lo_col, hi_col]))
+    cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
     return cuts[:-1], cuts[1:]
 
 
-def _tree_importance(tree: RegressionTree, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    single = np.zeros(len(lower))
-    vals, lo, hi = _leaf_boxes(tree, lower, upper)
-    rng = upper - lower
-    rng = np.where(rng <= 0, 1.0, rng)
-    frac = np.clip((hi - lo) / rng, 0.0, 1.0)  # (n_leaves, d)
+def _tree_importance(tree: RegressionTree, dim: int) -> np.ndarray:
+    single = np.zeros(dim)
+    vals, lo, hi = _leaf_boxes(tree, dim)
+    frac = np.clip(hi - lo, 0.0, 1.0)  # (n_leaves, dim)
     keep = (frac > 0).all(axis=1)
     vals, lo, hi, frac = vals[keep], lo[keep], hi[keep], frac[keep]
     if len(vals) == 0:
@@ -69,7 +66,7 @@ def _tree_importance(tree: RegressionTree, lower: np.ndarray, upper: np.ndarray)
     if total_var <= 1e-12:
         return single
     for i in np.unique(tree.feature[tree.feature >= 0]):
-        a, b = _intervals(lo[:, i], hi[:, i], lower[i], upper[i])
+        a, b = _intervals(lo[:, i], hi[:, i])
         mids = (a + b) / 2.0
         # a fresh array per dimension: a matvec on a view of a stacked
         # array can round differently (BLAS alignment)
@@ -77,27 +74,11 @@ def _tree_importance(tree: RegressionTree, lower: np.ndarray, upper: np.ndarray)
         cover = (lo[:, i][None, :] <= mids[:, None]) & (mids[:, None] < hi[:, i][None, :])
         marg = cover @ (vals * w_not_i)  # a_i(interval)
         f_i = marg - mean
-        w_int = (b - a) / max(upper[i] - lower[i], 1e-300)
-        single[i] = float(w_int @ f_i**2) / total_var
+        single[i] = float((b - a) @ f_i**2) / total_var
     return single
 
 
-@dataclass
-class FanovaResult:
-    """Single-parameter importance fractions, averaged over the trees."""
-
-    single_mean: np.ndarray
-
-    def ranking(self) -> np.ndarray:
-        """Dimensions ordered by decreasing single-parameter importance."""
-        return np.argsort(-self.single_mean, kind="stable")
-
-
-def fanova_importance(
-    forest: RandomForestRegressor, lower: np.ndarray, upper: np.ndarray
-) -> FanovaResult:
-    """fANOVA importance fraction of every dimension."""
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
-    S = np.array([_tree_importance(t, lower, upper) for t in forest.trees])
-    return FanovaResult(single_mean=S.mean(axis=0))
+def fanova_importance(forest: RandomForestRegressor, dim: int) -> np.ndarray:
+    """fANOVA single-parameter importance fraction of each of the ``dim``
+    dimensions, averaged over the trees."""
+    return np.array([_tree_importance(t, dim) for t in forest.trees]).mean(axis=0)

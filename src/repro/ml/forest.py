@@ -27,7 +27,7 @@ class RandomForestRegressor:
     min_samples_leaf: int = 1
     max_features: int | None = None
     seed: int = 0
-    trees: list[RegressionTree] = field(default_factory=list)
+    trees: list[RegressionTree] = field(init=False, default_factory=list)
     _stack: TreeStack | None = field(init=False, default=None)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":

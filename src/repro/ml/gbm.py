@@ -22,10 +22,9 @@ class GradientBoostedRegressor:
     learning_rate: float = 0.1
     max_depth: int = 3
     min_samples_leaf: int = 2
-    subsample: float = 1.0
     seed: int = 0
-    _init: float = 0.0
-    _trees: list[RegressionTree] = field(default_factory=list)
+    _init: float = field(init=False, default=0.0)
+    _trees: list[RegressionTree] = field(init=False, default_factory=list)
     _stack: TreeStack | None = field(init=False, default=None)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedRegressor":
@@ -35,19 +34,13 @@ class GradientBoostedRegressor:
         self._init = float(y.mean())
         pred = np.full(len(y), self._init)
         self._trees = []
-        n = len(y)
         for _ in range(self.n_estimators):
-            resid = y - pred
-            if self.subsample < 1.0:
-                idx = rng.choice(n, size=max(2, int(n * self.subsample)), replace=False)
-            else:
-                idx = np.arange(n)
             t = RegressionTree(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 rng=np.random.default_rng(rng.integers(2**31)),
             )
-            t.fit(X[idx], resid[idx])
+            t.fit(X, y - pred)
             pred += self.learning_rate * t.predict(X)
             self._trees.append(t)
         self._stack = TreeStack(self._trees)

@@ -30,7 +30,6 @@ class RegressionTree:
     """
 
     max_depth: int = 12
-    min_samples_split: int = 2
     min_samples_leaf: int = 1
     max_features: int | None = None
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
@@ -66,7 +65,8 @@ class RegressionTree:
         i, n = len(nodes), len(y)
         nodes.append([-1, 0.0, i, i, y.sum() / n])
         self.depth = max(self.depth, depth)
-        if depth >= self.max_depth or n < self.min_samples_split or y.max() == y.min():
+        # a one-row node is constant, so it stops here too
+        if depth >= self.max_depth or y.max() == y.min():
             return i
         feat, thr = self._best_split(X, y, nl[: n - 1])
         if feat < 0:
@@ -89,8 +89,6 @@ class RegressionTree:
         if self.max_features is not None and self.max_features < d:
             feats = self.rng.choice(d, size=self.max_features, replace=False)
         best_gain, best = 0.0, (-1, 0.0)
-        if n < 2:
-            return best
         base_sse = float(((y - y.sum() / n) ** 2).sum())
         Xf = X[:, feats]
         order = Xf.argsort(axis=0, kind="stable")

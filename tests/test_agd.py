@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core import agd
 from repro.core.agd import AGDStepper, N_AGD
 from repro.core.config_space import ConfigSpace
 from repro.core.gp import GaussianProcess
@@ -58,13 +59,13 @@ class TestAGD:
         nxt = AGDStepper(space, beta=0.5).step(start, gp, dims=[i_mem])
         assert nxt["spark.executor.instances"] == start["spark.executor.instances"]
 
-    def test_step_norm_clipped(self, space):
+    def test_step_norm_clipped(self, space, monkeypatch):
         gp = _flat_runtime_gp(space)
-        stepper = AGDStepper(space, beta=0.5, eta=1e9)  # absurd LR
+        monkeypatch.setattr(agd, "ETA", 1e9)  # absurd LR
         start = space.default_config()
-        nxt = stepper.step(start, gp)
+        nxt = AGDStepper(space, beta=0.5).step(start, gp)
         du = space.to_unit(nxt) - space.to_unit(start)
-        assert np.linalg.norm(du) <= stepper.max_step + 0.05  # + grid snap
+        assert np.linalg.norm(du) <= agd.MAX_STEP + 0.05  # + grid snap
 
     def test_beta_one_follows_runtime_gradient(self, space):
         # runtime that increases with instances → beta=1 step reduces them

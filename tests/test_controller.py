@@ -84,9 +84,9 @@ class TestStopping:
         t.stopped = True
         assert t.suggest() == cfg
 
-    def test_restart_on_degradation(self, space):
-        t = OnlineTuner(space, TuningProblem(beta=1.0), seed=0, use_meta=False,
-                        degradation_patience=2)
+    def test_restart_on_degradation(self, space, monkeypatch):
+        monkeypatch.setattr(OnlineTuner, "degradation_patience", 2)
+        t = OnlineTuner(space, TuningProblem(beta=1.0), seed=0, use_meta=False)
         t.stopped = False
         t._degradations = 0
         cfg = space.default_config()
@@ -120,7 +120,8 @@ class TestStopping:
         assert not t.stopped
 
     def test_stopped_tuner_restarts_on_degraded_runs(self, space):
-        t, _ = self._past_init(space, degradation_patience=3)
+        t, _ = self._past_init(space)
+        assert t.degradation_patience == 3
         t.stopped = True
         for _ in range(3):
             assert t.stopped

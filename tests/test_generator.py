@@ -42,7 +42,7 @@ class TestSuggest:
         # at |D|+1 ≡ 0 (mod N_AGD) the suggestion comes from AGD: it
         # perturbs only numeric sub-space dims of the incumbent
         prob = TuningProblem(beta=0.5)
-        gen = ConfigGenerator(space, prob, seed=0, datasize_aware=False)
+        gen = ConfigGenerator(space, prob, seed=0)
         h = _history(space, prob, n=2 * N_AGD - 1)  # past the §4.3 sufficiency gate
         best = h.best().config
         cfg = gen.suggest(h)
@@ -82,7 +82,7 @@ class TestSuggest:
             return 10.0 + 1000.0 * space.to_unit(cfg)[i_inst]
 
         prob = TuningProblem(beta=0.5, constraints=(Constraint("runtime", 200.0),))
-        gen = ConfigGenerator(space, prob, seed=0, use_agd=False, datasize_aware=False)
+        gen = ConfigGenerator(space, prob, seed=0, use_agd=False)
         h = _history(space, prob, n=14, runtime_fn=rt)
         picks = [gen.suggest(h) for _ in range(5)]
         # most picks should sit in the low-instances (safe) half
@@ -117,8 +117,12 @@ class TestCandidates:
     N = 40
     I_FLAG = ConfigSpace().index_of("spark.shuffle.compress")  # True by default
 
+    @pytest.fixture(autouse=True)
+    def _few_candidates(self, monkeypatch):
+        monkeypatch.setattr("repro.core.generator.N_CANDIDATES", self.N)
+
     def _gen(self, space, problem, dims):
-        gen = ConfigGenerator(space, problem, seed=0, use_agd=False, n_candidates=self.N)
+        gen = ConfigGenerator(space, problem, seed=0, use_agd=False)
         gen.subspace.current_dims = lambda: dims
         return gen
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import gp as gp_module
 from repro.core.config_space import ConfigSpace
 from repro.core.gp import _JITTER, GaussianProcess, MixedKernel, _matern52, _pairwise_sq
 
@@ -186,7 +187,9 @@ class TestGPProperties:
     @given(_data(grid=True))
     def test_interpolates_at_low_noise(self, data):
         X, y = data
-        mu, _ = GaussianProcess(_numeric_mask(2), noise_grid=(1e-4,)).fit(X, y).predict(X)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gp_module, "NOISE_GRID", (1e-4,))
+            mu, _ = GaussianProcess(_numeric_mask(2)).fit(X, y).predict(X)
         assert np.max(np.abs(mu - y)) <= 1e-2 * y.std() + 1e-9
 
     @settings(max_examples=40, deadline=None)
@@ -245,8 +248,8 @@ def _reference_fit(gp, X, y):
     k = MixedKernel(gp.kernel.cat_mask, gp.has_datasize,
                     cat_decay=max(float(gp.kernel.cat_mask.sum()) / 2.0, 0.5))
     best = (-np.inf, None)
-    for ls in tuple(gp.ls_grid) + tuple(g * dim_scale for g in gp.ls_grid):
-        for nz in gp.noise_grid:
+    for ls in gp_module.LS_GRID + tuple(g * dim_scale for g in gp_module.LS_GRID):
+        for nz in gp_module.NOISE_GRID:
             k.lengthscale = k.ds_lengthscale = ls
             K = _reference_kernel(k, X, X) + (nz + _JITTER) * np.eye(len(X))
             try:

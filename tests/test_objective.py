@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.config_space import ConfigSpace, hibench_space
 from repro.core.objective import (
-    Constraint, ExecResult, TuningProblem, execution_cost, objective,
-    resource, resource_gradient,
+    Constraint, ExecResult, TuningProblem, execution_cost, objective, resource,
 )
 
 
@@ -37,25 +36,13 @@ class TestResource:
         assert resource(big) > resource(small)
 
     def test_columns_equal_scalar_exactly(self):
-        # the generator's bulk filter: one call over value columns
+        # the generator's bulk filter and AGD's probes: one call over value columns
         for space in (ConfigSpace(), hibench_space()):
             U = np.random.default_rng(0).random((400, space.dim))
             U[:, space.index_of("spark.memory.offHeap.enabled")] = np.arange(400) % 2
             V, _ = space.snap(U)
             bulk = resource(dict(zip(space.names, V.T)))
             assert bulk.tolist() == [resource(space.from_unit(u)) for u in U]
-
-    def test_gradient_matches_finite_difference(self, cfg):
-        g = resource_gradient(cfg)
-        for name in ("spark.executor.instances", "spark.executor.cores", "spark.executor.memory"):
-            up = dict(cfg); up[name] = cfg[name] + 1
-            dn = dict(cfg); dn[name] = cfg[name] - 1
-            fd = (resource(up) - resource(dn)) / 2.0
-            assert g[name] == pytest.approx(fd)
-
-    def test_gradient_zero_for_nonresource(self, cfg):
-        g = resource_gradient(cfg)
-        assert "spark.memory.fraction" not in g
 
 
 class TestObjective:

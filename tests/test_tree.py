@@ -83,22 +83,22 @@ class TestLeafBoxes:
     """The leaf boxes fANOVA reads off the node arrays."""
 
     @staticmethod
-    def _nonempty(tree, lower, upper):
-        vals, lo, hi = _leaf_boxes(tree, lower, upper)
+    def _nonempty(tree, dim):
+        vals, lo, hi = _leaf_boxes(tree, dim)
         keep = (hi > lo).all(axis=1)
         return vals[keep], lo[keep], hi[keep]
 
     def test_boxes_partition_domain(self):
         X, y = _xor_data()
         t = RegressionTree(max_depth=3).fit(X, y)
-        _, lo, hi = _leaf_boxes(t, np.zeros(2), np.ones(2))
+        _, lo, hi = _leaf_boxes(t, 2)
         vol = np.clip(hi - lo, 0.0, None).prod(axis=1).sum()
         assert vol == pytest.approx(1.0)
 
     def test_boxes_predict_consistent(self):
         X, y = _xor_data()
         t = RegressionTree(max_depth=4).fit(X, y)
-        vals, lo, hi = self._nonempty(t, np.zeros(2), np.ones(2))
+        vals, lo, hi = self._nonempty(t, 2)
         rng = np.random.default_rng(2)
         pts = rng.random((100, 2))
         preds = t.predict(pts)
@@ -108,26 +108,26 @@ class TestLeafBoxes:
 
     def test_stump_single_box(self):
         t = RegressionTree(max_depth=0).fit(np.zeros((5, 2)), np.ones(5))
-        vals, lo, hi = _leaf_boxes(t, np.zeros(2), np.ones(2))
+        vals, lo, hi = _leaf_boxes(t, 2)
         assert vals.tolist() == [1.0]
         assert lo.tolist() == [[0.0, 0.0]] and hi.tolist() == [[1.0, 1.0]]
 
     def test_unfitted_boxes_raises(self):
         with pytest.raises(RuntimeError):
-            _leaf_boxes(RegressionTree(), np.zeros(2), np.ones(2))
+            _leaf_boxes(RegressionTree(), 2)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 60), st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_nonempty_boxes_tile_a_domain_inside_the_data(self, n, d, seed):
-        """Split points can fall outside a domain narrower than the data:
-        the non-empty boxes still tile it, and agree with predict."""
+        """Split points can fall outside the unit cube when the data
+        spreads wider: the non-empty boxes still tile it, and agree with
+        predict."""
         rng = np.random.default_rng(seed)
-        X = rng.random((n, d)).round(1)
+        X = rng.uniform(-0.6, 1.6, (n, d)).round(1)
         t = RegressionTree(rng=np.random.default_rng(seed)).fit(X, rng.normal(size=n))
-        lower, upper = np.full(d, 0.25), np.full(d, 0.65)
-        vals, lo, hi = self._nonempty(t, lower, upper)
-        assert (hi - lo).prod(axis=1).sum() == pytest.approx(0.4**d)
-        pts = rng.uniform(0.25, 0.65, (30, d))
+        vals, lo, hi = self._nonempty(t, d)
+        assert (hi - lo).prod(axis=1).sum() == pytest.approx(1.0)
+        pts = rng.random((30, d))
         inside = (lo[None] < pts[:, None]) & (pts[:, None] <= hi[None])
         assert np.all(inside.all(axis=2).sum(axis=1) <= 1)
         for p, pred, box in zip(pts, t.predict(pts), inside.all(axis=2)):
