@@ -91,7 +91,7 @@ class FixedSubspaceTuner(Tuner):
             self._dims = self._pick_dims()
         surrogates = fit_surrogates(self.history, with_datasize=self.with_datasize)
         raw = self.space.sample_unit(
-            self.n_candidates, self.rng, subspace=self._dims, base=self.best_config()
+            self.n_candidates, self.rng, subspace=self._dims, base=self.history.best().unit
         )
         idx, _ = propose(self.history, self.space.snap(raw)[1], surrogates)
         return self.space.from_unit(raw[idx])

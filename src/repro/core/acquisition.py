@@ -87,7 +87,7 @@ def propose(
     safe one (least ``mu + gamma*sigma``, as in SafeOpt-style search) is
     returned with value ``inf``.
     """
-    U = surrogates.rows(history, cands)
+    U = surrogates.rows(cands)
     posteriors = []
     if runtime_thresholds:
         mu_t, sd_t = surrogates.runtime.predict(U)

@@ -1,7 +1,8 @@
 """Approximate gradient descent within BO (§4.3, Eq. 9–11).
 
 Every ``N_AGD`` iterations the next configuration is produced not by
-the acquisition function but by one gradient step from the incumbent:
+the acquisition function but by one gradient step from the incumbent's
+unit row:
 
 - ``∂R/∂x`` is a central finite difference of the white-box resource
   function R(x) at the probes snapped onto the grid, all probes' R in
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.bo import Surrogates
 from repro.core.config_space import ConfigSpace
-from repro.core.gp import GaussianProcess
 from repro.core.objective import resource
 
 N_AGD = 5        # every N_AGD-th iteration uses AGD instead of EIC (paper value)
@@ -35,30 +36,22 @@ MAX_STEP = 0.08  # unit-space norm clip per AGD move
 
 @dataclass
 class AGDStepper:
-    """One approximate-gradient-descent step from the incumbent config.
-    The runtime surrogate models log(T)."""
+    """One approximate-gradient-descent step from the incumbent.
+    ``surrogates.runtime`` models log(T)."""
 
     space: ConfigSpace
     beta: float
 
     def step(
-        self,
-        best_config: dict,
-        runtime_gp: GaussianProcess,
-        *,
-        datasize_feature: float | None = None,
-        dims: list[int] | None = None,
-    ) -> dict:
-        """Return the next configuration (Eq. 11) from ``best_config``."""
-        u = self.space.to_unit(best_config)
+        self, u: np.ndarray, surrogates: Surrogates, *, dims: list[int] | None = None
+    ) -> np.ndarray:
+        """The next unit row (Eq. 11) from the unit row ``u``, not yet
+        snapped onto the grid."""
         cat = self.space.cat_mask
         dims = [i for i in (dims if dims is not None else range(self.space.dim)) if not cat[i]]
 
         def predict_T(uu: np.ndarray) -> float:
-            x = uu[None, :]
-            if datasize_feature is not None:
-                x = np.concatenate([x, [[datasize_feature]]], axis=1)
-            mu, _ = runtime_gp.predict(x)
+            mu, _ = surrogates.runtime.predict(surrogates.rows(uu[None, :]))
             # the generator's runtime GP is fit on log-runtime; Eq. 9/10
             # need T itself, so map back before differencing
             return float(np.exp(mu[0]))
@@ -95,4 +88,4 @@ class AGDStepper:
             # η=0.001 on a well-scaled surrogate stalls in unit space;
             # take a short fixed-length step along the gradient instead
             step *= 0.02 / norm
-        return self.space.from_unit(np.clip(u - step, 0.0, 1.0))
+        return np.clip(u - step, 0.0, 1.0)

@@ -6,7 +6,8 @@ feasibility. It keeps the configs as a unit matrix, one row appended
 per run, for surrogate fitting (optionally with the datasize feature
 used by the mixed kernel, Eq. 4, as a last column).
 :func:`fit_surrogates` fits the models one BO iteration scores its
-candidates with; the loop itself is
+candidates with, and :meth:`Surrogates.rows` turns candidate unit rows
+into their inputs; the loop itself is
 :func:`repro.experiments.harness.run_tuning`.
 """
 from __future__ import annotations
@@ -35,6 +36,7 @@ class Observation:
     result: ExecResult
     objective: float
     feasible: bool
+    unit: np.ndarray  # the config's unit row (read-only)
 
 
 @dataclass
@@ -56,14 +58,19 @@ class RunHistory:
         return len(self.observations)
 
     def add(self, config: dict, result: ExecResult) -> Observation:
+        # its own row, not a view of the matrix: a view would keep each
+        # earlier matrix alive
+        unit = self.space.to_unit(config)
+        unit.flags.writeable = False
         obs = Observation(
             config=config,
             result=result,
             objective=self.problem.value(result, config),
             feasible=self.problem.feasible(result, config),
+            unit=unit,
         )
         self.observations.append(obs)
-        self._U = np.vstack([self._U, self.space.to_unit(config)])
+        self._U = np.vstack([self._U, unit])
         self._U.flags.writeable = False
         self._ds = np.append(self._ds, datasize_feature(result.datasize_mb))
         return obs
@@ -105,14 +112,13 @@ class Surrogates(NamedTuple):
 
     objective: object                # GaussianProcess or meta-ensemble
     runtime: GaussianProcess | None  # log-runtime GP, when asked for
-    with_datasize: bool              # inputs end in the datasize column
+    datasize: float | None           # the next run's datasize feature, if modelled
 
-    def rows(self, history: RunHistory, U: np.ndarray) -> np.ndarray:
+    def rows(self, U: np.ndarray) -> np.ndarray:
         """Model inputs for the configs with unit rows ``U`` at the next
-        run, whose datasize is taken to be the last run's."""
-        if self.with_datasize:
-            ds = datasize_feature(history.observations[-1].result.datasize_mb)
-            U = np.concatenate([U, np.full((len(U), 1), ds)], axis=1)
+        run: ``U`` with the datasize column appended, if modelled."""
+        if self.datasize is not None:
+            U = np.concatenate([U, np.full((len(U), 1), self.datasize)], axis=1)
         return U
 
 
@@ -126,7 +132,8 @@ def fit_surrogates(
     """Fit the objective GP on the penalized objectives — wrapped into
     the meta-ensemble by ``meta_factory`` when given (see
     :meth:`repro.core.meta.MetaLearner.ensemble_factory`) — and, if
-    ``runtime``, a GP on log-runtime."""
+    ``runtime``, a GP on log-runtime. The next run's datasize is taken
+    to be the last run's."""
     X = history.X_unit(with_datasize=with_datasize)
     y = history.penalized_objectives()
     cat_mask = history.space.cat_mask
@@ -137,4 +144,5 @@ def fit_surrogates(
         gp_t = GaussianProcess(cat_mask, has_datasize=with_datasize)
         # log-runtime: positive, multiplicative noise, long tails
         gp_t.fit(X, np.log(np.maximum(history.runtimes(), 1e-9)))
-    return Surrogates(objective, gp_t, with_datasize)
+    ds = history.observations[-1].result.datasize_mb
+    return Surrogates(objective, gp_t, datasize_feature(ds) if with_datasize else None)

@@ -191,14 +191,15 @@ class ConfigSpace:
 
     def sample_unit(
         self, n: int, rng: np.random.Generator, *, subspace: list[int] | None = None,
-        base: dict | None = None,
+        base: np.ndarray | None = None,
     ) -> np.ndarray:
         """``n`` uniform unit rows, not yet snapped; if ``subspace`` is
-        given, only those dims vary and the rest are pinned at ``base``
-        (default config if None)."""
-        dims = list(subspace) if subspace is not None else list(range(self.dim))
-        U = np.tile(self.to_unit(base or self.default_config()), (n, 1))
-        U[:, dims] = rng.random((n, len(dims)))
+        given, only those dims vary and the rest are pinned at the unit
+        row ``base`` (the default config's if None)."""
+        if subspace is None:
+            return rng.random((n, self.dim))
+        U = np.tile(self.to_unit(self.default_config()) if base is None else base, (n, 1))
+        U[:, subspace] = rng.random((n, len(subspace)))
         return U
 
     def sample_random(self, n: int, rng: np.random.Generator) -> list[dict]:

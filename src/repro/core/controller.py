@@ -52,7 +52,7 @@ class OnlineTuner(Tuner):
         self.ei_stop_rel = ei_stop_rel
         self.stopped = False
         self._degradations = 0
-        self._expected: dict[int, float] = {}  # iteration → predicted objective
+        self._expected: float | None = None  # the pending suggestion's expected objective
         factory = None
         if use_meta and meta_learner is not None and target_meta is not None:
             factory = meta_learner.ensemble_factory(target_meta)
@@ -107,19 +107,15 @@ class OnlineTuner(Tuner):
         if self.stopped and best is not None:
             # serve the incumbent and expect its own objective, so that
             # runs coming back worse count towards the restart
-            self._expected[it] = float(best.objective)
+            self._expected = float(best.objective)
             return best.config
         if it < self.n_init:
             return self._init_configs[it]
-        config = self.generator.suggest(self.history)
-        # record the surrogate's expectation for degradation detection,
-        # from the objective model the generator fitted for this pick
-        if best is not None:
-            surrogates = self.generator.surrogates
-            U = self.space.to_unit(config)[None, :]
-            mu, _ = surrogates.objective.predict(surrogates.rows(self.history, U))
-            self._expected[it] = min(float(best.objective), float(mu[0]))
-        return config
+        u = self.generator.suggest(self.history)
+        # for degradation detection: the objective model's mean at the
+        # pick, capped at the incumbent's objective
+        self._expected = min(float(best.objective), self.generator.expected)
+        return self.space.from_unit(u)
 
     def observe(self, config: dict, result: ExecResult) -> None:
         prev_best = self.history.best()
@@ -129,24 +125,21 @@ class OnlineTuner(Tuner):
             and (prev_best is None or obs.objective < prev_best.objective)
         )
         self.generator.subspace.record(improved)
-        self._check_stopping(obs)
+        expected, self._expected = self._expected, None
+        self._check_stopping(obs, expected)
 
     # -- stopping & restarting (§3.3) ----------------------------------
 
-    def _check_stopping(self, obs) -> None:
-        it = len(self.history)
-        if it <= self.n_init:
+    def _check_stopping(self, obs, expected: float | None) -> None:
+        if len(self.history) <= self.n_init:
             return
         best = self.history.best()
-        if best is None:
-            return
         # stop: the last suggestion's EIC fell below ei_stop_rel percent
         # of the incumbent's objective (0.1% at the default 0.10)
         scale = abs(best.objective) or 1.0
         if np.isfinite(self.generator.last_ei) and self.generator.last_ei < self.ei_stop_rel * scale * 0.01:
             self.stopped = True
         # restart: actual results keep degrading vs expectation
-        expected = self._expected.get(it - 1)
         if expected is not None and obs.objective > expected * 1.5:
             self._degradations += 1
         else:

@@ -6,7 +6,9 @@ next configuration by approximate gradient descent from the incumbent;
 otherwise update the adaptive sub-space, intersect it with the safe
 region of every constraint (GP upper bound, Eq. 8; white-box resource
 constraints filtered analytically), and maximize EIC (Eq. 6) over the
-surviving candidates.
+surviving candidates. Configurations stay unit rows throughout: the
+generator starts from the history's rows and returns the row to run
+next, which the caller turns into a config.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from repro.core.acquisition import propose
 from repro.core.agd import AGDStepper, N_AGD
-from repro.core.bo import RunHistory, Surrogates, datasize_feature, fit_surrogates
+from repro.core.bo import RunHistory, Surrogates, fit_surrogates
 from repro.core.config_space import ConfigSpace
 from repro.core.objective import TuningProblem, resource
 from repro.core.subspace import SubspaceManager
@@ -37,10 +39,10 @@ class ConfigGenerator:
     use_safe: bool = True
     meta_surrogate_factory: object | None = None  # see core.meta
     subspace: SubspaceManager = field(init=False)
-    # inspected by the stopping criterion
+    # the last EIC pick's acquisition value, for the stopping criterion
     last_ei: float = field(init=False, default=float("inf"))
-    # fitted by the last suggest(); the controller scores its pick with them
-    surrogates: Surrogates | None = field(init=False, default=None)
+    # the objective model's mean at the last pick, for the restart criterion
+    expected: float = field(init=False, default=float("nan"))
     _rng: np.random.Generator = field(init=False)
 
     def __post_init__(self) -> None:
@@ -54,13 +56,12 @@ class ConfigGenerator:
         unit rows as drawn, their values and their snapped unit rows (see
         :meth:`ConfigSpace.snap`). Rows equal to a history config are
         dropped, unless every row is one."""
-        best = history.best()
-        base = best.config if best else self.space.default_config()
+        base = history.best().unit
         dims = self.subspace.current_dims() if self.use_subspace else list(range(self.space.dim))
         n_rand = int(N_CANDIDATES * 0.7)
         rand = self.space.sample_unit(n_rand, self._rng, subspace=dims, base=base)
         # local Gaussian perturbations of the incumbent (exploitation pool)
-        local = np.tile(self.space.to_unit(base), (N_CANDIDATES - n_rand, 1))
+        local = np.tile(base, (N_CANDIDATES - n_rand, 1))
         noise = self._rng.normal(0.0, 0.12, (len(local), len(dims)))
         local[:, dims] = np.clip(local[:, dims] + noise, 0.0, 1.0)
         raw = np.concatenate([rand, local])
@@ -70,10 +71,11 @@ class ConfigGenerator:
 
     # -- Algorithm 2 ---------------------------------------------------
 
-    def suggest(self, history: RunHistory) -> dict:
-        if len(history) == 0:
-            return self.space.default_config()
-        self.surrogates = fit_surrogates(
+    def suggest(self, history: RunHistory) -> np.ndarray:
+        """The unit row to run next, not yet snapped, from a non-empty
+        history; ``expected`` gets the objective model's mean at its
+        snapped row."""
+        surrogates = fit_surrogates(
             history, with_datasize=True, runtime=True,
             meta_factory=self.meta_surrogate_factory,
         )
@@ -81,13 +83,19 @@ class ConfigGenerator:
         # AGD needs "observations sufficient to approximate f" (§4.3):
         # gate it on a minimum history besides the every-N_AGD cadence
         if self.use_agd and it % N_AGD == 0 and it >= 2 * N_AGD:
-            ds_feat = datasize_feature(history.observations[-1].result.datasize_mb)
-            return AGDStepper(self.space, self.problem.beta).step(
-                history.best().config, self.surrogates.runtime,
-                datasize_feature=ds_feat,
+            u = AGDStepper(self.space, self.problem.beta).step(
+                history.best().unit, surrogates,
                 dims=self.subspace.current_dims() if self.use_subspace else None,
             )
+            snapped = self.space.snap(u[None, :])[1]
+        else:
+            u, snapped = self._eic_pick(history, surrogates)
+        mu, _ = surrogates.objective.predict(surrogates.rows(snapped))
+        self.expected = float(mu[0])
+        return u
 
+    def _eic_pick(self, history: RunHistory, surrogates: Surrogates) -> tuple[np.ndarray, np.ndarray]:
+        """The EIC argmax's unit row as drawn, and snapped (one-row matrix)."""
         if self.use_subspace:
             self.subspace.update_importance(
                 history.X_unit(), history.penalized_objectives()
@@ -105,6 +113,6 @@ class ConfigGenerator:
                     raw, U, r = raw[ok], U[ok], r[ok]
             thresholds, gamma = self.problem.thresholds("runtime"), GAMMA
         idx, self.last_ei = propose(
-            history, U, self.surrogates, runtime_thresholds=thresholds, gamma=gamma
+            history, U, surrogates, runtime_thresholds=thresholds, gamma=gamma
         )
-        return self.space.from_unit(raw[idx])
+        return raw[idx], U[idx:idx + 1]

@@ -48,27 +48,25 @@ class MixedKernel:
 
     ``cat_mask`` marks categorical dims of the config vector; the data
     size, if used, is the final column of the input matrix and is
-    handled by the SE factor.
+    handled by the SE factor, at the numeric lengthscale. The Hamming
+    decay scales with the categorical-dimension count, or every config
+    pair would be "far".
     """
 
     cat_mask: np.ndarray
     has_datasize: bool = False
     lengthscale: float = 0.5
-    cat_decay: float = 0.5
-    ds_lengthscale: float = 0.5
+    cat_decay: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.cat_decay = max(float(np.asarray(self.cat_mask).sum()) / 2.0, 0.5)
 
     def __call__(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return self.stack(A, B, [self.lengthscale], [self.ds_lengthscale])[0]
+        return self.stack(A, B, [self.lengthscale])[0]
 
-    def stack(
-        self,
-        A: np.ndarray,
-        B: np.ndarray,
-        lengthscales: Sequence[float],
-        ds_lengthscales: Sequence[float],
-    ) -> np.ndarray:
-        """``k(A, B)`` at each (numeric, datasize) lengthscale pair, as
-        one ``(len(lengthscales), len(A), len(B))`` array."""
+    def stack(self, A: np.ndarray, B: np.ndarray, lengthscales: Sequence[float]) -> np.ndarray:
+        """``k(A, B)`` at each lengthscale, as one
+        ``(len(lengthscales), len(A), len(B))`` array."""
         d = len(self.cat_mask)
         num = ~self.cat_mask
         An, Bn = A[:, :d][:, num], B[:, :d][:, num]
@@ -80,7 +78,7 @@ class MixedKernel:
             K = K * np.exp(-mism / max(self.cat_decay, 1e-6))
         if self.has_datasize:
             ds_a, ds_b = A[:, d:], B[:, d:]
-            two_sq = np.array([2.0 * max(ls, 1e-6) ** 2 for ls in ds_lengthscales])
+            two_sq = np.array([2.0 * max(ls, 1e-6) ** 2 for ls in lengthscales])
             K = K * np.exp(-_pairwise_sq(ds_a, ds_b) / two_sq[:, None, None])
         return K
 
@@ -122,11 +120,8 @@ class GaussianProcess:
         # candidate lengthscales must scale with dimensionality or a
         # high-d GP collapses to its prior mean between observations
         dim_scale = max(np.sqrt((~np.asarray(self.cat_mask, bool)).sum() / 2.0), 1.0)
-        # same story for the Hamming factor: its decay must scale with
-        # the categorical-dimension count or every config pair is "far"
-        self.kernel.cat_decay = max(float(np.asarray(self.cat_mask).sum()) / 2.0, 0.5)
         lengthscales = LS_GRID + tuple(g * dim_scale for g in LS_GRID)
-        stack = self.kernel.stack(X, X, lengthscales, lengthscales)
+        stack = self.kernel.stack(X, X, lengthscales)
         eye = np.eye(len(X))
         for ls, K_ls in zip(lengthscales, stack):
             for nz in NOISE_GRID:
@@ -147,7 +142,6 @@ class GaussianProcess:
             raise np.linalg.LinAlgError("no grid point gives a positive-definite kernel")
         ls, nz, L, a = best[1]
         self.kernel.lengthscale = ls
-        self.kernel.ds_lengthscale = ls
         self.noise = nz
         self._X, self._L, self._alpha = X, L, a
         return self

@@ -13,9 +13,9 @@ The learned similarity powers (§5.2):
 - **warm-starting** — the best configurations of the top-3 most similar
   source tasks seed the initial design;
 - **ensemble surrogate** — ``μ_meta = Σ wᵢμᵢ``, ``σ²_meta = Σ wᵢ²σᵢ²``
-  (Eq. 12) over the source surrogates plus the current-task GP, with
-  the current-task weight set by a cross-validation (leave-one-out rank
-  agreement) strategy.
+  (Eq. 12) over the source surrogates plus the current-task GP, whose
+  weight is the rank agreement of its in-sample predictions with the
+  observed targets (not the paper's leave-one-out cross-validation).
 """
 from __future__ import annotations
 
@@ -150,14 +150,8 @@ class MetaLearner:
         sources = self.rank_sources(target_meta)[:top_k]
 
         def build(X: np.ndarray, y: np.ndarray, gp: GaussianProcess):
-            gp.fit(X, y)
             return MetaEnsembleSurrogate(
-                sources=[(t, max(1.0 - d, 0.0)) for t, d in sources],
-                current=gp,
-                config_dim=self.space.dim,
-                y_scale=(float(y.mean()), float(y.std()) or 1.0),
-                train_X=np.atleast_2d(np.asarray(X, dtype=np.float64)),
-                train_y=np.asarray(y, dtype=np.float64),
+                [(t, max(1.0 - d, 0.0)) for t, d in sources], gp.fit(X, y), X, y
             )
 
         return build
@@ -165,36 +159,35 @@ class MetaLearner:
 
 @dataclass
 class MetaEnsembleSurrogate:
-    """Weighted GP ensemble, Eq. 12. Source surrogates predict in their
-    standardized units; predictions are mapped into the current task's
-    objective scale before mixing."""
+    """Weighted GP ensemble, Eq. 12, over the source surrogates and the
+    current-task GP fitted on ``train_X``, ``train_y``. Source surrogates
+    predict in their standardized units; predictions are mapped into
+    the current task's objective scale before mixing."""
 
     sources: list[tuple[SourceTask, float]]
     current: GaussianProcess
-    config_dim: int
-    y_scale: tuple[float, float]
-    train_X: np.ndarray | None = None
-    train_y: np.ndarray | None = None
+    train_X: np.ndarray
+    train_y: np.ndarray
+    current_weight: float = field(init=False)
 
-    def _current_weight(self) -> float:
-        """Cross-validation weight for the current-task GP: rank
-        agreement between its predictions and the observed targets.
-        With scarce data the current model gets little say and the
-        source ensemble dominates — exactly the paper's cold-start fix."""
-        if self.train_X is None or len(self.train_X) < 4:
-            return 0.3
-        mu, _ = self.current.predict(self.train_X)
-        if np.ptp(self.train_y) == 0 or np.ptp(mu) == 0:
-            return 0.3
-        tau = kendall_tau(mu, self.train_y)
-        return float(np.clip((1.0 + tau) / 2.0, 0.1, 1.0))
+    def __post_init__(self) -> None:
+        """The current-task weight: the Kendall-τ rank agreement of the
+        GP's in-sample predictions with ``train_y`` (a GP nearly
+        interpolates its training points, so this saturates after a few
+        runs); 0.3 below four runs, or with nothing to rank."""
+        self.current_weight = 0.3
+        if len(self.train_X) >= 4:
+            mu, _ = self.current.predict(self.train_X)
+            if np.ptp(self.train_y) > 0 and np.ptp(mu) > 0:
+                tau = kendall_tau(mu, self.train_y)
+                self.current_weight = float(np.clip((1.0 + tau) / 2.0, 0.1, 1.0))
 
     def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         X = np.atleast_2d(X)
         mu_c, sd_c = self.current.predict(X)
-        mean, sd = self.y_scale
-        mus, sigmas, weights = [mu_c], [sd_c], [self._current_weight()]
-        Xc = X[:, : self.config_dim]
+        mean, sd = float(self.train_y.mean()), float(self.train_y.std()) or 1.0
+        mus, sigmas, weights = [mu_c], [sd_c], [self.current_weight]
+        Xc = X[:, : len(self.current.cat_mask)]
         for task, w in self.sources:
             if w <= 0:
                 continue

@@ -5,7 +5,7 @@ import pytest
 from repro.core.acquisition import (
     eic, expected_improvement, norm_cdf, norm_pdf, prob_below, propose, safe_mask,
 )
-from repro.core.bo import RunHistory, Surrogates
+from repro.core.bo import RunHistory, Surrogates, datasize_feature
 from repro.core.config_space import ConfigSpace
 from repro.core.objective import ExecResult, TuningProblem
 
@@ -127,7 +127,7 @@ class TestPropose:
         h.add(space.default_config(),
               ExecResult(runtime_s=10.0, mem_gbh=1, cpu_coreh=1, datasize_mb=1000))
         _, cands = space.snap(space.sample_unit(4, np.random.default_rng(0)))
-        return h, cands, Surrogates(self.OBJ, self.LOG_RT, with_datasize=True)
+        return h, cands, Surrogates(self.OBJ, self.LOG_RT, datasize_feature(1000))
 
     def test_no_thresholds_is_ei_argmax(self, setup):
         h, cands, s = setup

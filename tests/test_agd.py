@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import agd
 from repro.core.agd import AGDStepper, N_AGD
+from repro.core.bo import Surrogates
 from repro.core.config_space import ConfigSpace
 from repro.core.gp import GaussianProcess
 from repro.core.objective import resource
@@ -24,6 +25,13 @@ def _flat_runtime_gp(space, n=20, seed=0):
     return GaussianProcess(space.cat_mask).fit(X, np.log(np.full(n, 100.0)))
 
 
+def _step(space, start, runtime_gp, *, beta=0.5, dims=None):
+    """One step from the config ``start``, as a config."""
+    u = AGDStepper(space, beta).step(
+        space.to_unit(start), Surrogates(None, runtime_gp, None), dims=dims)
+    return space.from_unit(u)
+
+
 class TestAGD:
     def test_paper_cadence_constant(self):
         assert N_AGD == 5
@@ -32,21 +40,21 @@ class TestAGD:
         # with ∂T≈0 and beta=0.5, the step must reduce the resource term
         gp = _flat_runtime_gp(space)
         start = space.clip(space.default_config() | {"spark.executor.instances": 100})
-        stepper = AGDStepper(space, beta=0.5)
-        nxt = stepper.step(start, gp)
+        nxt = _step(space, start, gp)
         assert resource(nxt) <= resource(start)
 
     def test_returns_valid_config(self, space):
         gp = _flat_runtime_gp(space)
-        nxt = AGDStepper(space, beta=0.5).step(space.default_config(), gp)
-        u = space.to_unit(nxt)
+        u = AGDStepper(space, beta=0.5).step(
+            space.to_unit(space.default_config()), Surrogates(None, gp, None))
+        assert u.shape == (space.dim,)
         assert np.all((u >= 0) & (u <= 1))
-        assert set(nxt) == set(space.names)
+        assert set(space.from_unit(u)) == set(space.names)
 
     def test_categoricals_unchanged(self, space):
         gp = _flat_runtime_gp(space)
         start = space.default_config()
-        nxt = AGDStepper(space, beta=0.5).step(start, gp)
+        nxt = _step(space, start, gp)
         for p in space.params:
             if p.kind == "cat":
                 assert nxt[p.name] == start[p.name]
@@ -56,14 +64,14 @@ class TestAGD:
         start = space.clip(space.default_config() | {"spark.executor.instances": 100})
         i_inst = space.index_of("spark.executor.instances")
         i_mem = space.index_of("spark.executor.memory")
-        nxt = AGDStepper(space, beta=0.5).step(start, gp, dims=[i_mem])
+        nxt = _step(space, start, gp, dims=[i_mem])
         assert nxt["spark.executor.instances"] == start["spark.executor.instances"]
 
     def test_step_norm_clipped(self, space, monkeypatch):
         gp = _flat_runtime_gp(space)
         monkeypatch.setattr(agd, "ETA", 1e9)  # absurd LR
         start = space.default_config()
-        nxt = AGDStepper(space, beta=0.5).step(start, gp)
+        nxt = _step(space, start, gp)
         du = space.to_unit(nxt) - space.to_unit(start)
         assert np.linalg.norm(du) <= agd.MAX_STEP + 0.05  # + grid snap
 
@@ -74,5 +82,5 @@ class TestAGD:
         i = space.index_of("spark.executor.instances")
         gp = GaussianProcess(space.cat_mask).fit(X, np.log(100.0 + 50.0 * X[:, i]))
         start = space.clip(space.default_config() | {"spark.executor.instances": 100})
-        nxt = AGDStepper(space, beta=1.0).step(start, gp)
+        nxt = _step(space, start, gp, beta=1.0)
         assert nxt["spark.executor.instances"] <= start["spark.executor.instances"]

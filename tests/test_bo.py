@@ -66,11 +66,16 @@ class TestRunHistory:
         ds = np.array([[datasize_feature(s)] for s in sizes])
         assert np.array_equal(history.X_unit(), X)
         assert np.array_equal(history.X_unit(with_datasize=True), np.concatenate([X, ds], axis=1))
+        assert np.array_equal([o.unit for o in history.observations], X)
 
     def test_X_unit_is_read_only(self, history):
-        history.add(history.space.default_config(), _result(10))
+        obs = history.add(history.space.default_config(), _result(10))
         with pytest.raises(ValueError):
             history.X_unit()[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            obs.unit[0] = 0.5
+        # a row of its own: a view would keep each earlier matrix alive
+        assert not np.shares_memory(obs.unit, history.X_unit())
 
     def test_best_feasible_none_without_feasible_run(self, history):
         cfg = history.space.default_config()

@@ -78,7 +78,7 @@ class TestSpace:
         rng = np.random.default_rng(0)
         base = space.default_config()
         dims = [0, 2]
-        for u in space.sample_unit(10, rng, subspace=dims, base=base):
+        for u in space.sample_unit(10, rng, subspace=dims, base=space.to_unit(base)):
             c = space.from_unit(u)
             for i, p in enumerate(space.params):
                 if i not in dims:
@@ -149,7 +149,7 @@ class TestVectorized:
             got = space.sample_random(n, np.random.default_rng(seed))
         else:
             got = [space.from_unit(u) for u in space.sample_unit(
-                n, np.random.default_rng(seed), subspace=subspace, base=base)]
+                n, np.random.default_rng(seed), subspace=subspace, base=space.to_unit(base))]
         rng, u0, expect = np.random.default_rng(seed), space.to_unit(base), []
         for _ in range(n):
             u = u0.copy()

@@ -87,17 +87,22 @@ class TestStopping:
     def test_restart_on_degradation(self, space, monkeypatch):
         monkeypatch.setattr(OnlineTuner, "degradation_patience", 2)
         t = OnlineTuner(space, TuningProblem(beta=1.0), seed=0, use_meta=False)
-        t.stopped = False
-        t._degradations = 0
         cfg = space.default_config()
         for i in range(4):
             t.observe(cfg, _result(100))
+        t.stopped = True
         # seed expectations then feed degraded outcomes
-        t._expected[len(t.history)] = 10.0
+        t._expected = 10.0
         t.observe(cfg, _result(100))
-        t._expected[len(t.history)] = 10.0
+        assert t._degradations == 1 and t._expected is None  # consumed
+        t.observe(cfg, _result(100))  # no expectation: not a degradation
+        assert t._degradations == 0
+        t._expected = 10.0
+        t.observe(cfg, _result(100))
+        t._expected = 10.0
         t.observe(cfg, _result(100))
         assert t._degradations == 0  # reset by the restart path
+        assert not t.stopped
 
     def _past_init(self, space, **kw):
         t = OnlineTuner(space, TuningProblem(beta=1.0), seed=0, use_meta=False, **kw)

@@ -45,6 +45,9 @@ DIGESTS = {
     "RFHOC": "adcd610f0fa3a47aed97390a72f20885520b779fb2a7e0d020f662fda9adb870",
     "DAC": "acf864badabbbf765b8dbbfb10598c48095216da85cd101b15fc31080208562e",
 }
+#: The objective each suggestion of the 30-iteration ``OnlineTuner`` is
+#: expected to reach, as the restart rule compares it with the run.
+EXPECTED_DIGEST = "a78bd6da0c66737d7e9624bfa77c0bd26f7edd33f893af665da46f5e74f6e4da"
 
 
 def _digest(history) -> str:
@@ -59,7 +62,7 @@ def _run(method, budget: int, task: str = "terasort", **kwargs):
     space, sim = hibench_env()
     profile, default = get_profile(task), space.default_config()
     problem = make_problem(0.5, default_constraints(space, profile, sim, default))
-    if method is OnlineTuner and "meta_learner" not in kwargs:
+    if issubclass(method, OnlineTuner) and "meta_learner" not in kwargs:
         kwargs = {"use_meta": False, "reference_config": default} | kwargs
     tuner = method(space, problem, seed=0, **kwargs)
     run_tuning(tuner, SimEvaluator(profile, sim, seed=0), budget)
@@ -77,6 +80,20 @@ class TestSuggestedConfigsUnchanged:
         tuner, digest = _run(OnlineTuner, 30, ei_stop_rel=0.0)
         assert not tuner.stopped
         assert digest == DIGESTS["Ours-30"]
+
+    def test_online_tuner_restart_expectations(self):
+        expectations = []
+
+        class Recording(OnlineTuner):
+            def observe(self, config, result):
+                expectations.append(self._expected)
+                super().observe(config, result)
+
+        _, digest = _run(Recording, 30, ei_stop_rel=0.0)
+        assert digest == DIGESTS["Ours-30"]  # the run above
+        assert expectations[:OnlineTuner.n_init] == [None] * OnlineTuner.n_init
+        assert None not in expectations[OnlineTuner.n_init:]
+        assert hashlib.sha256(json.dumps(expectations).encode()).hexdigest() == EXPECTED_DIGEST
 
     def test_meta_learned_online_tuner(self):
         space, sim = hibench_env()

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.agd import N_AGD
-from repro.core.bo import RunHistory
+from repro.core.bo import RunHistory, fit_surrogates
 from repro.core.config_space import ConfigSpace
 from repro.core.generator import ConfigGenerator
 from repro.core.objective import Constraint, ExecResult, TuningProblem, resource
@@ -24,19 +24,30 @@ def _history(space, problem, n=8, seed=0, runtime_fn=None):
     return h
 
 
-class TestSuggest:
-    def test_empty_history_returns_default(self, space):
-        gen = ConfigGenerator(space, TuningProblem(beta=0.5), seed=0)
-        assert gen.suggest(RunHistory(space, TuningProblem(beta=0.5))) == space.default_config()
+def _suggest(gen, history):
+    """The generator's pick, as a config."""
+    return gen.space.from_unit(gen.suggest(history))
 
+
+class TestSuggest:
     def test_returns_valid_config(self, space):
         prob = TuningProblem(beta=0.5)
         gen = ConfigGenerator(space, prob, seed=0)
         h = _history(space, prob)
-        cfg = gen.suggest(h)
-        assert set(cfg) == set(space.names)
-        u = space.to_unit(cfg)
+        u = gen.suggest(h)
+        assert u.shape == (space.dim,)
         assert np.all((u >= 0) & (u <= 1))
+        assert set(space.from_unit(u)) == set(space.names)
+
+    @pytest.mark.parametrize("n", [8, 2 * N_AGD - 1], ids=["eic", "agd"])
+    def test_expected_is_objective_mean_at_snapped_pick(self, space, n):
+        prob = TuningProblem(beta=0.5)
+        gen = ConfigGenerator(space, prob, seed=0)
+        h = _history(space, prob, n=n)
+        u = gen.suggest(h)
+        s = fit_surrogates(h, with_datasize=True, runtime=True)
+        mu, _ = s.objective.predict(s.rows(space.to_unit(space.from_unit(u))[None, :]))
+        assert gen.expected == float(mu[0])
 
     def test_agd_cadence(self, space):
         # at |D|+1 ≡ 0 (mod N_AGD) the suggestion comes from AGD: it
@@ -45,7 +56,7 @@ class TestSuggest:
         gen = ConfigGenerator(space, prob, seed=0)
         h = _history(space, prob, n=2 * N_AGD - 1)  # past the §4.3 sufficiency gate
         best = h.best().config
-        cfg = gen.suggest(h)
+        cfg = _suggest(gen, h)
         for p in space.params:
             if p.kind == "cat":
                 assert cfg[p.name] == best[p.name]
@@ -54,7 +65,7 @@ class TestSuggest:
         prob = TuningProblem(beta=0.5)
         gen = ConfigGenerator(space, prob, seed=0, use_agd=False)
         h = _history(space, prob, n=2 * N_AGD - 1)
-        cfg = gen.suggest(h)  # must not crash and must be valid
+        cfg = _suggest(gen, h)  # must not crash and must be valid
         assert set(cfg) == set(space.names)
 
     def test_resource_constraint_filtering(self, space):
@@ -63,7 +74,7 @@ class TestSuggest:
         gen = ConfigGenerator(space, prob, seed=0, use_agd=False)
         h = _history(space, prob)
         for _ in range(3):
-            cfg = gen.suggest(h)
+            cfg = _suggest(gen, h)
             assert resource(cfg) <= small * 1.01
 
     def test_no_duplicate_of_observed(self, space):
@@ -71,7 +82,7 @@ class TestSuggest:
         gen = ConfigGenerator(space, prob, seed=0, use_agd=False)
         h = _history(space, prob, n=6)
         seen = {tuple(sorted(o.config.items())) for o in h.observations}
-        cfg = gen.suggest(h)
+        cfg = _suggest(gen, h)
         assert tuple(sorted(cfg.items())) not in seen
 
     def test_safe_region_avoids_predicted_violations(self, space):
@@ -84,7 +95,7 @@ class TestSuggest:
         prob = TuningProblem(beta=0.5, constraints=(Constraint("runtime", 200.0),))
         gen = ConfigGenerator(space, prob, seed=0, use_agd=False)
         h = _history(space, prob, n=14, runtime_fn=rt)
-        picks = [gen.suggest(h) for _ in range(5)]
+        picks = [_suggest(gen, h) for _ in range(5)]
         # most picks should sit in the low-instances (safe) half
         units = [space.to_unit(c)[i_inst] for c in picks]
         assert np.mean(units) < 0.6
@@ -102,7 +113,7 @@ class TestSuggest:
         gen.subspace.k = gen.subspace.k_min = gen.subspace.k_max = 4
         h = _history(space, prob)
         best = h.best().config
-        cfg = gen.suggest(h)
+        cfg = _suggest(gen, h)
         dims = set(gen.subspace.current_dims())
         diffs = [
             i for i, p in enumerate(space.params) if cfg[p.name] != best[p.name]

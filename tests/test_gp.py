@@ -200,8 +200,7 @@ class TestGPProperties:
         cat_mask = rng.random(d) < 0.3
         X = rng.random((n, d + has_datasize))
         X[:, :d][:, cat_mask] = np.rint(X[:, :d][:, cat_mask] * 2) / 2
-        k = MixedKernel(cat_mask, has_datasize, lengthscale=ls,
-                        cat_decay=max(cat_mask.sum() / 2.0, 0.5), ds_lengthscale=ls)
+        k = MixedKernel(cat_mask, has_datasize, lengthscale=ls)
         np.testing.assert_allclose(k(X, X).diagonal(), 1.0, rtol=0, atol=1e-12)
         for x in X:
             assert k(x[None], x[None])[0, 0] == pytest.approx(1.0, rel=0, abs=1e-12)
@@ -225,7 +224,8 @@ def test_predict_std_matches_full_prior_diagonal():
 
 
 def _reference_kernel(k, A, B):
-    """Matérn52 × Hamming × SE at ``k``'s lengthscales, one matrix."""
+    """Matérn52 × Hamming × SE at ``k``'s lengthscale, one matrix; the
+    Hamming decay is half the categorical count, at least 0.5."""
     d = len(k.cat_mask)
     num = ~k.cat_mask
     K = _matern52(np.sqrt(_pairwise_sq(A[:, :d][:, num], B[:, :d][:, num]))
@@ -233,10 +233,10 @@ def _reference_kernel(k, A, B):
     if k.cat_mask.any():
         Ac, Bc = A[:, :d][:, k.cat_mask], B[:, :d][:, k.cat_mask]
         mism = (np.abs(Ac[:, None, :] - Bc[None, :, :]) > 1e-9).sum(axis=2)
-        K = K * np.exp(-mism / max(k.cat_decay, 1e-6))
+        K = K * np.exp(-mism / max(k.cat_mask.sum() / 2.0, 0.5))
     if k.has_datasize:
         K = K * np.exp(-_pairwise_sq(A[:, d:], B[:, d:])
-                       / (2.0 * max(k.ds_lengthscale, 1e-6) ** 2))
+                       / (2.0 * max(k.lengthscale, 1e-6) ** 2))
     return K
 
 
@@ -245,12 +245,11 @@ def _reference_fit(gp, X, y):
     (lengthscale, noise, L, alpha) of the best point."""
     z = (y - y.mean()) / (y.std() or 1.0)
     dim_scale = max(np.sqrt((~gp.kernel.cat_mask).sum() / 2.0), 1.0)
-    k = MixedKernel(gp.kernel.cat_mask, gp.has_datasize,
-                    cat_decay=max(float(gp.kernel.cat_mask.sum()) / 2.0, 0.5))
+    k = MixedKernel(gp.kernel.cat_mask, gp.has_datasize)
     best = (-np.inf, None)
     for ls in gp_module.LS_GRID + tuple(g * dim_scale for g in gp_module.LS_GRID):
         for nz in gp_module.NOISE_GRID:
-            k.lengthscale = k.ds_lengthscale = ls
+            k.lengthscale = ls
             K = _reference_kernel(k, X, X) + (nz + _JITTER) * np.eye(len(X))
             try:
                 L = np.linalg.cholesky(K)
@@ -273,7 +272,7 @@ def _mixed_rows(rng, n, d, cat_mask):
 
 def _assert_fit_equals_reference(gp, X, y):
     ls, nz, L, a = _reference_fit(gp, X, y)
-    assert (gp.kernel.lengthscale, gp.kernel.ds_lengthscale, gp.noise) == (ls, ls, nz)
+    assert (gp.kernel.lengthscale, gp.noise) == (ls, nz)
     assert np.array_equal(gp._L, L) and np.array_equal(gp._alpha, a)
 
 
@@ -285,13 +284,12 @@ class TestKernelStackExact:
         rng = np.random.default_rng(seed)
         cat_mask = rng.random(d) < 0.3
         X, Q = _mixed_rows(rng, n, d, cat_mask), _mixed_rows(rng, 7, d, cat_mask)
-        k = MixedKernel(cat_mask, True, cat_decay=max(cat_mask.sum() / 2.0, 0.5))
-        ds_lengthscales = lengthscales[::-1]
+        k = MixedKernel(cat_mask, True)
         for A, B in ((X, X), (Q, X)):
-            stack = k.stack(A, B, lengthscales, ds_lengthscales)
+            stack = k.stack(A, B, lengthscales)
             assert stack.shape == (len(lengthscales), len(A), len(B))
-            for K, ls, ds_ls in zip(stack, lengthscales, ds_lengthscales):
-                k.lengthscale, k.ds_lengthscale = ls, ds_ls
+            for K, ls in zip(stack, lengthscales):
+                k.lengthscale = ls
                 assert np.array_equal(K, _reference_kernel(k, A, B))
                 assert np.array_equal(k(A, B), K)
 

@@ -161,3 +161,22 @@ class TestEnsembleSurrogate:
         mu_lo, _ = ens.predict(lo)
         mu_hi, _ = ens.predict(hi)
         assert mu_hi[0] > mu_lo[0]  # source knowledge orients the surrogate
+
+    def test_current_weight_set_once_per_fit(self, space, monkeypatch):
+        tasks = [
+            _task(space, "a", lambda u: 100 * u[0], seed=1),
+            _task(space, "b", lambda u: 105 * u[0], seed=2),
+        ]
+        factory = MetaLearner(space, seed=0).fit(tasks).ensemble_factory(tasks[0].meta)
+        from repro.core.gp import GaussianProcess
+
+        rng = np.random.default_rng(7)
+        X = rng.random((10, space.dim))
+        y = 100 * X[:, 0] + rng.normal(0, 5, 10)
+        ens = factory(X, y, GaussianProcess(space.cat_mask))
+        mu, _ = ens.current.predict(X)
+        assert ens.current_weight == float(np.clip((1.0 + kendall_tau(mu, y)) / 2.0, 0.1, 1.0))
+        rows, predict = [], ens.current.predict
+        monkeypatch.setattr(ens.current, "predict", lambda Q: rows.append(len(Q)) or predict(Q))
+        ens.predict(rng.random((6, space.dim)))
+        assert rows == [6]  # the query only: no re-prediction of X
