@@ -59,10 +59,6 @@ class Tuner:
     def observe(self, config: dict, result: ExecResult) -> None:
         self.history.add(config, result)
 
-    def best_config(self) -> dict:
-        best = self.history.best()
-        return best.config if best else self.space.default_config()
-
 
 class FixedSubspaceTuner(Tuner):
     """Online BO whose sub-space is picked once (Table 1: Adaptive space

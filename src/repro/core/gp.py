@@ -14,7 +14,11 @@ robust and fast, and needs no scipy; the categorical decay is set from
 the categorical-dimension count. A fit builds the kernels of all grid
 lengthscales as one ``(lengthscales, n, n)`` stack
 (:meth:`MixedKernel.stack`): the distances and mismatch counts beneath
-them do not depend on the lengthscale, so they are computed once.
+them do not depend on the lengthscale, so they are computed once. The
+kernels of all grid points, lengthscale by noise, are then factorized
+with one stacked Cholesky and solved with two stacked solves; only when
+that raises (one matrix is not positive definite) are the points
+factorized one by one, to keep the ones that succeed.
 """
 from __future__ import annotations
 
@@ -108,6 +112,10 @@ class GaussianProcess:
         self.kernel = MixedKernel(np.asarray(self.cat_mask, bool), self.has_datasize)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcess":
+        """Keep the grid point of highest log marginal likelihood, the
+        first on ties (lengthscale outer, noise inner). One stacked
+        Cholesky factorizes the whole grid; only if NumPy raises for the
+        stack are the points factorized one by one, skipping failures."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64)
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
@@ -115,35 +123,48 @@ class GaussianProcess:
         self._y_mean = float(y.mean())
         self._y_std = float(y.std()) or 1.0
         z = (y - self._y_mean) / self._y_std
-        best = (-np.inf, None)
         # pairwise distances grow ~sqrt(d) in the unit cube, so the
         # candidate lengthscales must scale with dimensionality or a
         # high-d GP collapses to its prior mean between observations
         dim_scale = max(np.sqrt((~np.asarray(self.cat_mask, bool)).sum() / 2.0), 1.0)
         lengthscales = LS_GRID + tuple(g * dim_scale for g in LS_GRID)
-        stack = self.kernel.stack(X, X, lengthscales)
-        eye = np.eye(len(X))
-        for ls, K_ls in zip(lengthscales, stack):
-            for nz in NOISE_GRID:
-                K = K_ls + (nz + _JITTER) * eye
+        grid = [(ls, nz) for ls in lengthscales for nz in NOISE_GRID]
+        n = len(X)
+        noise = (np.array(NOISE_GRID) + _JITTER)[:, None, None] * np.eye(n)
+        K = (self.kernel.stack(X, X, lengthscales)[:, None] + noise).reshape(-1, n, n)
+        try:
+            L = np.linalg.cholesky(K)
+        except np.linalg.LinAlgError:
+            # NumPy raises for the whole stack if one matrix is not
+            # positive definite: factorize matrix by matrix and go on
+            # with the grid points that survive
+            survivors = []
+            for point, K_i in zip(grid, K):
                 try:
-                    L = np.linalg.cholesky(K)
+                    survivors.append((point, np.linalg.cholesky(K_i)))
                 except np.linalg.LinAlgError:
-                    continue
-                a = np.linalg.solve(L.T, np.linalg.solve(L, z))
-                lml = (
-                    -0.5 * z @ a
-                    - np.log(np.diag(L)).sum()
-                    - 0.5 * len(X) * np.log(2 * np.pi)
-                )
-                if lml > best[0]:
-                    best = (lml, (ls, nz, L, a))
-        if best[1] is None:
-            raise np.linalg.LinAlgError("no grid point gives a positive-definite kernel")
+                    pass
+            if not survivors:
+                raise np.linalg.LinAlgError(
+                    "no grid point gives a positive-definite kernel") from None
+            grid, Ls = zip(*survivors)
+            L = np.stack(Ls)
+        alpha = np.linalg.solve(
+            L.transpose(0, 2, 1), np.linalg.solve(L, np.broadcast_to(z, (len(L), n))))
+        log_det = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        half_z, log_norm = -0.5 * z, 0.5 * n * np.log(2 * np.pi)
+        best = (-np.inf, None)
+        for (ls, nz), L_i, a, ld in zip(grid, L, alpha, log_det):
+            # an owned copy: a dot product over a view into the stack
+            # may round differently (BLAS alignment)
+            a = a.copy()
+            lml = half_z @ a - ld - log_norm
+            if lml > best[0]:
+                best = (lml, (ls, nz, L_i, a))
         ls, nz, L, a = best[1]
         self.kernel.lengthscale = ls
         self.noise = nz
-        self._X, self._L, self._alpha = X, L, a
+        self._X, self._L, self._alpha = X, L.copy(), a
         return self
 
     def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -67,14 +67,6 @@ class TestObserve:
             t.observe(cfg, _result(float(rng.uniform(50, 150))))
         assert len(t.history) == 7
 
-    def test_best_config(self, space):
-        t = OnlineTuner(space, TuningProblem(beta=1.0), seed=0, use_meta=False)
-        a = space.clip(space.default_config() | {"spark.executor.instances": 10})
-        b = space.clip(space.default_config() | {"spark.executor.instances": 20})
-        t.observe(a, _result(100))
-        t.observe(b, _result(10))
-        assert t.best_config() == b
-
 
 class TestStopping:
     def test_stopped_tuner_serves_incumbent(self, space):

@@ -294,13 +294,34 @@ class TestKernelStackExact:
                 assert np.array_equal(k(A, B), K)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 12))
-    def test_fit_equals_scalar_grid_loop(self, seed, n, d):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 12),
+           st.integers(0, 10))
+    def test_fit_equals_scalar_grid_loop(self, seed, n, d, repeats):
+        # online histories repeat configs (a served incumbent): repeated
+        # rows make the low-noise grid points near-singular
         rng = np.random.default_rng(seed)
         cat_mask = rng.random(d) < 0.3
         X = _mixed_rows(rng, n, d, cat_mask)
-        y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
-        _assert_fit_equals_reference(GaussianProcess(cat_mask, has_datasize=True).fit(X, y), X, y)
+        X = np.concatenate([X, X[rng.integers(0, n, repeats)]])
+        y = rng.normal(size=len(X)) * 10.0 ** rng.integers(-3, 4)
+        gp = GaussianProcess(cat_mask, has_datasize=True).fit(X, y)
+        _assert_fit_equals_reference(gp, X, y)
+        # owned arrays, not views into the grid's stack: the fit keeps
+        # no stack alive, and a view may round differently
+        assert gp._L.flags.owndata and gp._alpha.flags.owndata
+
+    def test_one_stacked_cholesky_per_fit(self, monkeypatch):
+        shapes = []
+        cholesky = np.linalg.cholesky
+
+        def counted(K):
+            shapes.append(K.shape)
+            return cholesky(K)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        X = np.random.default_rng(2).random((12, 3))
+        GaussianProcess(_numeric_mask(3)).fit(X, X.sum(1))
+        assert shapes == [(2 * len(gp_module.LS_GRID) * len(gp_module.NOISE_GRID), 12, 12)]
 
     def test_skips_only_the_grid_points_that_fail(self, monkeypatch):
         # smooth noiseless data: the best point has noise below 1e-2
@@ -309,13 +330,20 @@ class TestKernelStackExact:
         y = np.sin(3 * X[:, 0]) + X[:, 1]
         assert GaussianProcess(_numeric_mask(2)).fit(X, y).noise < 1e-2
         cholesky = np.linalg.cholesky
+        ndims = []
 
         def fail_low_noise(K):
-            if K.diagonal().min() < 1.0 + 1e-2:
+            # a matrix fails if its noise is below 1e-2; like NumPy, a
+            # stack fails as a whole if any of its matrices does
+            ndims.append(K.ndim)
+            diagonals = np.diagonal(K, axis1=-2, axis2=-1)
+            if (diagonals.min(axis=-1) < 1.0 + 1e-2).any():
                 raise np.linalg.LinAlgError("not positive definite")
             return cholesky(K)
 
         monkeypatch.setattr(np.linalg, "cholesky", fail_low_noise)
         gp = GaussianProcess(_numeric_mask(2)).fit(X, y)
+        n_grid = 2 * len(gp_module.LS_GRID) * len(gp_module.NOISE_GRID)
+        assert ndims == [3] + [2] * n_grid
         assert gp.noise >= 1e-2
         _assert_fit_equals_reference(gp, X, y)
