@@ -9,11 +9,9 @@ paper's mixed-kernel GP does.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.baselines.base import Capabilities, Tuner
 from repro.baselines.ga import ga_minimize
-from repro.core.bo import datasize_feature
+from repro.core.bo import model_rows
 from repro.ml.gbm import GradientBoostedRegressor
 
 
@@ -32,10 +30,5 @@ class DACTuner(Tuner):
         model = GradientBoostedRegressor(
             n_estimators=60, max_depth=4, learning_rate=0.1, seed=self.seed
         ).fit(X, y)
-        ds = datasize_feature(self.history.observations[-1].result.datasize_mb)
-
-        def fitness(U: np.ndarray) -> np.ndarray:
-            Xu = np.concatenate([U, np.full((len(U), 1), ds)], axis=1)
-            return model.predict(Xu)
-
-        return ga_minimize(self.space, fitness, rng=self.rng)
+        ds = self.history.next_datasize()
+        return ga_minimize(self.space, lambda U: model.predict(model_rows(U, ds)), rng=self.rng)

@@ -85,6 +85,10 @@ class RunHistory:
         feasible = [o for o in self.observations if o.feasible]
         return min(feasible, key=lambda o: o.objective, default=None)
 
+    def next_datasize(self) -> float:
+        """The next run's datasize feature, taken to be the last run's."""
+        return float(self._ds[-1])
+
     def X_unit(self, *, with_datasize: bool = False) -> np.ndarray:
         """The configs' unit rows (read-only), datasize feature last if asked."""
         if with_datasize:
@@ -115,11 +119,16 @@ class Surrogates(NamedTuple):
     datasize: float | None           # the next run's datasize feature, if modelled
 
     def rows(self, U: np.ndarray) -> np.ndarray:
-        """Model inputs for the configs with unit rows ``U`` at the next
-        run: ``U`` with the datasize column appended, if modelled."""
-        if self.datasize is not None:
-            U = np.concatenate([U, np.full((len(U), 1), self.datasize)], axis=1)
-        return U
+        """Model inputs for the configs with unit rows ``U`` at the next run."""
+        return model_rows(U, self.datasize)
+
+
+def model_rows(U: np.ndarray, datasize: float | None) -> np.ndarray:
+    """Model inputs for unit rows ``U`` at a run of datasize feature
+    ``datasize``: ``U`` with that column appended, unless it is None."""
+    if datasize is not None:
+        U = np.concatenate([U, np.full((len(U), 1), datasize)], axis=1)
+    return U
 
 
 def fit_surrogates(
@@ -133,7 +142,7 @@ def fit_surrogates(
     the meta-ensemble by ``meta_factory`` when given (see
     :meth:`repro.core.meta.MetaLearner.ensemble_factory`) — and, if
     ``runtime``, a GP on log-runtime. The next run's datasize is taken
-    to be the last run's."""
+    to be the last run's (:meth:`RunHistory.next_datasize`)."""
     X = history.X_unit(with_datasize=with_datasize)
     y = history.penalized_objectives()
     cat_mask = history.space.cat_mask
@@ -144,5 +153,4 @@ def fit_surrogates(
         gp_t = GaussianProcess(cat_mask, has_datasize=with_datasize)
         # log-runtime: positive, multiplicative noise, long tails
         gp_t.fit(X, np.log(np.maximum(history.runtimes(), 1e-9)))
-    ds = history.observations[-1].result.datasize_mb
-    return Surrogates(objective, gp_t, datasize_feature(ds) if with_datasize else None)
+    return Surrogates(objective, gp_t, history.next_datasize() if with_datasize else None)

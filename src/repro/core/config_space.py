@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -69,29 +69,6 @@ class Param:
         if self.kind == "int":
             return int(min(max(round(v), self.low), self.high))
         return float(v)
-
-    def snap(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`from_unit` then :meth:`to_unit` over a column of unit
-        values: the values (a categorical as its choice index) and
-        their unit values, equal bit for bit to the scalar round trip.
-        NumPy's ``exp``/``log`` may differ from ``math``'s in the last
-        ulp, so ``exp`` only feeds the rounding to an int and log-scaled
-        ints get their unit values from a table built by ``to_unit``."""
-        u = np.clip(u, 0.0, 1.0)
-        if self.kind == "cat":
-            idx = np.rint(u * (self.n_choices - 1)).astype(np.int64)
-            return idx, idx / max(self.n_choices - 1, 1)
-        if self.log:
-            lo, hi = math.log(self.low), math.log(self.high)
-            v = np.exp(lo + u * (hi - lo))
-        else:
-            v = self.low + u * (self.high - self.low)
-        if self.kind == "float":
-            return v, (v - self.low) / (self.high - self.low)
-        v = np.clip(np.rint(v), self.low, self.high).astype(np.int64)
-        if self.log:
-            return v, _log_units(self)[v - int(self.low)]
-        return v, (v - self.low) / (self.high - self.low)
 
 
 @cache
@@ -180,13 +157,48 @@ class ConfigSpace:
         """Snap a config onto the space's grid/ranges."""
         return self.from_unit(self.to_unit(config))
 
+    @cached_property
+    def _kinds(self) -> tuple:
+        """:meth:`snap`'s column groups, one per parameter kind, with their
+        per-column constants as arrays: built on the first snap."""
+        ps = self.params
+        lo, hi = np.array([(p.low, p.high) for p in ps], dtype=np.float64).T
+        kinds = np.array(["log" if p.log else p.kind for p in ps])
+        cat, flt, lin, log = (np.flatnonzero(kinds == k) for k in ("cat", "float", "int", "log"))
+        logs = [ps[i] for i in log]
+        tables = [_log_units(p) for p in logs]
+        starts = np.cumsum([0] + [len(t) for t in tables], dtype=np.intp)[:-1]
+        return (
+            (cat, np.array([ps[i].n_choices - 1 for i in cat], dtype=np.float64)),
+            (flt, lo[flt], hi[flt] - lo[flt]),
+            (lin, lo[lin], hi[lin], hi[lin] - lo[lin]),
+            (log, lo[log], hi[log], np.array([math.log(p.low) for p in logs]),
+             np.array([math.log(p.high) - math.log(p.low) for p in logs]),
+             starts - lo[log].astype(np.intp), np.concatenate([np.empty(0)] + tables)),
+        )
+
     def snap(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unit rows snapped onto the grid, in bulk: the value matrix
         (categoricals as their choice index) and the unit matrix whose
-        rows equal ``to_unit(from_unit(u))`` bit for bit."""
+        rows equal ``to_unit(from_unit(u))`` bit for bit: one block per
+        parameter kind, with the scalar path's float operations. NumPy's
+        ``exp`` may differ from ``math``'s in the last ulp, so it only
+        feeds the rounding to an int, and log-scaled ints take their unit
+        values from a table built by ``to_unit``."""
+        def unit(cols):  # clipped block by block: no temporary as large as U
+            return np.clip(U[:, cols], 0.0, 1.0)
+
+        (cat, k), (flt, f_lo, f_span), (lin, l_lo, l_hi, l_span), (
+            log, g_lo, g_hi, g_loglo, g_logspan, g_offset, g_table) = self._kinds
         V, S = np.empty(U.shape), np.empty(U.shape)
-        for i, p in enumerate(self.params):
-            V[:, i], S[:, i] = p.snap(U[:, i])
+        idx = np.rint(unit(cat) * k)
+        V[:, cat], S[:, cat] = idx, idx / np.maximum(k, 1.0)
+        v = f_lo + unit(flt) * f_span
+        V[:, flt], S[:, flt] = v, (v - f_lo) / f_span
+        v = np.clip(np.rint(l_lo + unit(lin) * l_span), l_lo, l_hi)
+        V[:, lin], S[:, lin] = v, (v - l_lo) / l_span
+        v = np.clip(np.rint(np.exp(g_loglo + unit(log) * g_logspan)), g_lo, g_hi)
+        V[:, log], S[:, log] = v, g_table[v.astype(np.intp) + g_offset]
         return V, S
 
     def sample_unit(

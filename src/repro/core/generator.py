@@ -66,7 +66,12 @@ class ConfigGenerator:
         local[:, dims] = np.clip(local[:, dims] + noise, 0.0, 1.0)
         raw = np.concatenate([rand, local])
         V, U = self.space.snap(raw)
-        new = ~(U[:, None, :] == history.X_unit()[None, :, :]).all(axis=2).any(axis=1)
+        # a row equal to a history row equals it on the first redrawn
+        # dim: compare whole rows only for the pairs that pass that
+        X = history.X_unit()
+        r, h = np.nonzero(U[:, dims[0], None] == X[:, dims[0]])
+        new = np.ones(len(U), bool)
+        new[r[(U[r] == X[h]).all(axis=1)]] = False
         return (raw[new], V[new], U[new]) if new.any() else (raw, V, U)
 
     # -- Algorithm 2 ---------------------------------------------------

@@ -11,14 +11,13 @@ lengthscale (also the datasize SE lengthscale) and the noise are
 grid-searched by maximizing the exact log marginal likelihood —
 observation counts are tiny online (≤ tens), so a coarse grid is both
 robust and fast, and needs no scipy; the categorical decay is set from
-the categorical-dimension count. A fit builds the kernels of all grid
-lengthscales as one ``(lengthscales, n, n)`` stack
-(:meth:`MixedKernel.stack`): the distances and mismatch counts beneath
-them do not depend on the lengthscale, so they are computed once. The
-kernels of all grid points, lengthscale by noise, are then factorized
-with one stacked Cholesky and solved with two stacked solves; only when
-that raises (one matrix is not positive definite) are the points
-factorized one by one, to keep the ones that succeed.
+the categorical-dimension count. :meth:`MixedKernel.stack` builds the
+kernels of several lengthscales over one set of distances and mismatch
+counts (one matrix product), and a fit calls it once for all grid
+lengthscales. The kernels of all grid points, lengthscale by noise, are
+then factorized with one stacked Cholesky and solved with two stacked
+solves; only when that raises (one matrix is not positive definite) are
+the points factorized one by one, to keep the ones that succeed.
 """
 from __future__ import annotations
 
@@ -78,7 +77,15 @@ class MixedKernel:
         K = _matern52(np.sqrt(_pairwise_sq(An, Bn)) / scale)
         if self.cat_mask.any():
             Ac, Bc = A[:, :d][:, self.cat_mask], B[:, :d][:, self.cat_mask]
-            mism = (np.abs(Ac[:, None, :] - Bc[None, :, :]) > 1e-9).sum(axis=2)
+            # the mismatch count as one product: each B entry equals one
+            # distinct value of its column, so a one-hot over those adds the
+            # same 0/1s as a broadcast over B (small integer sums are exact)
+            Bs = np.sort(Bc, axis=0).T
+            first = np.ones(Bs.shape, bool)
+            first[:, 1:] = Bs[:, 1:] != Bs[:, :-1]
+            c, vals = np.nonzero(first)[0], Bs[first]
+            onehot = (Bc.T[c] == vals[:, None]).astype(np.float64)
+            mism = (np.abs(Ac[:, c] - vals) > 1e-9).astype(np.float64) @ onehot
             K = K * np.exp(-mism / max(self.cat_decay, 1e-6))
         if self.has_datasize:
             ds_a, ds_b = A[:, d:], B[:, d:]

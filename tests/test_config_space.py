@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config_space import (
-    SPARK_PARAMS, ConfigSpace, Param, hibench_space, sobol,
+    SPARK_PARAMS, ConfigSpace, Param, _log_units, hibench_space, sobol,
 )
 
 
@@ -113,16 +113,24 @@ class TestSpace:
 
 _UNIT = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 _SPACES = {"spark": ConfigSpace(), "hibench": hibench_space()}
+#: Spaces that lack whole parameter kinds.
+_PARTIAL = {
+    "cat only": ConfigSpace(tuple(p for p in SPARK_PARAMS if p.kind == "cat")),
+    "float only": ConfigSpace(tuple(p for p in SPARK_PARAMS if p.kind == "float")),
+    "one log int": ConfigSpace((SPARK_PARAMS[0],)),
+    "no cat": ConfigSpace(tuple(p for p in SPARK_PARAMS if p.kind != "cat")),
+}
 
 
 class TestVectorized:
     """The bulk paths equal the scalar ones exactly."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(sorted(_SPACES)),
+    @given(st.sampled_from(sorted(_SPACES | _PARTIAL)),
            st.lists(st.lists(_UNIT, min_size=30, max_size=30), min_size=1, max_size=8))
     def test_snap_equals_scalar_roundtrip(self, which, rows):
-        space, U = _SPACES[which], np.array(rows)
+        space = (_SPACES | _PARTIAL)[which]
+        U = np.array(rows)[:, :space.dim]
         V, S = space.snap(U)
         assert np.array_equal(S, np.array([space.to_unit(space.from_unit(u)) for u in U]))
         for v, u in zip(V, U):
@@ -133,9 +141,17 @@ class TestVectorized:
     def test_snap_equals_scalar_roundtrip_bulk(self):
         # many rows, inside and outside the cube (from_unit clamps)
         U = np.random.default_rng(0).uniform(-0.2, 1.2, (4000, 30))
-        for space in _SPACES.values():
-            _, S = space.snap(U)
-            assert np.array_equal(S, np.array([space.to_unit(space.from_unit(u)) for u in U]))
+        for space in (_SPACES | _PARTIAL).values():
+            Us = U[:, :space.dim]
+            _, S = space.snap(Us)
+            assert np.array_equal(S, np.array([space.to_unit(space.from_unit(u)) for u in Us]))
+
+    def test_log_units_built_on_first_snap(self):
+        _log_units.cache_clear()
+        space = ConfigSpace()
+        assert _log_units.cache_info().currsize == 0
+        space.snap(np.full((1, space.dim), 0.5))
+        assert _log_units.cache_info().currsize == sum(p.log for p in space.params)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(sorted(_SPACES)), st.integers(0, 12), st.integers(0, 2**32 - 1),

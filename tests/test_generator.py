@@ -1,6 +1,8 @@
 """Unit tests for the safe & efficient config generator (Algorithm 2)."""
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.agd import N_AGD
 from repro.core.bo import RunHistory, fit_surrogates
@@ -192,3 +194,56 @@ class TestCandidates:
     def test_resource_filter_keeps_all_when_none_pass(self, space, monkeypatch):
         n, seen = self._proposed(space, 1e-3, monkeypatch)
         assert len(seen) == n > 0
+
+
+_CAT_DIMS = [i for i, p in enumerate(ConfigSpace().params) if p.kind == "cat"]
+
+
+class TestDedupEqualsBroadcast:
+    """``_candidates`` keeps the rows that the broadcast reference
+    ``~(U[:, None] == X[None]).all(2).any(1)`` keeps, and every row when
+    it keeps none."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from(_CAT_DIMS), min_size=1, max_size=3, unique=True),
+           st.integers(1, 8), st.integers(0, 4), st.booleans())
+    @example(seed=0, dims=[_CAT_DIMS[0]], n_hist=8, repeats=2, numeric=False)
+    @example(seed=1, dims=_CAT_DIMS[:3], n_hist=2, repeats=0, numeric=True)
+    def test_keeps_the_rows_of_the_broadcast_reference(self, seed, dims, n_hist, repeats,
+                                                       numeric):
+        space, rng = ConfigSpace(), np.random.default_rng(seed)
+        if numeric:  # a redrawn dim with more values than a categorical
+            dims = dims + [space.index_of("spark.executor.cores")]
+        # the history varies only the candidates' dims, and repeats runs,
+        # so that candidates equal history rows, often every candidate
+        default = space.to_unit(space.default_config())
+        configs = []
+        for _ in range(n_hist):
+            u = default.copy()
+            u[dims] = rng.random(len(dims))
+            configs.append(space.from_unit(u))
+        configs += [configs[i] for i in rng.integers(0, n_hist, repeats)]
+        prob = TuningProblem(beta=0.5)
+        h = RunHistory(space, prob)
+        for rt, cfg in enumerate(configs, start=100):
+            h.add(cfg, ExecResult(runtime_s=float(rt), mem_gbh=1, cpu_coreh=1, datasize_mb=1000))
+        drawn, snap = [], space.snap
+
+        def spy_snap(U):
+            drawn.append((U, *snap(U)))
+            return drawn[-1][1:]
+
+        space.snap = spy_snap
+        gen = ConfigGenerator(space, prob, seed=seed % 1000, use_agd=False)
+        gen.subspace.current_dims = lambda: dims
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.core.generator.N_CANDIDATES", 40)
+            got = gen._candidates(h)
+        (raw, V, U), = drawn
+        keep = ~(U[:, None] == h.X_unit()[None]).all(2).any(1)
+        event("every row a duplicate" if not keep.any() else
+              "some rows duplicates" if not keep.all() else "no duplicates")
+        keep = keep if keep.any() else np.ones(len(U), bool)
+        for a, b in zip(got, (raw, V, U)):
+            assert np.array_equal(a, b[keep])

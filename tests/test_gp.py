@@ -1,7 +1,7 @@
 """Unit tests for the mixed-kernel Gaussian process surrogate."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import gp as gp_module
@@ -292,6 +292,37 @@ class TestKernelStackExact:
                 k.lengthscale = ls
                 assert np.array_equal(K, _reference_kernel(k, A, B))
                 assert np.array_equal(k(A, B), K)
+
+    # categorical values on the grid, within the 1e-9 tolerance of it,
+    # 2e-9 off it, and a negative zero
+    _CAT_VALUES = (0.0, -0.0, 0.5, 1.0, 0.5 + 4e-10, 0.5 - 4e-10, 1.0 - 4e-10, 4e-10,
+                   0.5 + 2e-9, 0.5 - 2e-9, 2e-9, 1.0 - 2e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12),
+           st.integers(1, 10), st.booleans())
+    @example(seed=0, m=1, n=1, d=3, all_cat=False)
+    @example(seed=1, m=1, n=9, d=4, all_cat=True)
+    @example(seed=2, m=9, n=1, d=4, all_cat=False)
+    def test_hamming_count_equals_broadcast(self, seed, m, n, d, all_cat):
+        """The one-product mismatch count equals the broadcast one of
+        ``_reference_kernel`` bit for bit, at the 1e-9 tolerance's edges
+        and for query values that B's column lacks."""
+        rng = np.random.default_rng(seed)
+        cat_mask = np.ones(d, bool) if all_cat else rng.random(d) < 0.6
+        cat_mask[0] = True
+        values = np.array(self._CAT_VALUES)
+        A, B = rng.random((m, d + 1)), rng.random((n, d + 1))
+        for j in np.flatnonzero(cat_mask):
+            # B's column draws from a subset, so A meets values B lacks
+            B[:, j] = rng.choice(rng.choice(values, rng.integers(1, 4)), n)
+            A[:, j] = rng.choice(values, m)
+        k = MixedKernel(cat_mask, True)
+        for ls, K in zip((0.3, 1.7), k.stack(A, B, (0.3, 1.7))):
+            k.lengthscale = ls
+            assert np.array_equal(K, _reference_kernel(k, A, B))
+        k.lengthscale = 0.9
+        assert np.array_equal(k.stack(B, B, (0.9,))[0], _reference_kernel(k, B, B))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 12),
