@@ -9,7 +9,10 @@ A configuration is a ``dict`` name → value. For modelling, configs map
 to a unit-cube vector (numeric dims min-max- or log-scaled to [0,1];
 categoricals as ``index/(k-1)`` on a discrete grid) — the GP applies a
 Hamming kernel on the categorical dims and Matérn on the numeric ones,
-and trees treat categoricals ordinally.
+and trees treat categoricals ordinally. :class:`ConfigSpace` holds the
+one map each way, per column group of one kind: unit → value (clamp to
+the cube, round onto the grid) and value → unit. ``to_unit``,
+``from_unit``, ``clip``, ``snap`` and the samplers all go through them.
 """
 from __future__ import annotations
 
@@ -40,44 +43,55 @@ class Param:
     def __post_init__(self) -> None:
         if self.log and self.kind != "int":
             raise ValueError(f"{self.name}: log scaling is for int params only")
-
-    @property
-    def n_choices(self) -> int:
-        return len(self.choices)
-
-    def to_unit(self, value) -> float:
-        """Map a concrete value to [0, 1]."""
-        if self.kind == "cat":
-            i = self.choices.index(value)
-            return i / max(self.n_choices - 1, 1)
-        v = float(value)
-        if self.log:
-            return (math.log(v) - math.log(self.low)) / (
-                math.log(self.high) - math.log(self.low)
-            )
-        return (v - self.low) / (self.high - self.low)
-
-    def from_unit(self, u: float):
-        """Map a unit value back to a concrete (rounded/snap) value."""
-        u = min(max(float(u), 0.0), 1.0)
-        if self.kind == "cat":
-            return self.choices[int(round(u * (self.n_choices - 1)))]
-        if self.log:
-            v = math.exp(math.log(self.low) + u * (math.log(self.high) - math.log(self.low)))
-        else:
-            v = self.low + u * (self.high - self.low)
-        if self.kind == "int":
-            return int(min(max(round(v), self.low), self.high))
-        return float(v)
+        if self.kind == "cat" and len(self.choices) < 2:
+            raise ValueError(f"{self.name}: a categorical needs two choices or more")
 
 
 @cache
 def _log_units(p: Param) -> np.ndarray:
-    """``p.to_unit(v)`` for every int ``v`` of a log-scaled param
-    (read-only: every caller shares it)."""
-    table = np.array([p.to_unit(v) for v in range(int(p.low), int(p.high) + 1)])
+    """The unit value of every int of a log-scaled param (read-only:
+    every caller shares it). ``math.log``, not ``np.log``: the two differ
+    in the last ulp on some ints, and the unit values feed every model."""
+    lo, span = math.log(p.low), math.log(p.high) - math.log(p.low)
+    table = np.array([(math.log(v) - lo) / span for v in range(int(p.low), int(p.high) + 1)])
     table.flags.writeable = False
     return table
+
+
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """The columns of one kind, with the space's two maps between their
+    unit and value blocks. ``kind`` is ``int`` (categoricals as their
+    choice index), ``float`` or ``log``; a column's value at unit ``u``
+    (a log int's log value) is ``a + u·b``."""
+
+    kind: str
+    cols: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    table: np.ndarray | None = None  # log: the columns' _log_units, concatenated
+    offset: np.ndarray | None = None  # log: where value 0 would sit in ``table``
+
+    def clamp(self, V: np.ndarray) -> np.ndarray:
+        """Values clamped to their ranges, ints rounded half to even first."""
+        return np.clip(V if self.kind == "float" else np.rint(V), self.lo, self.hi)
+
+    def values(self, U: np.ndarray) -> np.ndarray:
+        """Unit block → value block: clamped to the cube, rounded onto the
+        grid. A rounded value needs no clamp: ``lo + u·(hi - lo)`` is exact
+        at the ends, and ``exp`` is off by far less than 0.5 there. NumPy's
+        ``exp`` may differ from ``math``'s in the last ulp, so it only
+        feeds the rounding to an int."""
+        x = self.a + np.clip(U, 0.0, 1.0) * self.b
+        return x if self.kind == "float" else np.rint(np.exp(x) if self.kind == "log" else x)
+
+    def units(self, V: np.ndarray) -> np.ndarray:
+        """Value block on the grid → unit block."""
+        if self.kind == "log":
+            return self.table[V.astype(np.intp) + self.offset]
+        return (V - self.a) / self.b
 
 
 def _bool(name: str, default: bool) -> Param:
@@ -147,58 +161,76 @@ class ConfigSpace:
     def default_config(self) -> dict:
         return {p.name: p.default for p in self.params}
 
-    def to_unit(self, config: dict) -> np.ndarray:
-        return np.array([p.to_unit(config[p.name]) for p in self.params])
-
-    def from_unit(self, u: np.ndarray) -> dict:
-        return {p.name: p.from_unit(u[i]) for i, p in enumerate(self.params)}
-
-    def clip(self, config: dict) -> dict:
-        """Snap a config onto the space's grid/ranges."""
-        return self.from_unit(self.to_unit(config))
-
     @cached_property
-    def _kinds(self) -> tuple:
-        """:meth:`snap`'s column groups, one per parameter kind, with their
-        per-column constants as arrays: built on the first snap."""
+    def _blocks(self) -> tuple[_Block, ...]:
+        """The column groups of each kind, built on first use."""
         ps = self.params
-        lo, hi = np.array([(p.low, p.high) for p in ps], dtype=np.float64).T
-        kinds = np.array(["log" if p.log else p.kind for p in ps])
-        cat, flt, lin, log = (np.flatnonzero(kinds == k) for k in ("cat", "float", "int", "log"))
+        lo = np.array([0.0 if p.kind == "cat" else p.low for p in ps], dtype=np.float64)
+        hi = np.array([len(p.choices) - 1 if p.kind == "cat" else p.high for p in ps],
+                      dtype=np.float64)
+        span = hi - lo
+        kinds = np.array(["log" if p.log else "float" if p.kind == "float" else "int" for p in ps])
+        lin, flt, log = (np.flatnonzero(kinds == k) for k in ("int", "float", "log"))
         logs = [ps[i] for i in log]
         tables = [_log_units(p) for p in logs]
         starts = np.cumsum([0] + [len(t) for t in tables], dtype=np.intp)[:-1]
         return (
-            (cat, np.array([ps[i].n_choices - 1 for i in cat], dtype=np.float64)),
-            (flt, lo[flt], hi[flt] - lo[flt]),
-            (lin, lo[lin], hi[lin], hi[lin] - lo[lin]),
-            (log, lo[log], hi[log], np.array([math.log(p.low) for p in logs]),
-             np.array([math.log(p.high) - math.log(p.low) for p in logs]),
-             starts - lo[log].astype(np.intp), np.concatenate([np.empty(0)] + tables)),
+            _Block("int", lin, lo[lin], hi[lin], lo[lin], span[lin]),
+            _Block("float", flt, lo[flt], hi[flt], lo[flt], span[flt]),
+            _Block("log", log, lo[log], hi[log], np.array([math.log(p.low) for p in logs]),
+                   np.array([math.log(p.high) - math.log(p.low) for p in logs]),
+                   np.concatenate([np.empty(0)] + tables), starts - lo[log].astype(np.intp)),
         )
+
+    def _blockwise(self, f, X: np.ndarray) -> np.ndarray:
+        """The rows of ``X`` mapped block by block by ``f``, one of
+        :class:`_Block`'s methods."""
+        out = np.empty(X.shape)
+        for b in self._blocks:
+            out[:, b.cols] = f(b, X[:, b.cols])
+        return out
+
+    def _row(self, config: dict) -> np.ndarray:
+        """A config's values as one row, each categorical as its choice
+        index (ValueError for a value outside ``choices``)."""
+        return np.array([[p.choices.index(config[p.name]) if p.kind == "cat" else config[p.name]
+                          for p in self.params]], dtype=np.float64)
+
+    def _configs(self, V: np.ndarray) -> list[dict]:
+        """Value rows as configs: categoricals pick their choice."""
+        return [{p.name: p.choices[int(x)] if p.kind == "cat" else int(x) if p.kind == "int" else x
+                 for p, x in zip(self.params, row)} for row in V.tolist()]
+
+    def to_unit(self, config: dict) -> np.ndarray:
+        """The unit row of a config on the grid, as :meth:`from_unit`,
+        :meth:`clip` and :meth:`default_config` return them; ValueError
+        for any other config."""
+        V = self._row(config)
+        off = np.flatnonzero(self._blockwise(_Block.clamp, V)[0] != V[0])
+        if len(off):
+            raise ValueError(f"off the space's grid: {[self.params[i].name for i in off]}")
+        return self._blockwise(_Block.units, V)[0]
+
+    def from_unit(self, u: np.ndarray) -> dict:
+        """The config of a unit row: clamped to the cube, rounded onto the grid."""
+        return self._configs(self._blockwise(_Block.values, np.asarray(u, dtype=float)[None]))[0]
+
+    def clip(self, config: dict) -> dict:
+        """Snap a config onto the space's grid/ranges: values clamped in
+        value space (ints rounded half to even first), then mapped to
+        their unit row and back."""
+        V = self._blockwise(_Block.units, self._blockwise(_Block.clamp, self._row(config)))
+        return self._configs(self._blockwise(_Block.values, V))[0]
 
     def snap(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unit rows snapped onto the grid, in bulk: the value matrix
         (categoricals as their choice index) and the unit matrix whose
-        rows equal ``to_unit(from_unit(u))`` bit for bit: one block per
-        parameter kind, with the scalar path's float operations. NumPy's
-        ``exp`` may differ from ``math``'s in the last ulp, so it only
-        feeds the rounding to an int, and log-scaled ints take their unit
-        values from a table built by ``to_unit``."""
-        def unit(cols):  # clipped block by block: no temporary as large as U
-            return np.clip(U[:, cols], 0.0, 1.0)
-
-        (cat, k), (flt, f_lo, f_span), (lin, l_lo, l_hi, l_span), (
-            log, g_lo, g_hi, g_loglo, g_logspan, g_offset, g_table) = self._kinds
+        rows equal ``to_unit(from_unit(u))``. Both are filled block by
+        block, so no temporary is as large as ``U``."""
         V, S = np.empty(U.shape), np.empty(U.shape)
-        idx = np.rint(unit(cat) * k)
-        V[:, cat], S[:, cat] = idx, idx / np.maximum(k, 1.0)
-        v = f_lo + unit(flt) * f_span
-        V[:, flt], S[:, flt] = v, (v - f_lo) / f_span
-        v = np.clip(np.rint(l_lo + unit(lin) * l_span), l_lo, l_hi)
-        V[:, lin], S[:, lin] = v, (v - l_lo) / l_span
-        v = np.clip(np.rint(np.exp(g_loglo + unit(log) * g_logspan)), g_lo, g_hi)
-        V[:, log], S[:, log] = v, g_table[v.astype(np.intp) + g_offset]
+        for b in self._blocks:
+            V[:, b.cols] = v = b.values(U[:, b.cols])
+            S[:, b.cols] = b.units(v)
         return V, S
 
     def sample_unit(
@@ -216,11 +248,11 @@ class ConfigSpace:
 
     def sample_random(self, n: int, rng: np.random.Generator) -> list[dict]:
         """:meth:`sample_unit` over the whole space, as configs."""
-        return [self.from_unit(u) for u in self.sample_unit(n, rng)]
+        return self._configs(self._blockwise(_Block.values, self.sample_unit(n, rng)))
 
     def sample_sobol(self, n: int, *, seed: int = 0) -> list[dict]:
         """Low-discrepancy initial design (§3.3 "Initial configurations")."""
-        return [self.from_unit(u) for u in sobol(n, self.dim, seed=seed)]
+        return self._configs(self._blockwise(_Block.values, sobol(n, self.dim, seed=seed)))
 
 
 def hibench_space() -> ConfigSpace:
@@ -241,10 +273,9 @@ def hibench_space() -> ConfigSpace:
 
 # ---------------------------------------------------------------------------
 # Sobol' sequence (no scipy offline). Direction numbers follow the
-# Joe–Kuo construction for the first dimensions; every entry is
-# validated (m_k odd, m_k < 2^k) and invalid/missing dims fall back to
-# seeded odd direction numbers, which still yields a digital sequence.
-# A random digital shift (seeded) decorrelates repeated designs.
+# Joe–Kuo construction, which this table holds for dimensions 2–32; a
+# test checks every entry (m_k odd, m_k < 2^k). A random digital shift
+# (seeded) decorrelates repeated designs.
 # ---------------------------------------------------------------------------
 
 _JOE_KUO: list[tuple[int, int, tuple[int, ...]]] = [
@@ -285,23 +316,14 @@ _JOE_KUO: list[tuple[int, int, tuple[int, ...]]] = [
 _BITS = 30
 
 
-def _direction_numbers(dim_index: int, rng: np.random.Generator) -> np.ndarray:
+def _direction_numbers(dim_index: int) -> np.ndarray:
     """v_1..v_BITS (scaled by 2^BITS) for one dimension."""
     v = np.zeros(_BITS, dtype=np.int64)
     if dim_index == 0:  # first dimension: van der Corput in base 2
         for k in range(_BITS):
             v[k] = 1 << (_BITS - 1 - k)
         return v
-    entry = _JOE_KUO[dim_index - 1] if dim_index - 1 < len(_JOE_KUO) else None
-    s = a = None
-    m = None
-    if entry is not None:
-        s, a, m = entry
-        if not all((mk % 2 == 1) and (mk < (1 << (k + 1))) for k, mk in enumerate(m)):
-            entry = None
-    if entry is None:  # fallback: seeded odd initial numbers, degree 8
-        s, a = 8, int(rng.integers(0, 1 << 7))
-        m = tuple(int(rng.integers(0, 1 << k) * 2 + 1) for k in range(s))
+    s, a, m = _JOE_KUO[dim_index - 1]
     mi = list(m)
     for k in range(s, _BITS):
         new = mi[k - s] ^ (mi[k - s] << s)
@@ -315,9 +337,13 @@ def _direction_numbers(dim_index: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sobol(n: int, d: int, *, seed: int = 0) -> np.ndarray:
-    """First ``n`` points of a digitally-shifted Sobol' sequence in [0,1)^d."""
+    """First ``n`` points of a digitally-shifted Sobol' sequence in
+    [0,1)^d, for d ≤ 32 (ValueError beyond)."""
+    if d > 1 + len(_JOE_KUO):
+        raise ValueError(f"sobol: {d} dims; direction numbers exist for at most "
+                         f"{1 + len(_JOE_KUO)}")
     rng = np.random.default_rng(seed)
-    V = np.stack([_direction_numbers(i, rng) for i in range(d)])  # (d, BITS)
+    V = np.stack([_direction_numbers(i) for i in range(d)])  # (d, BITS)
     shift = rng.integers(0, 1 << _BITS, size=d, dtype=np.int64)
     out = np.empty((n, d))
     x = np.zeros(d, dtype=np.int64)

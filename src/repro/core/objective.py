@@ -40,6 +40,14 @@ class ExecResult:
     metrics: dict = field(default_factory=dict)
 
 
+def executor_memory_gb(config: dict):
+    """Memory of one executor in GB: heap + overhead, plus the off-heap
+    size when off-heap memory is enabled. Takes scalars or arrays, like
+    :func:`resource`."""
+    mem = config["spark.executor.memory"] + config["spark.executor.memoryOverhead"] / 1024.0
+    return mem + config["spark.memory.offHeap.enabled"] * config["spark.memory.offHeap.size"]
+
+
 def resource(config: dict, *, c: float = MEM_CORE_PRICE_RATIO) -> float:
     """White-box resource function R(x): vcores + c * memory-GB.
 
@@ -50,10 +58,8 @@ def resource(config: dict, *, c: float = MEM_CORE_PRICE_RATIO) -> float:
     """
     inst = config["spark.executor.instances"]
     cores = config["spark.executor.cores"]
-    mem = config["spark.executor.memory"] + config["spark.executor.memoryOverhead"] / 1024.0
-    mem = mem + config["spark.memory.offHeap.enabled"] * config["spark.memory.offHeap.size"]
     vcores = inst * cores + config["spark.driver.cores"]
-    mem_gb = inst * mem + config["spark.driver.memory"]
+    mem_gb = inst * executor_memory_gb(config) + config["spark.driver.memory"]
     return vcores + c * mem_gb
 
 

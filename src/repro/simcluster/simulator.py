@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.objective import ExecResult
+from repro.core.objective import ExecResult, executor_memory_gb
 from repro.simcluster.profile import WorkloadProfile
 
 #: Codec → (compression ratio on shuffle/cache bytes, CPU ms per MB).
@@ -87,9 +87,7 @@ class ClusterSimulator:
     def _allocation(self, config: dict) -> tuple[int, int, float]:
         """Capacity-capped (instances, cores, per-executor memory GB)."""
         cores = config["spark.executor.cores"]
-        mem_gb = config["spark.executor.memory"] + config["spark.executor.memoryOverhead"] / 1024.0
-        if config["spark.memory.offHeap.enabled"]:
-            mem_gb += config["spark.memory.offHeap.size"]
+        mem_gb = executor_memory_gb(config)
         inst = min(
             config["spark.executor.instances"],
             max(1, int(self.capacity_cores // cores)),

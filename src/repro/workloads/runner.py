@@ -12,6 +12,7 @@ metric structure the simulator emits, so 75-dim meta-features
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame, SparkSession
@@ -53,7 +54,7 @@ class RunMetrics:
         return {"stages": self.stages, "workload": self.name}
 
 
-def _mk_stages(name: str, wall_s: float, input_mb: float, shuffle_mb: float,
+def _mk_stages(wall_s: float, input_mb: float, shuffle_mb: float,
                rows_in: int, ops_map: tuple, ops_red: tuple) -> list[dict]:
     half = wall_s * 500.0  # ms, split evenly between the two stage shapes
     return [
@@ -72,181 +73,109 @@ def _mk_stages(name: str, wall_s: float, input_mb: float, shuffle_mb: float,
     ]
 
 
+@dataclass(frozen=True)
+class _Workload:
+    """How one workload family is run and profiled."""
+
+    inputs: Callable  # (spark, sf, seed) → input DataFrames; the first gives rows_in
+    job: Callable  # (spark, seed, *inputs) → output DataFrame, or a driver-side result
+    shuffle: Callable  # (input MB, output, output rows) → MB one shuffle stage moves
+    ops: tuple[tuple, tuple]  # operators of the map and the reduce stage
+    rows_out: int | None = None  # a driver-side result's fixed row count
+    shuffle_rounds: int = 1  # shuffles of one stage's size the job makes in all
+
+
+def _output_mb(in_mb: float, out: DataFrame, rows_out: int) -> float:
+    return _df_mb(out, rows_out)
+
+
+def _input_share(frac: float) -> Callable:
+    return lambda in_mb, out, rows_out: in_mb * frac
+
+
+def _sql(task: Callable, inputs: Callable) -> _Workload:
+    return _Workload(inputs, lambda spark, seed, *dfs: task(*dfs),
+                     lambda in_mb, out, rows_out: max(_df_mb(out, rows_out), in_mb * 0.05),
+                     (("filter", "map"), ("groupBy", "aggregate")))
+
+
+def _kv(spark, sf, seed):
+    return (synth_data.kv_records(spark, n=max(100, int(1_000_000 * sf)), seed=seed),)
+
+
+def _points(n: int) -> Callable:
+    return lambda spark, sf, seed: (synth_data.points(spark, n=max(200, int(n * sf)), seed=seed),)
+
+
+def _lineitem(spark, sf, seed):
+    return (synth_data.lineitem(spark, sf=sf, seed=seed),)
+
+
+_WORKLOADS = {
+    "wordcount": _Workload(
+        lambda spark, sf, seed: (synth_data.text_corpus(
+            spark, n_lines=max(100, int(600_000 * sf)), seed=seed),),
+        lambda spark, seed, text: wordcount.wordcount(text),
+        _output_mb,  # word/count pairs cross the shuffle
+        (("flatMap", "map"), ("groupBy", "aggregate"))),
+    "sort": _Workload(_kv, lambda spark, seed, recs: sortbench.sort_records(recs),
+                      _input_share(1.0), (("map", "sortBy"), ("sortBy",))),
+    "terasort": _Workload(_kv, lambda spark, seed, recs: sortbench.terasort(recs, partitions=8),
+                          _input_share(1.0), (("map", "sortBy"), ("sortBy", "repartition"))),
+    "pagerank": _Workload(
+        lambda spark, sf, seed: (synth_data.edge_list(
+            spark, n_nodes=max(50, int(20_000 * sf)), n_edges=max(200, int(120_000 * sf)),
+            seed=seed),),
+        lambda spark, seed, edges: pagerank.pagerank(spark, edges, iterations=3),
+        _input_share(0.6), (("join", "map", "cache"), ("groupBy", "aggregate")),
+        shuffle_rounds=3),
+    "kmeans": _Workload(
+        _points(500_000),
+        lambda spark, seed, pts: kmeans.kmeans(pts, k=4, iterations=3, seed=seed),
+        _input_share(0.02), (("map", "cache"), ("aggregate",)), rows_out=4),
+    "bayes": _Workload(
+        lambda spark, sf, seed: (synth_data.labeled_corpus(
+            spark, n_docs=max(100, int(200_000 * sf)), seed=seed),),
+        lambda spark, seed, docs: bayes.train_naive_bayes(docs),
+        _output_mb, (("flatMap", "map"), ("groupBy", "aggregate"))),
+    "nweight": _Workload(
+        lambda spark, sf, seed: (synth_data.edge_list(
+            spark, n_nodes=max(30, int(3_000 * sf)), n_edges=max(100, int(30_000 * sf)),
+            seed=seed),),
+        lambda spark, seed, edges: nweight.nweight(edges, hops=2),
+        _output_mb, (("join", "map", "cache"), ("groupBy", "aggregate"))),
+    "lr": _Workload(
+        lambda spark, sf, seed: (synth_data.labeled_points(
+            spark, n=max(200, int(400_000 * sf)), seed=seed),),
+        lambda spark, seed, df: lr.logistic_regression(df, iterations=3),
+        _input_share(0.01), (("map", "cache"), ("aggregate",)), rows_out=1),
+    "svd": _Workload(_points(400_000), lambda spark, seed, pts: svd.singular_values(pts),
+                     _input_share(0.05), (("map", "cache"), ("aggregate",)), rows_out=1),
+    "sql_data_selection": _sql(sql_tasks.data_selection, _lineitem),
+    "sql_skew_detection": _sql(sql_tasks.skew_detection, _lineitem),
+    "sql_feature_calculation": _sql(
+        sql_tasks.feature_calculation,
+        lambda spark, sf, seed: (synth_data.orders(spark, sf=sf),
+                                 synth_data.customer(spark, sf=sf))),
+    "sql_data_preprocessing": _sql(sql_tasks.data_preprocessing,
+                                   lambda spark, sf, seed: (synth_data.orders(spark, sf=sf),)),
+}
+
+WORKLOAD_NAMES = tuple(_WORKLOADS)
+
+
 def run_workload(spark: SparkSession, name: str, *, sf: float = 0.01, seed: int = 0) -> RunMetrics:
     """Run one workload family at scale factor ``sf`` and profile it."""
-    fn = _RUNNERS.get(name)
-    if fn is None:
-        raise KeyError(f"unknown workload {name!r}; known: {sorted(_RUNNERS)}")
-    return fn(spark, sf, seed)
-
-
-def _run_wordcount(spark, sf, seed):
-    text = synth_data.text_corpus(spark, n_lines=max(100, int(600_000 * sf)), seed=seed)
-    rows_in = text.count()
-    in_mb = _df_mb(text, rows_in)
+    w = _WORKLOADS.get(name)
+    if w is None:
+        raise KeyError(f"unknown workload {name!r}; known: {sorted(_WORKLOADS)}")
+    inputs = w.inputs(spark, sf, seed)
+    rows = inputs[0].count()
+    in_mb = _df_mb(inputs[0], rows) + sum(_df_mb(df) for df in inputs[1:])
     t0 = time.perf_counter()
-    out = wordcount.wordcount(text)
-    rows_out = out.count()
+    out = w.job(spark, seed, *inputs)
+    rows_out = out.count() if w.rows_out is None else w.rows_out
     wall = time.perf_counter() - t0
-    sh_mb = _df_mb(out, rows_out)  # word/count pairs cross the shuffle
-    return RunMetrics("wordcount", wall, in_mb, sh_mb, rows_in, rows_out,
-                      _mk_stages("wordcount", wall, in_mb, sh_mb, rows_in,
-                                 ("flatMap", "map"), ("groupBy", "aggregate")))
-
-
-def _run_sort(spark, sf, seed):
-    recs = synth_data.kv_records(spark, n=max(100, int(1_000_000 * sf)), seed=seed)
-    rows = recs.count()
-    in_mb = _df_mb(recs, rows)
-    t0 = time.perf_counter()
-    out = sortbench.sort_records(recs)
-    rows_out = out.count()
-    wall = time.perf_counter() - t0
-    return RunMetrics("sort", wall, in_mb, in_mb, rows, rows_out,
-                      _mk_stages("sort", wall, in_mb, in_mb, rows,
-                                 ("map", "sortBy"), ("sortBy",)))
-
-
-def _run_terasort(spark, sf, seed):
-    recs = synth_data.kv_records(spark, n=max(100, int(1_000_000 * sf)), seed=seed)
-    rows = recs.count()
-    in_mb = _df_mb(recs, rows)
-    t0 = time.perf_counter()
-    out = sortbench.terasort(recs, partitions=8)
-    rows_out = out.count()
-    wall = time.perf_counter() - t0
-    return RunMetrics("terasort", wall, in_mb, in_mb, rows, rows_out,
-                      _mk_stages("terasort", wall, in_mb, in_mb, rows,
-                                 ("map", "sortBy"), ("sortBy", "repartition")))
-
-
-def _run_pagerank(spark, sf, seed):
-    edges = synth_data.edge_list(
-        spark, n_nodes=max(50, int(20_000 * sf)), n_edges=max(200, int(120_000 * sf)), seed=seed
-    )
-    rows = edges.count()
-    in_mb = _df_mb(edges, rows)
-    t0 = time.perf_counter()
-    ranks = pagerank.pagerank(spark, edges, iterations=3)
-    rows_out = ranks.count()
-    wall = time.perf_counter() - t0
-    return RunMetrics("pagerank", wall, in_mb, in_mb * 0.6 * 3, rows, rows_out,
-                      _mk_stages("pagerank", wall, in_mb, in_mb * 0.6, rows,
-                                 ("join", "map", "cache"), ("groupBy", "aggregate")))
-
-
-def _run_kmeans(spark, sf, seed):
-    pts = synth_data.points(spark, n=max(200, int(500_000 * sf)), seed=seed)
-    rows = pts.count()
-    in_mb = _df_mb(pts, rows)
-    t0 = time.perf_counter()
-    kmeans.kmeans(pts, k=4, iterations=3, seed=seed)
-    wall = time.perf_counter() - t0
-    return RunMetrics("kmeans", wall, in_mb, in_mb * 0.02, rows, 4,
-                      _mk_stages("kmeans", wall, in_mb, in_mb * 0.02, rows,
-                                 ("map", "cache"), ("aggregate",)))
-
-
-def _run_bayes(spark, sf, seed):
-    docs = synth_data.labeled_corpus(spark, n_docs=max(100, int(200_000 * sf)), seed=seed)
-    rows = docs.count()
-    in_mb = _df_mb(docs, rows)
-    t0 = time.perf_counter()
-    model = bayes.train_naive_bayes(docs)
-    rows_out = model.count()
-    wall = time.perf_counter() - t0
-    sh = _df_mb(model, rows_out)
-    return RunMetrics("bayes", wall, in_mb, sh, rows, rows_out,
-                      _mk_stages("bayes", wall, in_mb, sh, rows,
-                                 ("flatMap", "map"), ("groupBy", "aggregate")))
-
-
-def _run_nweight(spark, sf, seed):
-    edges = synth_data.edge_list(
-        spark, n_nodes=max(30, int(3_000 * sf)), n_edges=max(100, int(30_000 * sf)), seed=seed
-    )
-    rows = edges.count()
-    in_mb = _df_mb(edges, rows)
-    t0 = time.perf_counter()
-    out = nweight.nweight(edges, hops=2)
-    rows_out = out.count()
-    wall = time.perf_counter() - t0
-    sh = _df_mb(out, rows_out)
-    return RunMetrics("nweight", wall, in_mb, sh, rows, rows_out,
-                      _mk_stages("nweight", wall, in_mb, sh, rows,
-                                 ("join", "map", "cache"), ("groupBy", "aggregate")))
-
-
-def _run_lr(spark, sf, seed):
-    df = synth_data.labeled_points(spark, n=max(200, int(400_000 * sf)), seed=seed)
-    rows = df.count()
-    in_mb = _df_mb(df, rows)
-    t0 = time.perf_counter()
-    lr.logistic_regression(df, iterations=3)
-    wall = time.perf_counter() - t0
-    return RunMetrics("lr", wall, in_mb, in_mb * 0.01, rows, 1,
-                      _mk_stages("lr", wall, in_mb, in_mb * 0.01, rows,
-                                 ("map", "cache"), ("aggregate",)))
-
-
-def _run_svd(spark, sf, seed):
-    pts = synth_data.points(spark, n=max(200, int(400_000 * sf)), seed=seed)
-    rows = pts.count()
-    in_mb = _df_mb(pts, rows)
-    t0 = time.perf_counter()
-    svd.singular_values(pts)
-    wall = time.perf_counter() - t0
-    return RunMetrics("svd", wall, in_mb, in_mb * 0.05, rows, 1,
-                      _mk_stages("svd", wall, in_mb, in_mb * 0.05, rows,
-                                 ("map", "cache"), ("aggregate",)))
-
-
-def _run_sql(task_name, fn_inputs):
-    def run(spark, sf, seed):
-        inputs = fn_inputs(spark, sf, seed)
-        rows = inputs[0].count()
-        in_mb = sum(_df_mb(df) for df in inputs)
-        t0 = time.perf_counter()
-        out = _SQL_FNS[task_name](*inputs)
-        rows_out = out.count()
-        wall = time.perf_counter() - t0
-        sh = max(_df_mb(out, rows_out), in_mb * 0.05)
-        return RunMetrics(task_name, wall, in_mb, sh, rows, rows_out,
-                          _mk_stages(task_name, wall, in_mb, sh, rows,
-                                     ("filter", "map"), ("groupBy", "aggregate")))
-    return run
-
-
-_SQL_FNS = {
-    "sql_data_selection": sql_tasks.data_selection,
-    "sql_skew_detection": sql_tasks.skew_detection,
-    "sql_feature_calculation": sql_tasks.feature_calculation,
-    "sql_data_preprocessing": sql_tasks.data_preprocessing,
-}
-
-_RUNNERS = {
-    "wordcount": _run_wordcount,
-    "sort": _run_sort,
-    "terasort": _run_terasort,
-    "pagerank": _run_pagerank,
-    "kmeans": _run_kmeans,
-    "bayes": _run_bayes,
-    "nweight": _run_nweight,
-    "lr": _run_lr,
-    "svd": _run_svd,
-    "sql_data_selection": _run_sql(
-        "sql_data_selection", lambda s, sf, seed: (synth_data.lineitem(s, sf=sf, seed=seed),)
-    ),
-    "sql_skew_detection": _run_sql(
-        "sql_skew_detection", lambda s, sf, seed: (synth_data.lineitem(s, sf=sf, seed=seed),)
-    ),
-    "sql_feature_calculation": _run_sql(
-        "sql_feature_calculation",
-        lambda s, sf, seed: (synth_data.orders(s, sf=sf), synth_data.customer(s, sf=sf)),
-    ),
-    "sql_data_preprocessing": _run_sql(
-        "sql_data_preprocessing", lambda s, sf, seed: (synth_data.orders(s, sf=sf),)
-    ),
-}
-
-WORKLOAD_NAMES = tuple(_RUNNERS)
+    sh = w.shuffle(in_mb, out, rows_out)
+    return RunMetrics(name, wall, in_mb, sh * w.shuffle_rounds, rows, rows_out,
+                      _mk_stages(wall, in_mb, sh, rows, *w.ops))

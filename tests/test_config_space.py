@@ -1,13 +1,52 @@
 """Unit tests for the 30-parameter Spark configuration space and the
 Sobol' low-discrepancy sampler."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config_space import (
-    SPARK_PARAMS, ConfigSpace, Param, _log_units, hibench_space, sobol,
+    _JOE_KUO, SPARK_PARAMS, ConfigSpace, Param, _log_units, hibench_space, sobol,
 )
+
+
+# The scalar per-parameter maps the space's block maps replaced, kept as
+# the reference they must equal bit for bit.
+def _oracle_to_unit(p: Param, value) -> float:
+    if p.kind == "cat":
+        return p.choices.index(value) / max(len(p.choices) - 1, 1)
+    v = float(value)
+    if p.log:
+        return (math.log(v) - math.log(p.low)) / (math.log(p.high) - math.log(p.low))
+    return (v - p.low) / (p.high - p.low)
+
+
+def _oracle_from_unit(p: Param, u: float):
+    u = min(max(float(u), 0.0), 1.0)
+    if p.kind == "cat":
+        return p.choices[int(round(u * (len(p.choices) - 1)))]
+    if p.log:
+        v = math.exp(math.log(p.low) + u * (math.log(p.high) - math.log(p.low)))
+    else:
+        v = p.low + u * (p.high - p.low)
+    if p.kind == "int":
+        return int(min(max(round(v), p.low), p.high))
+    return float(v)
+
+
+def _oracle_config(space: ConfigSpace, u) -> dict:
+    return {p.name: _oracle_from_unit(p, x) for p, x in zip(space.params, u)}
+
+
+def _oracle_units(space: ConfigSpace, config: dict) -> np.ndarray:
+    return np.array([_oracle_to_unit(p, config[p.name]) for p in space.params])
+
+
+def _same(got: dict, want: dict) -> bool:
+    """Equal configs, with every value of the same type."""
+    return got == want and [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
 
 @pytest.fixture(scope="module")
@@ -40,19 +79,19 @@ class TestParams:
             assert name in space.names
 
     def test_param_unit_roundtrip_int(self):
-        p = Param("x", "int", 1, 800, log=True, default=8)
+        space = ConfigSpace((Param("x", "int", 1, 800, log=True, default=8),))
         for v in (1, 8, 100, 800):
-            assert p.from_unit(p.to_unit(v)) == v
+            assert space.from_unit(space.to_unit({"x": v})) == {"x": v}
 
     def test_param_unit_roundtrip_cat(self):
-        p = Param("c", "cat", choices=("a", "b", "c"), default="a")
-        for v in p.choices:
-            assert p.from_unit(p.to_unit(v)) == v
+        space = ConfigSpace((Param("c", "cat", choices=("a", "b", "c"), default="a"),))
+        for v in ("a", "b", "c"):
+            assert space.from_unit(space.to_unit({"c": v})) == {"c": v}
 
     def test_param_unit_clamps(self):
-        p = Param("x", "float", 0.4, 0.9)
-        assert p.from_unit(-3.0) == pytest.approx(0.4)
-        assert p.from_unit(7.0) == pytest.approx(0.9)
+        space = ConfigSpace((Param("x", "float", 0.4, 0.9),))
+        assert space.from_unit([-3.0])["x"] == pytest.approx(0.4)
+        assert space.from_unit([7.0])["x"] == pytest.approx(0.9)
 
 
 class TestSpace:
@@ -96,6 +135,23 @@ class TestSpace:
         cfg = space.default_config() | {"spark.executor.instances": 12345}
         assert space.clip(cfg)["spark.executor.instances"] == 800
 
+    def test_clip_rounds_ints_half_to_even(self, space):
+        # in value space, where the scalar unit round trip broke such a
+        # tie by its float error (12.5 executors went to 13)
+        cfg = space.default_config() | {"spark.executor.instances": 12.5,
+                                        "spark.executor.cores": 2.5}
+        got = space.clip(cfg)
+        assert (got["spark.executor.instances"], got["spark.executor.cores"]) == (12, 2)
+
+    def test_to_unit_rejects_off_grid(self):
+        # hibench's executor table ends at 96: 97 would read the next table
+        space = hibench_space()
+        for name, v in (("spark.executor.instances", 97), ("spark.executor.instances", 0),
+                        ("spark.executor.cores", 2.5), ("spark.memory.fraction", 0.95),
+                        ("spark.memory.fraction", float("nan"))):
+            with pytest.raises(ValueError, match=name):
+                space.to_unit(space.default_config() | {name: v})
+
     def test_index_of(self, space):
         assert space.names[space.index_of("spark.serializer")] == "spark.serializer"
 
@@ -122,8 +178,35 @@ _PARTIAL = {
 }
 
 
+def _off_grid_values(p: Param):
+    """Values of ``p`` on and off its grid, for ``clip`` and ``to_unit``:
+    ints out of range or non-integral (log ints stay > 0, where the
+    reference's ``math.log`` is defined), floats out of range. Values
+    near a half-integer are left out: there rint breaks the tie and the
+    reference its float error (``test_clip_rounds_ints_half_to_even``)."""
+    if p.kind == "cat":
+        return st.sampled_from(p.choices)
+    span = p.high - p.low
+    if p.kind == "float":
+        return st.floats(p.low - span, p.high + span)
+    low = max(p.low - span, 1) if p.log else p.low - span
+    ints = st.integers(int(low), int(p.high + span))
+    fracs = st.floats(low, p.high + span).filter(lambda v: abs(v % 1.0 - 0.5) > 1e-6)
+    return st.one_of(ints, ints.map(float), fracs)
+
+
+@st.composite
+def _space_and_config(draw):
+    space = (_SPACES | _PARTIAL)[draw(st.sampled_from(sorted(_SPACES | _PARTIAL)))]
+    config = {p.name: draw(_off_grid_values(p)) for p in space.params}
+    cats = [p.name for p in space.params if p.kind == "cat"]
+    if cats and draw(st.integers(0, 9)) == 0:  # now and then, a value outside the choices
+        config[draw(st.sampled_from(cats))] = "unknown"
+    return space, config
+
+
 class TestVectorized:
-    """The bulk paths equal the scalar ones exactly."""
+    """The space's block maps equal the scalar reference maps exactly."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(_SPACES | _PARTIAL)),
@@ -132,19 +215,43 @@ class TestVectorized:
         space = (_SPACES | _PARTIAL)[which]
         U = np.array(rows)[:, :space.dim]
         V, S = space.snap(U)
-        assert np.array_equal(S, np.array([space.to_unit(space.from_unit(u)) for u in U]))
-        for v, u in zip(V, U):
-            c = space.from_unit(u)
-            assert list(v) == [p.choices.index(c[p.name]) if p.kind == "cat" else c[p.name]
-                               for p in space.params]
+        for v, s, u in zip(V, S, U):
+            want = _oracle_config(space, u)
+            assert _same(space.from_unit(u), want)
+            assert np.array_equal(s, _oracle_units(space, want))
+            assert np.array_equal(space.to_unit(want), s)
+            assert list(v) == [p.choices.index(want[p.name]) if p.kind == "cat"
+                               else want[p.name] for p in space.params]
 
     def test_snap_equals_scalar_roundtrip_bulk(self):
-        # many rows, inside and outside the cube (from_unit clamps)
+        # many rows, inside and outside the cube (both maps clamp)
         U = np.random.default_rng(0).uniform(-0.2, 1.2, (4000, 30))
         for space in (_SPACES | _PARTIAL).values():
             Us = U[:, :space.dim]
             _, S = space.snap(Us)
-            assert np.array_equal(S, np.array([space.to_unit(space.from_unit(u)) for u in Us]))
+            want = [_oracle_config(space, u) for u in Us]
+            assert np.array_equal(S, np.array([_oracle_units(space, c) for c in want]))
+            assert all(_same(space.from_unit(u), c) for u, c in zip(Us, want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_space_and_config())
+    def test_clip_and_to_unit_equal_scalar_reference(self, space_config):
+        space, config = space_config
+        if "unknown" in config.values():
+            for fn in (space.clip, space.to_unit):
+                with pytest.raises(ValueError):
+                    fn(config)
+            return
+        want = {p.name: _oracle_from_unit(p, _oracle_to_unit(p, config[p.name]))
+                for p in space.params}
+        assert _same(space.clip(config), want)
+        on_grid = all(p.kind == "cat" or p.low <= v <= p.high and (p.kind == "float" or v % 1 == 0)
+                      for p, v in zip(space.params, config.values()))
+        if on_grid:
+            assert np.array_equal(space.to_unit(config), _oracle_units(space, config))
+        else:
+            with pytest.raises(ValueError):
+                space.to_unit(config)
 
     def test_log_units_built_on_first_snap(self):
         _log_units.cache_clear()
@@ -178,8 +285,23 @@ class TestVectorized:
         with pytest.raises(ValueError):
             Param("x", "float", 1.0, 10.0, log=True)
 
+    def test_categorical_needs_two_choices(self):
+        with pytest.raises(ValueError):
+            Param("c", "cat", choices=("only",))
+
 
 class TestSobol:
+    def test_joe_kuo_entries_valid(self):
+        # each entry: degree s, s initial numbers m_k, every m_k odd and < 2^k
+        for s, a, m in _JOE_KUO:
+            assert len(m) == s and 0 <= a < 1 << (s - 1)
+            assert all(mk % 2 == 1 and mk < 1 << (k + 1) for k, mk in enumerate(m))
+
+    def test_more_dims_than_direction_numbers_raise(self):
+        assert sobol(4, 32).shape == (4, 32)
+        with pytest.raises(ValueError):
+            sobol(4, 33)
+
     def test_shape_and_range(self):
         pts = sobol(64, 31)
         assert pts.shape == (64, 31)
@@ -203,14 +325,14 @@ class TestSobol:
         assert np.all(counts == 16)
 
     @settings(max_examples=10, deadline=None)
-    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=5))
+    @given(st.integers(min_value=1, max_value=32), st.integers(min_value=0, max_value=5))
     def test_any_dim_in_unit_cube(self, d, seed):
         pts = sobol(32, d, seed=seed)
         assert pts.shape == (32, d)
         assert pts.min() >= 0.0 and pts.max() < 1.0
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 9), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 9), st.integers(1, 32), st.integers(0, 2**32 - 1))
     def test_every_column_stratified(self, m, d, seed):
         # n = 2**m points: each column has one point in every [k/n, (k+1)/n)
         n = 2**m

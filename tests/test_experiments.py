@@ -191,8 +191,8 @@ class _OverCapTuner(Tuner):
     name = "OverCap"
 
     def suggest(self) -> dict:
-        return self.space.default_config() | {
-            "spark.executor.instances": 800, "spark.executor.memory": 32}
+        return self.space.clip(self.space.default_config() | {
+            "spark.executor.instances": 800, "spark.executor.memory": 32})
 
 
 class TestFeasibleOnlyScoring:
