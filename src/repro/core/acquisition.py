@@ -18,8 +18,6 @@ import numpy as np
 
 from repro.core.bo import RunHistory, Surrogates
 
-_erf = np.vectorize(math.erf, otypes=[np.float64])
-
 
 def norm_pdf(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
@@ -27,8 +25,11 @@ def norm_pdf(z: np.ndarray) -> np.ndarray:
 
 
 def norm_cdf(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    return 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
+    w = np.asarray(z, dtype=np.float64) / math.sqrt(2.0)
+    # libm's erf per element (NumPy has no erf); a list through fromiter
+    # skips np.vectorize's per-element dispatch
+    erf = np.fromiter(map(math.erf, w.ravel().tolist()), np.float64, w.size)
+    return 0.5 * (1.0 + erf.reshape(w.shape))
 
 
 def expected_improvement(

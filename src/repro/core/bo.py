@@ -119,8 +119,13 @@ class Surrogates(NamedTuple):
     datasize: float | None           # the next run's datasize feature, if modelled
 
     def rows(self, U: np.ndarray) -> np.ndarray:
-        """Model inputs for the configs with unit rows ``U`` at the next run."""
-        return model_rows(U, self.datasize)
+        """Model inputs for the configs with unit rows ``U`` at the next
+        run, read-only: the GPs of one fit share their posterior work
+        on a read-only query (see :class:`repro.core.gp.PosteriorBasis`)."""
+        X = model_rows(U, self.datasize)
+        X = X.view() if X is U else X
+        X.flags.writeable = False
+        return X
 
 
 def model_rows(U: np.ndarray, datasize: float | None) -> np.ndarray:
@@ -141,16 +146,18 @@ def fit_surrogates(
     """Fit the objective GP on the penalized objectives — wrapped into
     the meta-ensemble by ``meta_factory`` when given (see
     :meth:`repro.core.meta.MetaLearner.ensemble_factory`) — and, if
-    ``runtime``, a GP on log-runtime. The next run's datasize is taken
-    to be the last run's (:meth:`RunHistory.next_datasize`)."""
+    ``runtime``, a GP on log-runtime over the same
+    :class:`repro.core.gp.PosteriorBasis`, so the rows' kernels are
+    factorized once. The next run's datasize is taken to be the last
+    run's (:meth:`RunHistory.next_datasize`)."""
     X = history.X_unit(with_datasize=with_datasize)
     y = history.penalized_objectives()
     cat_mask = history.space.cat_mask
-    gp_f = GaussianProcess(cat_mask, has_datasize=with_datasize)
-    objective = meta_factory(X, y, gp_f) if meta_factory else gp_f.fit(X, y)
+    gp_f = GaussianProcess(cat_mask, has_datasize=with_datasize).fit(X, y)
+    objective = meta_factory(X, y, gp_f) if meta_factory else gp_f
     gp_t = None
     if runtime:
-        gp_t = GaussianProcess(cat_mask, has_datasize=with_datasize)
         # log-runtime: positive, multiplicative noise, long tails
-        gp_t.fit(X, np.log(np.maximum(history.runtimes(), 1e-9)))
+        gp_t = GaussianProcess(cat_mask, has_datasize=with_datasize).fit(
+            gp_f.basis, np.log(np.maximum(history.runtimes(), 1e-9)))
     return Surrogates(objective, gp_t, history.next_datasize() if with_datasize else None)

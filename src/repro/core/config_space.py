@@ -239,10 +239,12 @@ class ConfigSpace:
     ) -> np.ndarray:
         """``n`` uniform unit rows, not yet snapped; if ``subspace`` is
         given, only those dims vary and the rest are pinned at the unit
-        row ``base`` (the default config's if None)."""
+        row ``base``, which must be given then."""
         if subspace is None:
             return rng.random((n, self.dim))
-        U = np.tile(self.to_unit(self.default_config()) if base is None else base, (n, 1))
+        if base is None:
+            raise ValueError("a sub-space sample needs the base row")
+        U = np.tile(base, (n, 1))
         U[:, subspace] = rng.random((n, len(subspace)))
         return U
 

@@ -55,7 +55,8 @@ class ConfigGenerator:
         """Random + local candidates inside the current sub-space: the
         unit rows as drawn, their values and their snapped unit rows (see
         :meth:`ConfigSpace.snap`). Rows equal to a history config are
-        dropped, unless every row is one."""
+        dropped, unless every row is one; with none dropped, the arrays
+        are returned as they are."""
         base = history.best().unit
         dims = self.subspace.current_dims() if self.use_subspace else list(range(self.space.dim))
         n_rand = int(N_CANDIDATES * 0.7)
@@ -72,7 +73,9 @@ class ConfigGenerator:
         r, h = np.nonzero(U[:, dims[0], None] == X[:, dims[0]])
         new = np.ones(len(U), bool)
         new[r[(U[r] == X[h]).all(axis=1)]] = False
-        return (raw[new], V[new], U[new]) if new.any() else (raw, V, U)
+        if new.all() or not new.any():
+            return raw, V, U
+        return raw[new], V[new], U[new]
 
     # -- Algorithm 2 ---------------------------------------------------
 

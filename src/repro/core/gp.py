@@ -13,11 +13,18 @@ observation counts are tiny online (≤ tens), so a coarse grid is both
 robust and fast, and needs no scipy; the categorical decay is set from
 the categorical-dimension count. :meth:`MixedKernel.stack` builds the
 kernels of several lengthscales over one set of distances and mismatch
-counts (one matrix product), and a fit calls it once for all grid
+counts (one matrix product), and is called once for all grid
 lengthscales. The kernels of all grid points, lengthscale by noise, are
-then factorized with one stacked Cholesky and solved with two stacked
-solves; only when that raises (one matrix is not positive definite) are
-the points factorized one by one, to keep the ones that succeed.
+then factorized with one stacked Cholesky; only when that raises (one
+matrix is not positive definite) are the points factorized one by one,
+to keep the ones that succeed. Those factors depend on the rows only,
+so they live in a :class:`PosteriorBasis` that every GP fitted on the
+same rows shares (the objective and log-runtime GPs of one iteration):
+each GP adds its own standardization, two stacked solves for ``alpha``
+and its grid choice. The basis also memoizes, per read-only query, the
+cross-kernel and the explained variance the GPs' predicts have in
+common (Rasmussen & Williams 2006, Alg. 2.1: the targets enter the
+posterior only through ``alpha``).
 """
 from __future__ import annotations
 
@@ -94,51 +101,34 @@ class MixedKernel:
         return K
 
 
-@dataclass
-class GaussianProcess:
-    """Zero-mean GP regression with the mixed kernel and white noise.
+class PosteriorBasis:
+    """What the GPs fitted on one set of rows ``X`` share: the rows, the
+    hyperparameter grid, the Cholesky factors of its kernel stack and
+    their log-determinants, all built once. A GP's targets enter only
+    through its own standardization and ``alpha``.
 
-    ``fit`` selects hyperparameters on a small grid by log marginal
-    likelihood; it raises ``ValueError`` on non-finite data and
-    ``LinAlgError`` if no grid point's kernel factorizes. ``predict`` returns the posterior mean and standard
-    deviation in the original target units.
+    It also memoizes, for the last read-only query while more than one
+    GP uses it, the cross-kernel per lengthscale and the explained
+    variance per grid point (:meth:`posterior`). The memo is keyed on
+    the query array's identity, so a writeable query is recomputed on
+    every call. ``len(basis)`` is its row count, as ``len(X)`` is for
+    a fit on rows (the benchmark's tracer records it).
     """
 
-    cat_mask: np.ndarray
-    has_datasize: bool = False
-    kernel: MixedKernel = field(init=False)
-    # fitted state
-    _X: np.ndarray | None = field(init=False, default=None)
-    _alpha: np.ndarray | None = field(init=False, default=None)
-    _L: np.ndarray | None = field(init=False, default=None)
-    _y_mean: float = field(init=False, default=0.0)
-    _y_std: float = field(init=False, default=1.0)
-    noise: float = field(init=False, default=1e-3)
-
-    def __post_init__(self) -> None:
-        self.kernel = MixedKernel(np.asarray(self.cat_mask, bool), self.has_datasize)
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcess":
-        """Keep the grid point of highest log marginal likelihood, the
-        first on ties (lengthscale outer, noise inner). One stacked
-        Cholesky factorizes the whole grid; only if NumPy raises for the
-        stack are the points factorized one by one, skipping failures."""
+    def __init__(self, kernel: MixedKernel, X: np.ndarray) -> None:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64)
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        if not np.isfinite(X).all():
             raise ValueError("GP inputs and targets must be finite")
-        self._y_mean = float(y.mean())
-        self._y_std = float(y.std()) or 1.0
-        z = (y - self._y_mean) / self._y_std
+        self.kernel, self.X = kernel, X
         # pairwise distances grow ~sqrt(d) in the unit cube, so the
         # candidate lengthscales must scale with dimensionality or a
         # high-d GP collapses to its prior mean between observations
-        dim_scale = max(np.sqrt((~np.asarray(self.cat_mask, bool)).sum() / 2.0), 1.0)
+        dim_scale = max(np.sqrt((~kernel.cat_mask).sum() / 2.0), 1.0)
         lengthscales = LS_GRID + tuple(g * dim_scale for g in LS_GRID)
         grid = [(ls, nz) for ls in lengthscales for nz in NOISE_GRID]
         n = len(X)
         noise = (np.array(NOISE_GRID) + _JITTER)[:, None, None] * np.eye(n)
-        K = (self.kernel.stack(X, X, lengthscales)[:, None] + noise).reshape(-1, n, n)
+        K = (kernel.stack(X, X, lengthscales)[:, None] + noise).reshape(-1, n, n)
         try:
             L = np.linalg.cholesky(K)
         except np.linalg.LinAlgError:
@@ -156,12 +146,81 @@ class GaussianProcess:
                     "no grid point gives a positive-definite kernel") from None
             grid, Ls = zip(*survivors)
             L = np.stack(Ls)
+        self.grid, self.L = grid, L
+        self.log_det = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        self.users = 0  # GPs fitted on this basis
+        self._query: np.ndarray | None = None
+        self._memo: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.X)
+
+    def posterior(self, Q: np.ndarray, lengthscale: float, noise: float,
+                  L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``k(Q, X)`` at ``lengthscale``, and the prior variance it
+        explains at the grid point ``(lengthscale, noise)`` whose
+        factor is ``L``: the column sums of v², v = L⁻¹ k(Q, X)ᵀ."""
+        memo = self._memo_of(Q)
+        Ks = memo.get(lengthscale)
+        if Ks is None:
+            Ks = memo[lengthscale] = self.kernel.stack(Q, self.X, [lengthscale])[0]
+        explained = memo.get((lengthscale, noise))
+        if explained is None:
+            v = np.linalg.solve(L, Ks.T)
+            explained = memo[(lengthscale, noise)] = (v**2).sum(0)
+        return Ks, explained
+
+    def _memo_of(self, Q: np.ndarray) -> dict:
+        if self.users < 2 or Q.flags.writeable:
+            return {}
+        if Q is not self._query:
+            self._query, self._memo = Q, {}
+        return self._memo
+
+
+@dataclass
+class GaussianProcess:
+    """Zero-mean GP regression with the mixed kernel and white noise.
+
+    ``fit`` selects hyperparameters on a small grid by log marginal
+    likelihood; it raises ``ValueError`` on non-finite data and
+    ``LinAlgError`` if no grid point's kernel factorizes. ``predict``
+    returns the posterior mean and standard deviation in the original
+    target units.
+    """
+
+    cat_mask: np.ndarray
+    has_datasize: bool = False
+    kernel: MixedKernel = field(init=False)
+    # fitted state
+    basis: PosteriorBasis | None = field(init=False, default=None)
+    _alpha: np.ndarray | None = field(init=False, default=None)
+    _L: np.ndarray | None = field(init=False, default=None)
+    _y_mean: float = field(init=False, default=0.0)
+    _y_std: float = field(init=False, default=1.0)
+    noise: float = field(init=False, default=1e-3)
+
+    def __post_init__(self) -> None:
+        self.kernel = MixedKernel(np.asarray(self.cat_mask, bool), self.has_datasize)
+
+    def fit(self, X: np.ndarray | PosteriorBasis, y: np.ndarray) -> "GaussianProcess":
+        """Fit on the rows ``X``, or on the rows of a basis another GP
+        of the same kernel was fitted on, sharing its factors. Keep the
+        grid point of highest log marginal likelihood, the first on ties
+        (lengthscale outer, noise inner)."""
+        y = np.asarray(y, dtype=np.float64)
+        if not np.isfinite(y).all():
+            raise ValueError("GP inputs and targets must be finite")
+        basis = X if isinstance(X, PosteriorBasis) else PosteriorBasis(self.kernel, X)
+        self._y_mean = float(y.mean())
+        self._y_std = float(y.std()) or 1.0
+        z = (y - self._y_mean) / self._y_std
+        L, n = basis.L, len(basis)
         alpha = np.linalg.solve(
             L.transpose(0, 2, 1), np.linalg.solve(L, np.broadcast_to(z, (len(L), n))))
-        log_det = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
         half_z, log_norm = -0.5 * z, 0.5 * n * np.log(2 * np.pi)
         best = (-np.inf, None)
-        for (ls, nz), L_i, a, ld in zip(grid, L, alpha, log_det):
+        for (ls, nz), L_i, a, ld in zip(basis.grid, L, alpha, basis.log_det):
             # an owned copy: a dot product over a view into the stack
             # may round differently (BLAS alignment)
             a = a.copy()
@@ -171,18 +230,19 @@ class GaussianProcess:
         ls, nz, L, a = best[1]
         self.kernel.lengthscale = ls
         self.noise = nz
-        self._X, self._L, self._alpha = X, L.copy(), a
+        self._L, self._alpha = L.copy(), a
+        self.basis = basis
+        basis.users += 1
         return self
 
     def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._X is None:
+        if self.basis is None:
             raise RuntimeError("GP is not fitted")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        Ks = self.kernel(X, self._X)
+        Ks, explained = self.basis.posterior(X, self.kernel.lengthscale, self.noise, self._L)
         mu = Ks @ self._alpha
-        v = np.linalg.solve(self._L, Ks.T)
         # the kernel is stationary with unit amplitude: k(x, x) = 1
-        var = np.clip(1.0 + self.noise - (v**2).sum(0), 1e-12, None)
+        var = np.clip(1.0 + self.noise - explained, 1e-12, None)
         return (
             mu * self._y_std + self._y_mean,
             np.sqrt(var) * self._y_std,

@@ -110,7 +110,7 @@ class MetaLearner:
         if len(y) < 2:
             raise ValueError("need at least two source tasks to learn similarity")
         self.model = GradientBoostedRegressor(
-            n_estimators=80, max_depth=3, learning_rate=0.1, seed=self.seed
+            n_estimators=80, max_depth=3, learning_rate=0.1
         ).fit(np.array(X), np.array(y))
         return self
 
@@ -150,8 +150,9 @@ class MetaLearner:
         sources = self.rank_sources(target_meta)[:top_k]
 
         def build(X: np.ndarray, y: np.ndarray, gp: GaussianProcess):
+            """The ensemble around ``gp``, already fitted on ``X``, ``y``."""
             return MetaEnsembleSurrogate(
-                [(t, max(1.0 - d, 0.0)) for t, d in sources], gp.fit(X, y), X, y
+                [(t, max(1.0 - d, 0.0)) for t, d in sources], gp, X, y
             )
 
         return build

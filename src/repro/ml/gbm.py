@@ -22,7 +22,6 @@ class GradientBoostedRegressor:
     learning_rate: float = 0.1
     max_depth: int = 3
     min_samples_leaf: int = 2
-    seed: int = 0
     _init: float = field(init=False, default=0.0)
     _trees: list[RegressionTree] = field(init=False, default_factory=list)
     _stack: TreeStack | None = field(init=False, default=None)
@@ -30,16 +29,11 @@ class GradientBoostedRegressor:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedRegressor":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        rng = np.random.default_rng(self.seed)
         self._init = float(y.mean())
         pred = np.full(len(y), self._init)
         self._trees = []
         for _ in range(self.n_estimators):
-            t = RegressionTree(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                rng=np.random.default_rng(rng.integers(2**31)),
-            )
+            t = RegressionTree(max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf)
             t.fit(X, y - pred)
             pred += self.learning_rate * t.predict(X)
             self._trees.append(t)

@@ -25,14 +25,14 @@ class RegressionTree:
 
     Parameters mirror sklearn's ``DecisionTreeRegressor`` where they
     share a name. ``max_features`` (int) subsamples candidate features
-    per node — used by the random forest. ``depth`` is the deepest
-    leaf's depth once fitted.
+    per node with ``rng`` — used by the random forest. ``depth`` is the
+    deepest leaf's depth once fitted.
     """
 
     max_depth: int = 12
     min_samples_leaf: int = 1
     max_features: int | None = None
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
+    rng: np.random.Generator | None = None
     # the fitted node arrays
     feature: np.ndarray | None = field(init=False, default=None, repr=False)
     threshold: np.ndarray | None = field(init=False, default=None, repr=False)
@@ -46,6 +46,8 @@ class RegressionTree:
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
             raise ValueError("X must be 2-D and aligned with non-empty y")
+        if self.rng is None and self.max_features is not None and self.max_features < X.shape[1]:
+            raise ValueError("subsampling features needs an rng")
         nodes: list[list] = []  # [feature, threshold, left, right, value]
         self.depth = 0
         self._build(X, y, 0, nodes, np.arange(1.0, len(y))[:, None])

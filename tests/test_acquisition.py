@@ -1,4 +1,6 @@
 """Unit tests for EI / EIC / safe region (Eq. 3, 6–8)."""
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,19 @@ class TestNormal:
     def test_cdf_monotone(self):
         z = np.linspace(-4, 4, 50)
         assert np.all(np.diff(norm_cdf(z)) >= 0)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4)])
+    def test_cdf_equals_vectorized_erf(self, shape):
+        """``math.erf`` per element, as ``np.vectorize`` calls it, bit for
+        bit, at any shape (0-d too) and at ±inf and NaN."""
+        z = np.random.default_rng(0).normal(0.0, 3.0, shape)
+        if z.size > 3:
+            z.flat[:3] = [np.inf, -np.inf, np.nan]
+        erf = np.vectorize(math.erf, otypes=[np.float64])
+        want = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+        got = norm_cdf(z)
+        assert np.shape(got) == shape
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestEI:

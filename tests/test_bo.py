@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core.bo import RunHistory, datasize_feature
+from repro.core import gp as gp_module
+from repro.core.bo import RunHistory, datasize_feature, fit_surrogates
 from repro.core.config_space import ConfigSpace
 from repro.core.objective import Constraint, ExecResult, TuningProblem
 
@@ -104,3 +105,34 @@ class TestDatasizeFeature:
         assert 0.0 <= datasize_feature(1.0) <= 1.0
         assert datasize_feature(1e6) == pytest.approx(1.0)
 
+
+
+def _runs(history, n, seed=0):
+    rng = np.random.default_rng(seed)
+    for cfg in history.space.sample_random(n, rng):
+        history.add(cfg, _result(float(rng.uniform(50, 150)), ds=float(rng.uniform(500, 2000))))
+    return history
+
+
+class TestFitSurrogates:
+    def test_objective_and_runtime_gps_share_one_cholesky(self, history, monkeypatch):
+        _runs(history, 8)
+        shapes, cholesky = [], np.linalg.cholesky
+
+        def counted(K):
+            shapes.append(K.shape)
+            return cholesky(K)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        s = fit_surrogates(history, with_datasize=True, runtime=True)
+        n_grid = 2 * len(gp_module.LS_GRID) * len(gp_module.NOISE_GRID)
+        assert shapes == [(n_grid, 8, 8)]
+        assert s.runtime.basis is s.objective.basis
+
+    @pytest.mark.parametrize("with_datasize", [False, True])
+    def test_rows_are_read_only(self, history, with_datasize):
+        s = fit_surrogates(_runs(history, 4), with_datasize=with_datasize)
+        U = np.random.default_rng(0).random((5, history.space.dim))
+        rows = s.rows(U)
+        assert not rows.flags.writeable and U.flags.writeable
+        assert np.array_equal(rows[:, :history.space.dim], U)

@@ -127,9 +127,14 @@ class TestSpace:
         rng = np.random.default_rng(0)
         vals = {
             space.from_unit(u)["spark.executor.instances"]
-            for u in space.sample_unit(20, rng, subspace=[0])
+            for u in space.sample_unit(20, rng, subspace=[0],
+                                       base=space.to_unit(space.default_config()))
         }
         assert len(vals) > 3
+
+    def test_sample_unit_in_a_subspace_needs_a_base(self, space):
+        with pytest.raises(ValueError):
+            space.sample_unit(3, np.random.default_rng(0), subspace=[0])
 
     def test_clip_snaps_to_grid(self, space):
         cfg = space.default_config() | {"spark.executor.instances": 12345}

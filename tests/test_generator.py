@@ -247,3 +247,4 @@ class TestDedupEqualsBroadcast:
         keep = keep if keep.any() else np.ones(len(U), bool)
         for a, b in zip(got, (raw, V, U)):
             assert np.array_equal(a, b[keep])
+            assert (a is b) == keep.all()  # none dropped: no copy

@@ -1,7 +1,7 @@
 """Unit tests for the mixed-kernel Gaussian process surrogate."""
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import gp as gp_module
@@ -218,7 +218,7 @@ def test_predict_std_matches_full_prior_diagonal():
     gp = GaussianProcess(space.cat_mask, has_datasize=True).fit(X, rng.normal(size=40))
     for Q in (Xs, X):
         _, sd = gp.predict(Q)
-        v = np.linalg.solve(gp._L, gp.kernel(Q, gp._X).T)
+        v = np.linalg.solve(gp._L, gp.kernel(Q, gp.basis.X).T)
         var = np.clip(gp.kernel(Q, Q).diagonal() + gp.noise - (v**2).sum(0), 1e-12, None)
         np.testing.assert_allclose(sd, np.sqrt(var) * gp._y_std, rtol=1e-12, atol=0)
 
@@ -378,3 +378,125 @@ class TestKernelStackExact:
         assert ndims == [3] + [2] * n_grid
         assert gp.noise >= 1e-2
         _assert_fit_equals_reference(gp, X, y)
+
+
+def _read_only(A):
+    A = np.array(A)
+    A.flags.writeable = False
+    return A
+
+
+def _pair_case(seed, scaled):
+    """Mixed rows with the datasize column and repeated rows, and two
+    target vectors on scales 1e-3 … 1e3; with ``scaled`` the second is
+    the first times a power of two, so both pick the same grid point."""
+    rng = np.random.default_rng(seed)
+    n, d, repeats = rng.integers(1, 31), rng.integers(1, 13), rng.integers(0, 11)
+    cat_mask = rng.random(d) < 0.3
+    X = _mixed_rows(rng, n, d, cat_mask)
+    X = np.concatenate([X, X[rng.integers(0, n, repeats)]])
+    y_f = rng.normal(size=len(X)) * 10.0 ** rng.integers(-3, 4)
+    y_t = y_f * 2.0 ** rng.integers(-8, 9) if scaled else \
+        rng.normal(size=len(X)) * 10.0 ** rng.integers(-3, 4)
+    Q = np.concatenate([_mixed_rows(rng, 20, d, cat_mask), X])
+    return cat_mask, X, y_f, y_t, _read_only(Q)
+
+
+def _shared_case(gp_f, gp_t):
+    """Which part of the posterior the pair shares."""
+    if (gp_f.kernel.lengthscale, gp_f.noise) == (gp_t.kernel.lengthscale, gp_t.noise):
+        return "same grid point"
+    if gp_f.kernel.lengthscale == gp_t.kernel.lengthscale:
+        return "same lengthscale"
+    return "different lengthscales"
+
+
+def _assert_same_gp(a, b):
+    assert (a.kernel.lengthscale, a.noise, a._y_mean, a._y_std) == \
+        (b.kernel.lengthscale, b.noise, b._y_mean, b._y_std)
+    assert np.array_equal(a._L, b._L) and np.array_equal(a._alpha, b._alpha)
+
+
+class TestPosteriorBasis:
+    #: _pair_case seeds whose independent targets fall into each case
+    CASE_SEEDS = {"same grid point": 0, "same lengthscale": 5, "different lengthscales": 1}
+
+    def test_case_seeds_cover_every_case(self):
+        for case, seed in self.CASE_SEEDS.items():
+            cat_mask, X, y_f, y_t, _ = _pair_case(seed, scaled=False)
+            gp_f = GaussianProcess(cat_mask, has_datasize=True).fit(X, y_f)
+            gp_t = GaussianProcess(cat_mask, has_datasize=True).fit(gp_f.basis, y_t)
+            assert _shared_case(gp_f, gp_t) == case
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @example(seed=CASE_SEEDS["same grid point"], scaled=False)
+    @example(seed=CASE_SEEDS["same lengthscale"], scaled=False)
+    @example(seed=CASE_SEEDS["different lengthscales"], scaled=False)
+    def test_pair_equals_two_lone_gps(self, seed, scaled):
+        cat_mask, X, y_f, y_t, Q = _pair_case(seed, scaled)
+        gp_f = GaussianProcess(cat_mask, has_datasize=True).fit(X, y_f)
+        gp_t = GaussianProcess(cat_mask, has_datasize=True).fit(gp_f.basis, y_t)
+        assert gp_t.basis is gp_f.basis and len(gp_f.basis) == len(X)
+        event(_shared_case(gp_f, gp_t))
+        lone_f = GaussianProcess(cat_mask, has_datasize=True).fit(X, y_f)
+        lone_t = GaussianProcess(cat_mask, has_datasize=True).fit(X, y_t)
+        _assert_same_gp(gp_f, lone_f)
+        _assert_same_gp(gp_t, lone_t)
+        # the runtime GP predicts first in propose(); then the objective
+        # GP is served from the memo where it shares the posterior
+        for gp, lone in ((gp_t, lone_t), (gp_f, lone_f), (gp_t, lone_t)):
+            for got, want in zip(gp.predict(Q), lone.predict(Q)):
+                assert np.array_equal(got, want)
+
+    def test_partial_cholesky_failure_leaves_both_on_survivors(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        X = rng.random((20, 2))
+        y_f, y_t = np.sin(3 * X[:, 0]) + X[:, 1], rng.normal(size=20)
+        cholesky = np.linalg.cholesky
+
+        def fail_low_noise(K):
+            # a matrix fails if its noise is below 1e-2; like NumPy, a
+            # stack fails as a whole if any of its matrices does
+            diagonals = np.diagonal(K, axis1=-2, axis2=-1)
+            if (diagonals.min(axis=-1) < 1.0 + 1e-2).any():
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(K)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail_low_noise)
+        gp_f = GaussianProcess(_numeric_mask(2)).fit(X, y_f)
+        gp_t = GaussianProcess(_numeric_mask(2)).fit(gp_f.basis, y_t)
+        assert all(nz >= 1e-2 for _, nz in gp_f.basis.grid)
+        for gp, y in ((gp_f, y_f), (gp_t, y_t)):
+            assert gp.noise >= 1e-2
+            _assert_fit_equals_reference(gp, X, y)
+
+    def test_memo_serves_only_the_same_read_only_query(self, monkeypatch):
+        X = np.random.default_rng(3).random((12, 3))
+        gp_f = GaussianProcess(_numeric_mask(3)).fit(X, X.sum(1))
+        gp_t = GaussianProcess(_numeric_mask(3)).fit(gp_f.basis, 4.0 * X.sum(1))
+        assert (gp_f.kernel.lengthscale, gp_f.noise) == (gp_t.kernel.lengthscale, gp_t.noise)
+        stack, solve, calls = MixedKernel.stack, np.linalg.solve, []
+
+        def counted_stack(*args):
+            calls.append("stack")
+            return stack(*args)
+
+        def counted_solve(*args):
+            calls.append("solve")
+            return solve(*args)
+
+        monkeypatch.setattr(MixedKernel, "stack", counted_stack)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        Q = _read_only(np.random.default_rng(4).random((9, 3)))
+        want = gp_t.predict(Q)
+        assert calls == ["stack", "solve"]
+        for got in (gp_f.predict(Q)[1] * 4.0, gp_t.predict(Q)[1]):
+            assert np.array_equal(got, want[1])
+        assert calls == ["stack", "solve"]  # both served from the memo
+        for query in (Q.copy(), _read_only(Q)):  # writeable; another array
+            calls.clear()
+            for got in (gp_f.predict(query)[1] * 4.0, gp_t.predict(query)[1]):
+                assert np.array_equal(got, want[1])
+            assert calls == (["stack", "solve"] * 2 if query.flags.writeable
+                             else ["stack", "solve"])

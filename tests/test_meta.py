@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bo import RunHistory
+from repro.core.bo import RunHistory, fit_surrogates
 from repro.core.config_space import ConfigSpace
+from repro.core.gp import GaussianProcess
 from repro.core.meta import (
     MetaLearner, SourceTask, kendall_tau, rank_distance, surrogate_distance,
 )
 from repro.core.objective import ExecResult, TuningProblem
+from tests.test_gp import _shared_case
 
 
 @pytest.fixture(scope="module")
@@ -136,9 +138,7 @@ class TestEnsembleSurrogate:
         rng = np.random.default_rng(5)
         X = rng.random((10, space.dim))
         y = 100 * X[:, 0]
-        from repro.core.gp import GaussianProcess
-
-        ens = factory(X, y, GaussianProcess(space.cat_mask))
+        ens = factory(X, y, GaussianProcess(space.cat_mask).fit(X, y))
         mu, sd = ens.predict(rng.random((6, space.dim)))
         assert mu.shape == (6,) and sd.shape == (6,)
         assert np.all(sd >= 0)
@@ -150,12 +150,10 @@ class TestEnsembleSurrogate:
         ]
         ml = MetaLearner(space, seed=0).fit(tasks)
         factory = ml.ensemble_factory(tasks[0].meta)
-        from repro.core.gp import GaussianProcess
-
         # scarce current-task data: 3 points only
         rng = np.random.default_rng(6)
         X = rng.random((3, space.dim))
-        ens = factory(X, 100 * X[:, 0], GaussianProcess(space.cat_mask))
+        ens = factory(X, 100 * X[:, 0], GaussianProcess(space.cat_mask).fit(X, 100 * X[:, 0]))
         lo = np.zeros(space.dim)[None, :]
         hi = np.ones(space.dim)[None, :]
         mu_lo, _ = ens.predict(lo)
@@ -168,15 +166,46 @@ class TestEnsembleSurrogate:
             _task(space, "b", lambda u: 105 * u[0], seed=2),
         ]
         factory = MetaLearner(space, seed=0).fit(tasks).ensemble_factory(tasks[0].meta)
-        from repro.core.gp import GaussianProcess
-
         rng = np.random.default_rng(7)
         X = rng.random((10, space.dim))
         y = 100 * X[:, 0] + rng.normal(0, 5, 10)
-        ens = factory(X, y, GaussianProcess(space.cat_mask))
+        ens = factory(X, y, GaussianProcess(space.cat_mask).fit(X, y))
         mu, _ = ens.current.predict(X)
         assert ens.current_weight == float(np.clip((1.0 + kendall_tau(mu, y)) / 2.0, 0.1, 1.0))
         rows, predict = [], ens.current.predict
         monkeypatch.setattr(ens.current, "predict", lambda Q: rows.append(len(Q)) or predict(Q))
         ens.predict(rng.random((6, space.dim)))
         assert rows == [6]  # the query only: no re-prediction of X
+
+
+@pytest.mark.parametrize("seed, case", [
+    (1, "same grid point"), (30, "same lengthscale"), (0, "different lengthscales")])
+def test_meta_surrogates_on_a_shared_basis_equal_lone_fits(space, seed, case):
+    """The meta-ensemble's current-task GP and the log-runtime GP share
+    one basis; their fits and posteriors equal those of lone GPs."""
+    tasks = [
+        _task(space, "a", lambda u: 100 * u[0], seed=1),
+        _task(space, "b", lambda u: 105 * u[1], seed=2),
+    ]
+    factory = MetaLearner(space, seed=0).fit(tasks).ensemble_factory(tasks[0].meta)
+    rng = np.random.default_rng(seed)
+    h = RunHistory(space, TuningProblem(beta=0.5))
+    for cfg in space.sample_random(12, rng):
+        runtime = 60.0 + 80.0 * space.to_unit(cfg)[0] + rng.uniform(0.0, 20.0)
+        h.add(cfg, ExecResult(runtime_s=float(runtime), mem_gbh=1, cpu_coreh=1,
+                              datasize_mb=float(rng.uniform(500, 2000))))
+    s = fit_surrogates(h, with_datasize=True, runtime=True, meta_factory=factory)
+    gp_f, gp_t = s.objective.current, s.runtime
+    assert gp_t.basis is gp_f.basis
+    assert _shared_case(gp_f, gp_t) == case
+    X, y = h.X_unit(with_datasize=True), h.penalized_objectives()
+    lone = factory(X, y, GaussianProcess(space.cat_mask, has_datasize=True).fit(X, y))
+    lone_t = GaussianProcess(space.cat_mask, has_datasize=True).fit(X, np.log(h.runtimes()))
+    assert s.objective.current_weight == lone.current_weight
+    for gp, ref in ((gp_f, lone.current), (gp_t, lone_t)):
+        assert (gp.kernel.lengthscale, gp.noise) == (ref.kernel.lengthscale, ref.noise)
+        assert np.array_equal(gp._L, ref._L) and np.array_equal(gp._alpha, ref._alpha)
+    Q = s.rows(space.snap(space.sample_unit(50, rng))[1])
+    for model, ref in ((gp_t, lone_t), (s.objective, lone), (gp_t, lone_t)):
+        for got, want in zip(model.predict(Q), ref.predict(Q)):
+            assert np.array_equal(got, want)

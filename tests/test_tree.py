@@ -56,6 +56,12 @@ class TestFitPredict:
         grid = np.random.default_rng(1).random((50, 2))
         assert np.array_equal(t1.predict(grid), t2.predict(grid))
 
+    def test_feature_subsampling_needs_an_rng(self):
+        X, y = _xor_data()
+        with pytest.raises(ValueError):
+            RegressionTree(max_features=1).fit(X, y)
+        RegressionTree(max_features=X.shape[1]).fit(X, y)  # no subsampling
+
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             RegressionTree().predict(np.zeros((1, 2)))
@@ -184,8 +190,8 @@ class TestPredictExact:
     @given(_predict_case(), st.integers(1, 30))
     def test_gbm_sum(self, case, n_trees):
         X, y, Q, seed = case
-        m = GradientBoostedRegressor(n_estimators=n_trees, max_depth=3, min_samples_leaf=1,
-                                     seed=seed % 1000).fit(X, y)
+        m = GradientBoostedRegressor(n_estimators=n_trees, max_depth=3,
+                                     min_samples_leaf=1).fit(X, y)
         ref = np.full(len(Q), m._init)
         for t in m._trees:
             ref += m.learning_rate * _walk(t, Q)
