@@ -62,6 +62,7 @@ class SubspaceManager:
     _succ: int = field(init=False, default=0)
     _fail: int = field(init=False, default=0)
     _ranking: list[int] = field(init=False)
+    _prior: np.ndarray = field(init=False, repr=False)
     importance: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
@@ -70,6 +71,11 @@ class SubspaceManager:
         known = [self.space.index_of(n) for n in EXPERT_RANKING if n in self.space.names]
         rest = [i for i in range(self.space.dim) if i not in known]
         self._ranking = known + rest
+        # the expert-prior term blended into every refit's importance
+        self._prior = np.zeros(self.space.dim)
+        for r, name in enumerate(EXPERT_RANKING):
+            if name in self.space.names:
+                self._prior[self.space.index_of(name)] = 0.04 * (0.8**r)
 
     # -- importance ----------------------------------------------------
 
@@ -93,11 +99,7 @@ class SubspaceManager:
             self.importance = imp
         else:
             self.importance = 0.5 * self.importance + 0.5 * imp
-        prior = np.zeros(self.space.dim)
-        for r, name in enumerate(EXPERT_RANKING):
-            if name in self.space.names:
-                prior[self.space.index_of(name)] = 0.04 * (0.8**r)
-        blended = self.importance + prior
+        blended = self.importance + self._prior
         self._ranking = list(np.argsort(-blended, kind="stable"))
 
     # -- adaptive size -------------------------------------------------

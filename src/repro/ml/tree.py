@@ -24,15 +24,11 @@ class RegressionTree:
     """CART regression tree minimizing within-node variance.
 
     Parameters mirror sklearn's ``DecisionTreeRegressor`` where they
-    share a name. ``max_features`` (int) subsamples candidate features
-    per node with ``rng`` — used by the random forest. ``depth`` is the
-    deepest leaf's depth once fitted.
+    share a name. ``depth`` is the deepest leaf's depth once fitted.
     """
 
     max_depth: int = 12
     min_samples_leaf: int = 1
-    max_features: int | None = None
-    rng: np.random.Generator | None = None
     # the fitted node arrays
     feature: np.ndarray | None = field(init=False, default=None, repr=False)
     threshold: np.ndarray | None = field(init=False, default=None, repr=False)
@@ -41,16 +37,21 @@ class RegressionTree:
     value: np.ndarray | None = field(init=False, default=None, repr=False)
     depth: int = field(init=False, default=0)
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
+    def fit(self, X: np.ndarray, y: np.ndarray,
+            subsets: np.ndarray | None = None) -> "RegressionTree":
+        """Grow the tree on ``(X, y)``. Every node's split search scores
+        all features, or, given ``subsets`` (``(k, m)`` feature indices),
+        the next row of it in preorder, in that row's order (the random
+        forest's per-node feature sampling); running out raises."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
             raise ValueError("X must be 2-D and aligned with non-empty y")
-        if self.rng is None and self.max_features is not None and self.max_features < X.shape[1]:
-            raise ValueError("subsampling features needs an rng")
         nodes: list[list] = []  # [feature, threshold, left, right, value]
         self.depth = 0
-        self._build(X, y, 0, nodes, np.arange(1.0, len(y))[:, None])
+        nl = np.arange(1.0, len(y))[:, None]  # left sizes 1 … n−1
+        cols = np.arange(X.shape[1] if subsets is None else subsets.shape[1])
+        self._build(X, y, 0, nodes, nl, cols, None if subsets is None else iter(subsets))
         self.feature, self.threshold, self.left, self.right, self.value = map(
             np.array, zip(*nodes))
         return self
@@ -61,51 +62,60 @@ class RegressionTree:
     # -- internals ----------------------------------------------------
 
     def _build(self, X: np.ndarray, y: np.ndarray, depth: int, nodes: list,
-               nl: np.ndarray) -> int:
+               nl: np.ndarray, cols: np.ndarray, subsets) -> int:
         """Append the subtree of these rows to ``nodes`` in preorder;
-        return its root's index."""
+        return its root's index. ``nl`` is the column of left sizes
+        1 … n−1 of the whole fit, ``cols`` the column indices of a
+        candidate block and ``subsets`` the iterator over the feature
+        subsets (None: every feature)."""
         i, n = len(nodes), len(y)
-        nodes.append([-1, 0.0, i, i, y.sum() / n])
-        self.depth = max(self.depth, depth)
-        # a one-row node is constant, so it stops here too
-        if depth >= self.max_depth or y.max() == y.min():
+        mean = y.sum() / n
+        nodes.append([-1, 0.0, i, i, mean])
+        if depth > self.depth:
+            self.depth = depth
+        if depth >= self.max_depth:
             return i
-        feat, thr = self._best_split(X, y, nl[: n - 1])
+        ys = y.tolist()
+        if max(ys) == min(ys):  # a one-row node is constant, so it stops here too
+            return i
+        feats = None
+        if subsets is not None and (feats := next(subsets, None)) is None:
+            raise ValueError("the feature subsets ran out")
+        feat, thr = self._best_split(X, y, mean, nl[: n - 1], cols, feats)
         if feat < 0:
             return i
         go_left = X[:, feat] <= thr
         go_right = ~go_left
         node = nodes[i]
         node[0], node[1] = feat, thr
-        node[2] = self._build(X[go_left], y[go_left], depth + 1, nodes, nl)
-        node[3] = self._build(X[go_right], y[go_right], depth + 1, nodes, nl)
+        node[2] = self._build(X[go_left], y[go_left], depth + 1, nodes, nl, cols, subsets)
+        node[3] = self._build(X[go_right], y[go_right], depth + 1, nodes, nl, cols, subsets)
         return i
 
-    def _best_split(self, X: np.ndarray, y: np.ndarray, nl: np.ndarray) -> tuple[int, float]:
-        """Best (feature, threshold) over the candidate features, scored
-        in one pass: each column sorted, every cut's SSE from cumulative
-        sums, invalid cuts at +inf; ``(-1, 0.0)`` when no cut gains.
-        ``nl`` is the ``(n - 1, 1)`` column of left sizes 1 … n−1."""
-        n, d = X.shape
-        feats = np.arange(d)
-        if self.max_features is not None and self.max_features < d:
-            feats = self.rng.choice(d, size=self.max_features, replace=False)
+    def _best_split(self, X: np.ndarray, y: np.ndarray, mean: float, nl: np.ndarray,
+                    cols: np.ndarray, feats: np.ndarray | None) -> tuple[int, float]:
+        """Best (feature, threshold) over the candidate features ``feats``
+        (every column when None), scored in one pass: each column sorted,
+        every cut's SSE from cumulative sums, invalid cuts at +inf;
+        ``(-1, 0.0)`` when no cut gains. ``mean`` is ``y``'s, ``nl`` the
+        ``(n - 1, 1)`` column of left sizes 1 … n−1 and ``cols`` the
+        candidates' column indices ``0 … len(feats) − 1``."""
+        n = len(y)
         best_gain, best = 0.0, (-1, 0.0)
-        base_sse = float(((y - y.sum() / n) ** 2).sum())
-        Xf = X[:, feats]
+        dev = y - mean
+        base_sse = float((dev * dev).sum())
+        Xf = X if feats is None else X[:, feats]
         order = Xf.argsort(axis=0, kind="stable")
-        cols = np.arange(len(feats))
         xs, ys = Xf[order, cols], y[order]
         # cumulative sums → SSE of every prefix/suffix split in O(n)
-        csum, csq = ys.cumsum(axis=0), (ys**2).cumsum(axis=0)
+        csum, csq = ys.cumsum(axis=0), (ys * ys).cumsum(axis=0)
         tot, totsq = csum[-1], csq[-1]
         valid = xs[1:] > xs[:-1]
         msl = self.min_samples_leaf
         if msl > 1:
-            idx = np.arange(1, n)
-            valid &= ((idx >= msl) & (n - idx >= msl))[:, None]
+            valid &= (nl >= msl) & (n - nl >= msl)
         sl, sql = csum[:-1], csq[:-1]
-        sse = (sql - sl**2 / nl) + ((totsq - sql) - (tot - sl) ** 2 / nl[::-1])
+        sse = (sql - sl * sl / nl) + ((totsq - sql) - (tot - sl) ** 2 / nl[::-1])
         sse[~valid] = np.inf
         ks = sse.argmin(axis=0)
         # a column with no valid cut has gain -inf and is never picked
@@ -113,7 +123,8 @@ class RegressionTree:
             if gain > best_gain + 1e-12:
                 i = ks[j] + 1
                 best_gain = gain
-                best = (int(feats[j]), float((xs[i - 1, j] + xs[i, j]) / 2.0))
+                best = (j if feats is None else int(feats[j]),
+                        float((xs[i - 1, j] + xs[i, j]) / 2.0))
         return best
 
 

@@ -16,6 +16,11 @@ datasize-aware GP, ``CherryPickTuner`` its full-space constrained EI;
 RFHOC and DAC pass their forest and boosted-tree fits and the GA
 searches over their predictions.
 
+Four forests shaped like the sub-space refit's, Tuneful's, RFHOC's and
+Table 5's are pinned on their own: a sha256 over every tree's node
+arrays and one over the fANOVA importances, recorded before the feature
+subsets were drawn once per forest.
+
 A change meant to keep behaviour (a refactor, a speed-up) must keep
 every digest. A change meant to alter what the tuners suggest updates
 the digests it moves, and CHANGES.md says why they moved.
@@ -23,15 +28,19 @@ the digests it moves, and CHANGES.md says why they moved.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.baselines import CherryPickTuner, DACTuner, LOCATTuner, RFHOCTuner, TunefulTuner
+from repro.core.config_space import ConfigSpace
 from repro.core.controller import OnlineTuner
 from repro.core.meta import MetaLearner, SourceTask
 from repro.experiments.harness import (
     SimEvaluator, default_constraints, make_problem, run_tuning,
 )
 from repro.experiments.hibench import hibench_env
+from repro.ml.fanova import fanova_importance
+from repro.ml.forest import RandomForestRegressor
 from repro.simcluster import get_profile
 from repro.simcluster.eventlog import meta_features
 
@@ -130,3 +139,55 @@ class TestSuggestedConfigsUnchanged:
         tuner, digest = _run(method, 14)
         assert len(tuner.history) > method.n_warmup  # the model was fitted
         assert digest == DIGESTS[method.name]
+
+
+#: (rows, forest options) shaped like each caller's forest: the sub-space
+#: refit (16 trees of depth 5, 10 features per node), Tuneful's one-shot
+#: pick (the default ``max_features``), RFHOC's model (20 trees of depth
+#: 10) and Table 5's (120 rows, depth 6). All fit snapped unit rows of
+#: the 30-parameter space.
+FOREST_CASES = {
+    "refit": (25, dict(n_estimators=16, max_depth=5, max_features=10)),
+    "Tuneful": (11, dict(n_estimators=16, max_depth=5)),
+    "RFHOC": (40, dict(n_estimators=20, max_depth=10)),
+    "Table5": (120, dict(n_estimators=16, max_depth=6)),
+}
+#: sha256 of every tree's node arrays, and of the fANOVA importances.
+FOREST_DIGESTS = {
+    "refit": ("b3b6027b23de421557806aba4f6a59220586873c0c9803d3fba9478ffb74d47e",
+              "1df4bcb68721543d5dd6eaed074185e9eec52d427d3b06036e312b650752e80b"),
+    "Tuneful": ("5a5ac11218289d3ad52e96d82719e5603458aafd470dc7dd4101e03cdc693c2a",
+                "bb93f26d888970747aab67cbdceee8f1b590c8526823ca68762af4ab2f86cf16"),
+    "RFHOC": ("3dc9c48b74acbd826546cbd7ce7bccbba5636006871e3ee9c13c907accc54b58",
+              "cdf64170878bfdcf4905bab8f8c3be79afb222b5e7529b57d244db106326d2d0"),
+    "Table5": ("624b6b845792bfc6a1c37b1f62e65da76e3325ce5935c61ee8a4803da36527c3",
+               "35cdc6bf5353e266fa5d0e006ad867e62039f329be7c80682a15f0325436c56b"),
+}
+
+
+def _forest(case: str):
+    n, options = FOREST_CASES[case]
+    space = ConfigSpace()
+    rng = np.random.default_rng(n)
+    U = space.snap(space.sample_unit(n, rng))[1]
+    # an objective-like target with a few ties
+    y = np.exp(2.0 * U[:, 0] - U[:, 3] * U[:, 7] + rng.normal(0.0, 0.2, n)).round(2)
+    return RandomForestRegressor(seed=3, **options).fit(U, y), space.dim
+
+
+def _sha(arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", FOREST_CASES)
+def test_forest_and_fanova_unchanged(case):
+    forest, dim = _forest(case)
+    nodes = _sha(np.asarray(a, dtype=dt) for t in forest.trees
+                 for a, dt in ((t.feature, np.int64), (t.threshold, np.float64),
+                               (t.left, np.int64), (t.right, np.int64),
+                               (t.value, np.float64)))
+    importance = _sha([np.asarray(fanova_importance(forest, dim), dtype=np.float64)])
+    assert (nodes, importance) == FOREST_DIGESTS[case]

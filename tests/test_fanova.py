@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.fanova import _tree_importance, fanova_importance
-from repro.ml.forest import RandomForestRegressor
+from repro.ml.forest import RandomForestRegressor, draw_subsets
 from repro.ml.tree import RegressionTree
 
 
@@ -123,13 +123,13 @@ def _tree_case(draw):
     spill = draw(st.sampled_from([0.0, 0.3]))
     X = rng.uniform(-spill, 1.0 + spill, (n, d)).round(draw(st.integers(0, 3)))
     y = rng.normal(size=n).round(draw(st.integers(0, 3)))
-    tree = RegressionTree(
-        max_depth=draw(st.integers(0, 6)),
-        min_samples_leaf=draw(st.integers(1, 3)),
-        max_features=draw(st.one_of(st.none(), st.integers(1, d))),
-        rng=np.random.default_rng(seed),
-    ).fit(X, y)
-    return tree, d
+    max_depth = draw(st.integers(0, 6))
+    tree = RegressionTree(max_depth=max_depth, min_samples_leaf=draw(st.integers(1, 3)))
+    max_features = draw(st.one_of(st.none(), st.integers(1, d)))
+    subsets = None
+    if max_features is not None and max_features < d:
+        subsets = draw_subsets([seed], d, max_features, min(2**max_depth - 1, n - 1))[0]
+    return tree.fit(X, y, subsets), d
 
 
 class TestExactness:

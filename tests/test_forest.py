@@ -1,8 +1,10 @@
 """Unit tests for the random forest regressor."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ml.forest import RandomForestRegressor
+from repro.ml.forest import RandomForestRegressor, draw_subsets
 
 
 def _friedman(n=300, seed=0):
@@ -58,3 +60,17 @@ class TestForest:
         f = RandomForestRegressor(n_estimators=2, seed=0)
         f.fit(X, y)  # should not raise; default d//3 applied internally
         assert f.predict(X).shape == (50,)
+
+
+class TestDrawSubsets:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 40).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
+           st.integers(0, 63), st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=3))
+    def test_rows_equal_successive_choice_draws(self, dm, k, seeds):
+        d, m = dm
+        got = draw_subsets(seeds, d, m, k)
+        assert got.shape == (len(seeds), k, m)
+        for rows, seed in zip(got, seeds):
+            rng = np.random.default_rng(seed)
+            ref = [rng.choice(d, size=m, replace=False) for _ in range(k)]
+            assert np.array_equal(rows, np.reshape(ref, (k, m)))

@@ -89,6 +89,20 @@ class TestImportanceRefit:
         m.update_importance(X, X[:, 0])
         assert m.importance is None
 
+    def test_constant_history_keeps_expert_order(self):
+        """A history whose penalized objective never varies has no
+        variance to attribute: every importance is 0 and the ranking is
+        the expert prior's."""
+        space = ConfigSpace()
+        m = SubspaceManager(space, seed=0)
+        before = m.current_dims()
+        X = np.random.default_rng(0).random((10, space.dim))
+        m.update_importance(X, np.full(10, 3.0))
+        assert m.importance is not None and np.all(m.importance == 0.0)
+        assert m.current_dims() == before
+        names = [space.names[i] for i in m.current_dims()]
+        assert names == [n for n in EXPERT_RANKING if n in space.names][: m.k]
+
     def test_refit_only_on_period(self):
         space = ConfigSpace()
         m = SubspaceManager(space, seed=0)

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.fanova import _leaf_boxes
-from repro.ml.forest import RandomForestRegressor
+from repro.ml.forest import RandomForestRegressor, draw_subsets
 from repro.ml.gbm import GradientBoostedRegressor
-from repro.ml.tree import RegressionTree
+from repro.ml.tree import RegressionTree, TreeStack
 
 
 def _xor_data(n=200, seed=0):
@@ -51,16 +51,18 @@ class TestFitPredict:
 
     def test_deterministic_given_rng(self):
         X, y = _xor_data()
-        t1 = RegressionTree(max_features=1, rng=np.random.default_rng(3)).fit(X, y)
-        t2 = RegressionTree(max_features=1, rng=np.random.default_rng(3)).fit(X, y)
+        subsets = draw_subsets([3], 2, 1, len(y) - 1)[0]
+        t1 = RegressionTree().fit(X, y, subsets)
+        t2 = RegressionTree().fit(X, y, subsets)
         grid = np.random.default_rng(1).random((50, 2))
         assert np.array_equal(t1.predict(grid), t2.predict(grid))
 
-    def test_feature_subsampling_needs_an_rng(self):
+    def test_exhausted_subsets_raise(self):
         X, y = _xor_data()
-        with pytest.raises(ValueError):
-            RegressionTree(max_features=1).fit(X, y)
-        RegressionTree(max_features=X.shape[1]).fit(X, y)  # no subsampling
+        with pytest.raises(ValueError, match="ran out"):
+            RegressionTree(max_depth=4).fit(X, y, draw_subsets([0], 2, 1, 2)[0])
+        # a depth-4 tree searches for a split at most 2**4 - 1 times
+        RegressionTree(max_depth=4).fit(X, y, draw_subsets([0], 2, 1, 15)[0])
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
@@ -85,19 +87,25 @@ class TestFitPredict:
         assert p.min() >= y.min() - 1e-9 and p.max() <= y.max() + 1e-9
 
 
+def _boxes(tree, dim):
+    """One tree's leaf values and boxes."""
+    leaves, lo, hi = _leaf_boxes(TreeStack([tree]), dim)
+    return tree.value[leaves], lo, hi
+
+
 class TestLeafBoxes:
     """The leaf boxes fANOVA reads off the node arrays."""
 
     @staticmethod
     def _nonempty(tree, dim):
-        vals, lo, hi = _leaf_boxes(tree, dim)
+        vals, lo, hi = _boxes(tree, dim)
         keep = (hi > lo).all(axis=1)
         return vals[keep], lo[keep], hi[keep]
 
     def test_boxes_partition_domain(self):
         X, y = _xor_data()
         t = RegressionTree(max_depth=3).fit(X, y)
-        _, lo, hi = _leaf_boxes(t, 2)
+        _, lo, hi = _boxes(t, 2)
         vol = np.clip(hi - lo, 0.0, None).prod(axis=1).sum()
         assert vol == pytest.approx(1.0)
 
@@ -114,13 +122,13 @@ class TestLeafBoxes:
 
     def test_stump_single_box(self):
         t = RegressionTree(max_depth=0).fit(np.zeros((5, 2)), np.ones(5))
-        vals, lo, hi = _leaf_boxes(t, 2)
+        vals, lo, hi = _boxes(t, 2)
         assert vals.tolist() == [1.0]
         assert lo.tolist() == [[0.0, 0.0]] and hi.tolist() == [[1.0, 1.0]]
 
     def test_unfitted_boxes_raises(self):
         with pytest.raises(RuntimeError):
-            _leaf_boxes(RegressionTree(), 2)
+            _boxes(RegressionTree(), 2)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 60), st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -130,7 +138,7 @@ class TestLeafBoxes:
         predict."""
         rng = np.random.default_rng(seed)
         X = rng.uniform(-0.6, 1.6, (n, d)).round(1)
-        t = RegressionTree(rng=np.random.default_rng(seed)).fit(X, rng.normal(size=n))
+        t = RegressionTree().fit(X, rng.normal(size=n))
         vals, lo, hi = self._nonempty(t, d)
         assert (hi - lo).prod(axis=1).sum() == pytest.approx(1.0)
         pts = rng.random((30, d))
@@ -175,7 +183,7 @@ class TestPredictExact:
     @given(_predict_case(), st.integers(0, 8))
     def test_tree(self, case, max_depth):
         X, y, Q, seed = case
-        t = RegressionTree(max_depth=max_depth, rng=np.random.default_rng(seed)).fit(X, y)
+        t = RegressionTree(max_depth=max_depth).fit(X, y)
         assert np.array_equal(t.predict(Q), _walk(t, Q))
 
     @settings(max_examples=50, deadline=None)
@@ -198,15 +206,11 @@ class TestPredictExact:
         assert np.array_equal(m.predict(Q), ref)
 
 
-def _reference_best_split(tree, X, y):
-    """The per-feature split search, one feature at a time."""
-    n, d = X.shape
-    feats = np.arange(d)
-    if tree.max_features is not None and tree.max_features < d:
-        feats = tree.rng.choice(d, size=tree.max_features, replace=False)
+def _reference_best_split(msl, X, y, feats):
+    """The per-feature split search over ``feats``, one feature at a time."""
+    n = len(y)
     best_gain, best = 0.0, (-1, 0.0)
     base_sse = float(((y - y.mean()) ** 2).sum())
-    msl = tree.min_samples_leaf
     for f in feats:
         order = np.argsort(X[:, f], kind="stable")
         xs, ys = X[order, f], y[order]
@@ -226,6 +230,21 @@ def _reference_best_split(tree, X, y):
             best_gain = gain
             best = (int(f), float((xs[i - 1] + xs[i]) / 2.0))
     return best
+
+
+def _best_split(msl, X, y, feats):
+    """``RegressionTree._best_split`` over ``feats`` (every column when
+    None), with the arguments a fit hands it."""
+    n, width = len(y), X.shape[1] if feats is None else len(feats)
+    return RegressionTree(min_samples_leaf=msl)._best_split(
+        X, y, y.sum() / n, np.arange(1.0, n)[:, None], np.arange(width), feats)
+
+
+def _feats(d, max_features, seed):
+    """A node's candidate features as the forest samples them."""
+    if max_features is None or max_features >= d:
+        return None
+    return np.random.default_rng(seed).choice(d, size=max_features, replace=False)
 
 
 @st.composite
@@ -251,13 +270,9 @@ class TestBestSplit:
     @given(_split_case())
     def test_equals_per_feature_loop(self, case):
         X, y, msl, max_features, seed = case
-
-        def tree():
-            return RegressionTree(min_samples_leaf=msl, max_features=max_features,
-                                  rng=np.random.default_rng(seed))
-
-        nl = np.arange(1.0, len(y))[:, None]
-        assert tree()._best_split(X, y, nl) == _reference_best_split(tree(), X, y)
+        feats = _feats(X.shape[1], max_features, seed)
+        ref = _reference_best_split(msl, X, y, range(X.shape[1]) if feats is None else feats)
+        assert _best_split(msl, X, y, feats) == ref
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 40), st.integers(1, 6), st.integers(1, 3),
@@ -267,9 +282,57 @@ class TestBestSplit:
         values, decides which cuts are valid."""
         rng = np.random.default_rng(seed)
         X, y = rng.random((n, d)), rng.normal(size=n)
+        assert _best_split(msl, X, y, None) == _reference_best_split(msl, X, y, range(d))
 
-        def tree():
-            return RegressionTree(min_samples_leaf=msl, rng=np.random.default_rng(seed))
 
-        nl = np.arange(1.0, n)[:, None]
-        assert tree()._best_split(X, y, nl) == _reference_best_split(tree(), X, y)
+def _reference_forest(X, y, n_estimators, max_depth, msl, max_features, seed):
+    """The forest as it was built before the subsets were drawn up front:
+    one ``rng.choice`` per split search, on each tree's own generator,
+    and the per-feature split search."""
+    n, d = X.shape
+    rng = np.random.default_rng(seed)
+    trees = []
+    for _ in range(n_estimators):
+        idx = rng.integers(0, n, size=n)
+        tree_rng = np.random.default_rng(rng.integers(2**31))
+        nodes = []
+
+        def build(Xn, yn, depth):
+            i = len(nodes)
+            nodes.append([-1, 0.0, i, i, yn.sum() / len(yn)])
+            if depth >= max_depth or yn.max() == yn.min():
+                return i
+            feats = np.arange(d)
+            if max_features < d:
+                feats = tree_rng.choice(d, size=max_features, replace=False)
+            feat, thr = _reference_best_split(msl, Xn, yn, feats)
+            if feat < 0:
+                return i
+            go_left = Xn[:, feat] <= thr
+            nodes[i][:2] = feat, thr
+            nodes[i][2] = build(Xn[go_left], yn[go_left], depth + 1)
+            nodes[i][3] = build(Xn[~go_left], yn[~go_left], depth + 1)
+            return i
+
+        build(X[idx], y[idx], 0)
+        trees.append([np.array(a) for a in zip(*nodes)])
+    return trees
+
+
+class TestForestBuild:
+    @settings(max_examples=100, deadline=None)
+    @given(_split_case(), st.integers(1, 4), st.integers(0, 7))
+    def test_equals_per_node_choice_builder(self, case, n_estimators, max_depth):
+        """Ties, leaf sizes, ``max_features >= d`` and trees that stop
+        early all read the subsets in the order the old per-node draws
+        came."""
+        X, y, msl, max_features, seed = case
+        seed %= 2**31
+        forest = RandomForestRegressor(n_estimators=n_estimators, max_depth=max_depth,
+                                       min_samples_leaf=msl, max_features=max_features,
+                                       seed=seed).fit(X, y)
+        mf = max_features or max(1, X.shape[1] // 3)
+        ref = _reference_forest(X, y, n_estimators, max_depth, msl, mf, seed)
+        for tree, arrays in zip(forest.trees, ref, strict=True):
+            got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+            assert all(np.array_equal(a, b) for a, b in zip(got, arrays))
