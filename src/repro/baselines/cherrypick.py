@@ -26,9 +26,8 @@ class CherryPickTuner(Tuner):
         it = len(self.history)
         if it < self.n_init:
             return self.space.sample_sobol(self.n_init, seed=self.seed)[it]
-        thresholds = self.problem.thresholds("runtime")
-        surrogates = fit_surrogates(self.history, runtime=bool(thresholds))
+        t_max = self.problem.t_max
+        surrogates = fit_surrogates(self.history, runtime=t_max is not None)
         raw = self.space.sample_unit(self.n_candidates, self.rng)
-        idx, _ = propose(self.history, self.space.snap(raw)[1], surrogates,
-                         runtime_thresholds=thresholds)
+        idx, _ = propose(self.history, self.space.snap(raw)[1], surrogates, t_max=t_max)
         return self.space.from_unit(raw[idx])

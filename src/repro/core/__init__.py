@@ -1,7 +1,7 @@
 """The paper's contribution: general & efficient online Spark tuning.
 
 - :mod:`repro.core.config_space` — the 30-parameter Spark space (§2.2),
-- :mod:`repro.core.objective`    — generalized objective & constraints (Eq. 1),
+- :mod:`repro.core.objective`    — generalized objective and its two bounds (Eq. 1),
 - :mod:`repro.core.gp`           — mixed-kernel Gaussian process (Eq. 2/4),
 - :mod:`repro.core.acquisition`  — EI / EIC / safe region (Eq. 3, 6–8) and
                                    ``propose``, the scoring step Ours and the

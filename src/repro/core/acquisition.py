@@ -1,8 +1,8 @@
 """Acquisition functions: EI, constrained EI (EIC), and the safe region.
 
 Implements Eq. 3 (Expected Improvement, minimization form), Eq. 6–7
-(EIC: EI × probability of satisfying each constraint, from runtime/
-constraint surrogates) and Eq. 8 (safe region via the GP upper bound
+(EIC: EI × probability of meeting the runtime bound, from the
+log-runtime surrogate) and Eq. 8 (safe region via the GP upper bound
 ``u(x) = mu(x) + gamma * sigma(x) <= threshold``). No scipy offline:
 the standard normal CDF uses ``math.erf``. :func:`propose` is the one
 scoring step that Ours and the BO baselines share: candidate unit
@@ -12,7 +12,6 @@ the winning row becomes a config dict, in the caller.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -74,35 +73,34 @@ def propose(
     cands: np.ndarray,
     surrogates: Surrogates,
     *,
-    runtime_thresholds: Sequence[float] = (),
+    t_max: float | None = None,
     gamma: float | None = None,
 ) -> tuple[int, float]:
     """Index of the candidate to run next, and its acquisition value.
 
     Scores the candidates, one snapped unit row each (see
     :meth:`repro.core.config_space.ConfigSpace.snap`), by EI over the
-    incumbent, times Pr[runtime <= t] for each of ``runtime_thresholds``
-    (EIC; ``surrogates.runtime`` must be fitted then, on log-runtime).
-    With ``gamma`` set, the argmax is restricted to the safe region of
-    those thresholds; when no candidate is in it, the most plausibly
-    safe one (least ``mu + gamma*sigma``, as in SafeOpt-style search) is
-    returned with value ``inf``.
+    incumbent, times Pr[runtime <= t_max] when ``t_max`` is set (EIC;
+    ``surrogates.runtime`` must be fitted then, on log-runtime). With
+    ``gamma`` set too, the argmax is restricted to the safe region of
+    ``t_max``; when no candidate is in it, the most plausibly safe one
+    (least ``mu + gamma*sigma``, as in SafeOpt-style search) is returned
+    with value ``inf``.
     """
     U = surrogates.rows(cands)
     posteriors = []
-    if runtime_thresholds:
+    safe = None
+    if t_max is not None:
         mu_t, sd_t = surrogates.runtime.predict(U)
-        safe = np.ones(len(cands), dtype=bool)
-        for thr in runtime_thresholds:
-            log_thr = np.log(max(thr, 1e-9))
-            posteriors.append((mu_t, sd_t, log_thr))
-            if gamma is not None:
-                safe &= safe_mask(mu_t, sd_t, log_thr, gamma)
-        if gamma is not None and not safe.any():
-            return int(np.argmin(mu_t + gamma * sd_t)), float("inf")
+        log_thr = np.log(max(t_max, 1e-9))
+        posteriors.append((mu_t, sd_t, log_thr))
+        if gamma is not None:
+            safe = safe_mask(mu_t, sd_t, log_thr, gamma)
+            if not safe.any():
+                return int(np.argmin(mu_t + gamma * sd_t)), float("inf")
     mu_f, sd_f = surrogates.objective.predict(U)
     acq = eic(mu_f, sd_f, float(history.best().objective), posteriors)
-    if gamma is not None and posteriors:
+    if safe is not None:
         acq = np.where(safe, acq, -np.inf)
     idx = int(np.argmax(acq))
     return idx, float(acq[idx]) if np.isfinite(acq[idx]) else 0.0

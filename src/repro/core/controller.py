@@ -53,15 +53,13 @@ class OnlineTuner(Tuner):
         self.stopped = False
         self._degradations = 0
         self._expected: float | None = None  # the pending suggestion's expected objective
-        factory = None
-        if use_meta and meta_learner is not None and target_meta is not None:
-            factory = meta_learner.ensemble_factory(target_meta)
+        meta = use_meta and meta_learner is not None and target_meta is not None
         self.generator = ConfigGenerator(
             space, problem, seed=seed,
             use_subspace=use_subspace, use_agd=use_agd, use_safe=use_safe,
-            meta_surrogate_factory=factory,
+            meta_surrogate_factory=meta_learner.ensemble_factory(target_meta) if meta else None,
         )
-        if use_meta and meta_learner is not None and target_meta is not None:
+        if meta:
             self._init_configs = meta_learner.warm_start_configs(target_meta, k=self.n_init)
         elif reference_config is not None:
             # online production setting: the pre-tuning (manual/default)
@@ -77,13 +75,12 @@ class OnlineTuner(Tuner):
             self._init_configs = [self._repair(c) for c in self._init_configs]
 
     def _repair(self, config: dict) -> dict:
-        """White-box resource constraints are checkable *before* running
-        a config — never launch an initial design point that provably
-        violates them; scale the resource knobs down instead."""
-        thresholds = self.problem.thresholds("resource")
-        if not thresholds:
+        """The white-box resource bound is checkable *before* running a
+        config — never launch an initial design point that provably
+        violates it; scale the resource knobs down instead."""
+        rmax = self.problem.r_max
+        if rmax is None:
             return config
-        rmax = min(thresholds)
         config = dict(config)
         for _ in range(64):
             if resource(config) <= rmax:

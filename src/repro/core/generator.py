@@ -4,11 +4,11 @@ Per iteration: fit surrogates for the objective and the runtime
 constraint on the run history; every ``N_AGD``-th iteration produce the
 next configuration by approximate gradient descent from the incumbent;
 otherwise update the adaptive sub-space, intersect it with the safe
-region of every constraint (GP upper bound, Eq. 8; white-box resource
-constraints filtered analytically), and maximize EIC (Eq. 6) over the
-surviving candidates. Configurations stay unit rows throughout: the
-generator starts from the history's rows and returns the row to run
-next, which the caller turns into a config.
+region of the runtime bound (GP upper bound, Eq. 8) and with the
+white-box resource bound (filtered analytically), and maximize EIC
+(Eq. 6) over the surviving candidates. Configurations stay unit rows
+throughout: the generator starts from the history's rows and returns
+the row to run next, which the caller turns into a config.
 """
 from __future__ import annotations
 
@@ -109,18 +109,16 @@ class ConfigGenerator:
                 history.X_unit(), history.penalized_objectives()
             )
         raw, V, U = self._candidates(history)
-        thresholds, gamma = [], None
+        t_max, gamma = None, None
         # use_safe=False is the paper's "vanilla BO" ablation: plain EI
         # with no constraint probability and no safe region
         if self.use_safe:
-            # white-box resource constraints: filter analytically
-            r = resource(dict(zip(self.space.names, V.T)))
-            for thr in self.problem.thresholds("resource"):
-                ok = r <= thr
+            # the white-box resource bound: filter analytically
+            r_max = self.problem.r_max
+            if r_max is not None:
+                ok = resource(dict(zip(self.space.names, V.T))) <= r_max
                 if ok.any():
-                    raw, U, r = raw[ok], U[ok], r[ok]
-            thresholds, gamma = self.problem.thresholds("runtime"), GAMMA
-        idx, self.last_ei = propose(
-            history, U, surrogates, runtime_thresholds=thresholds, gamma=gamma
-        )
+                    raw, U = raw[ok], U[ok]
+            t_max, gamma = self.problem.t_max, GAMMA
+        idx, self.last_ei = propose(history, U, surrogates, t_max=t_max, gamma=gamma)
         return raw[idx], U[idx:idx + 1]

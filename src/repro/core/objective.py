@@ -1,4 +1,4 @@
-"""Generalized tuning objective and constraints (Eq. 1).
+"""Generalized tuning objective and its two bounds (Eq. 1).
 
 The paper minimizes ``f(x) = T(x)^beta * R(x)^(1-beta)`` subject to
 ``T(x) <= T_max`` and ``R(x) <= R_max``:
@@ -76,40 +76,22 @@ def execution_cost(runtime_s: float, config: dict) -> float:
     return max(runtime_s, 1e-9) * resource(config)
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """Inequality requirement ``metric(x) <= threshold``.
-
-    ``metric`` is ``"runtime"`` (black-box, surrogate-modelled) or
-    ``"resource"`` (white-box, evaluated directly from the config).
-    """
-
-    metric: str
-    threshold: float
-
-    def satisfied(self, result: ExecResult, config: dict) -> bool:
-        if self.metric == "runtime":
-            return result.runtime_s <= self.threshold and result.feasible
-        if self.metric == "resource":
-            return resource(config) <= self.threshold
-        raise ValueError(f"unknown constraint metric {self.metric!r}")
-
-
 @dataclass
 class TuningProblem:
-    """A tuning task: objective tendency ``beta`` plus constraints."""
+    """A tuning task (Eq. 1): objective tendency ``beta`` under the two
+    bounds ``T(x) <= t_max`` on the black-box runtime and
+    ``R(x) <= r_max`` on the white-box resource; ``None`` is unbounded."""
 
     beta: float = 0.5
-    constraints: tuple[Constraint, ...] = ()
+    t_max: float | None = None
+    r_max: float | None = None
 
     def value(self, result: ExecResult, config: dict) -> float:
         return objective(result.runtime_s, config, self.beta)
 
     def feasible(self, result: ExecResult, config: dict) -> bool:
-        return result.feasible and all(
-            c.satisfied(result, config) for c in self.constraints
+        return (
+            result.feasible
+            and (self.t_max is None or result.runtime_s <= self.t_max)
+            and (self.r_max is None or resource(config) <= self.r_max)
         )
-
-    def thresholds(self, metric: str) -> list[float]:
-        """Thresholds of the constraints on ``metric``, in order."""
-        return [c.threshold for c in self.constraints if c.metric == metric]

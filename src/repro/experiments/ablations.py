@@ -21,10 +21,7 @@ import numpy as np
 from repro.core.controller import OnlineTuner
 from repro.core.meta import MetaLearner, SourceTask
 from repro.core.objective import objective as obj_fn
-from repro.experiments.harness import (
-    SimEvaluator, default_constraints, incumbent_score, make_problem, reference_run,
-    run_tuning, tune,
-)
+from repro.experiments.harness import incumbent_score, reference_run, tune
 from repro.experiments.hibench import HIBENCH_TASKS, hibench_env
 from repro.simcluster import get_profile
 from repro.simcluster.eventlog import meta_features
@@ -109,6 +106,23 @@ def format_agd(res: AGDResult) -> str:
     )
 
 
+class FixedSmallSubspaceTuner(OnlineTuner):
+    """Ours restricted to a fixed 6-parameter sub-space (no adaptation)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        mgr = self.generator.subspace
+        mgr.k = mgr.k_min = mgr.k_max = 6  # freeze the size
+
+
+#: Fig. 7's modes, as ``tune`` keywords: full space, fixed small, adaptive.
+SUBSPACE_MODES = {
+    "full": {"use_subspace": False},
+    "small": {"method": FixedSmallSubspaceTuner},
+    "adaptive": {},
+}
+
+
 @dataclass
 class SubspaceResult:
     # task → {mode: best-cost reduction % vs default config}
@@ -124,17 +138,12 @@ def subspace(*, tasks=("pagerank", "terasort"), budget: int = 30, seeds=(0, 1)) 
         default = space.default_config()
         ref = obj_fn(sim.run(profile, default, seed=99).runtime_s, default, 0.5)
         modes = {}
-        for mode in ("full", "small", "adaptive"):
-            vals = []
-            for s in seeds:
-                if mode == "small":
-                    h = subspace_fixed_small(space, sim, task, seed=s, budget=budget)
-                else:
-                    h = tune(
-                        space, sim, profile, seed=s, budget=budget,
-                        use_subspace=(mode == "adaptive"),
-                    )
-                vals.append(incumbent_score(h, attrgetter("objective"), ref))
+        for mode, kwargs in SUBSPACE_MODES.items():
+            vals = [
+                incumbent_score(tune(space, sim, profile, seed=s, budget=budget, **kwargs),
+                                attrgetter("objective"), ref)
+                for s in seeds
+            ]
             modes[mode] = 100.0 * (ref - float(np.mean(vals))) / ref
         out[task] = modes
     return SubspaceResult(out)
@@ -145,18 +154,6 @@ def format_subspace(res: SubspaceResult) -> str:
         f"  {task}: " + ", ".join(f"{m}={v:.2f}%" for m, v in modes.items())
         for task, modes in res.per_task.items()
     )
-
-
-def subspace_fixed_small(space, sim, task, *, seed, budget):
-    """Tuning restricted to a fixed 6-parameter space (no adaptation).
-    It builds its own tuner, because the sub-space size is frozen after
-    construction."""
-    profile, default = get_profile(task), space.default_config()
-    problem = make_problem(0.5, default_constraints(space, profile, sim, default))
-    tuner = OnlineTuner(space, problem, seed=seed, use_meta=False, reference_config=default)
-    mgr = tuner.generator.subspace
-    mgr.k = mgr.k_min = mgr.k_max = 6  # freeze the size
-    return run_tuning(tuner, SimEvaluator(profile, sim, seed=seed), budget)
 
 
 @dataclass

@@ -16,12 +16,12 @@ from repro.baselines.base import Tuner
 from repro.core.bo import RunHistory
 from repro.core.config_space import ConfigSpace
 from repro.core.controller import OnlineTuner
-from repro.core.objective import Constraint, ExecResult, TuningProblem, resource
+from repro.core.objective import ExecResult, TuningProblem, resource
 from repro.simcluster.profile import WorkloadProfile
 from repro.simcluster.simulator import ClusterSimulator
 
 DATASIZE_SIGMA = 0.10    # lognormal sigma of each run's data size
-CONSTRAINT_FACTOR = 2.0  # constraints are this many times the reference's metrics
+CONSTRAINT_FACTOR = 2.0  # the bounds are this many times the reference's metrics
 
 
 @dataclass
@@ -46,7 +46,7 @@ class SimEvaluator:
 
 
 def reference_run(profile: WorkloadProfile, simulator: ClusterSimulator, reference: dict):
-    """The reference config's run (base data size) the constraints come from."""
+    """The reference config's run (base data size) the bounds come from."""
     return simulator.run(profile, reference, seed=123)
 
 
@@ -62,15 +62,12 @@ def default_constraints(
     profile: WorkloadProfile,
     simulator: ClusterSimulator,
     reference: dict,
-) -> tuple[Constraint, ...]:
-    """The paper's production setting: constraints are
-    ``CONSTRAINT_FACTOR``× the metrics of the reference (manual/default)
-    configuration."""
+) -> tuple[float, float]:
+    """The paper's production setting: ``(t_max, r_max)`` at
+    ``CONSTRAINT_FACTOR``× the runtime and resource of the reference
+    (manual/default) configuration."""
     ref = reference_run(profile, simulator, reference)
-    return (
-        Constraint("runtime", CONSTRAINT_FACTOR * ref.runtime_s),
-        Constraint("resource", CONSTRAINT_FACTOR * resource(reference)),
-    )
+    return CONSTRAINT_FACTOR * ref.runtime_s, CONSTRAINT_FACTOR * resource(reference)
 
 
 def run_tuning(
@@ -84,11 +81,9 @@ def run_tuning(
     return tuner.history
 
 
-def make_problem(
-    beta: float,
-    constraints: tuple[Constraint, ...] = (),
-) -> TuningProblem:
-    return TuningProblem(beta=beta, constraints=constraints)
+def make_problem(beta: float, bounds: tuple[float | None, float | None]) -> TuningProblem:
+    """The problem at ``beta`` under ``bounds``, ``(t_max, r_max)``."""
+    return TuningProblem(beta, *bounds)
 
 
 def tune(
@@ -103,14 +98,14 @@ def tune(
     method: type[Tuner] = OnlineTuner,
     **tuner_kwargs,
 ) -> RunHistory:
-    """One tuning task as every experiment runs it: constraints at 2× the
+    """One tuning task as every experiment runs it: bounds at 2× the
     reference configuration's metrics (the space's default if none is
     given), then ``budget`` simulated periodic executions. ``OnlineTuner``
-    starts from the reference and tunes without meta-learning unless
-    ``tuner_kwargs`` say otherwise."""
+    and its subclasses start from the reference and tune without
+    meta-learning unless ``tuner_kwargs`` say otherwise."""
     reference = space.default_config() if reference is None else reference
     problem = make_problem(beta, default_constraints(space, profile, simulator, reference))
-    if method is OnlineTuner:
+    if issubclass(method, OnlineTuner):
         tuner_kwargs = {"use_meta": False, "reference_config": reference} | tuner_kwargs
     tuner = method(space, problem, seed=seed, **tuner_kwargs)
     return run_tuning(tuner, SimEvaluator(profile, simulator, seed=seed), budget)

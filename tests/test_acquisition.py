@@ -153,17 +153,17 @@ class TestPropose:
         h, cands, s = setup
         acq = eic(self.OBJ.mu, self.OBJ.sd, 10.0,
                   [(self.LOG_RT.mu, self.LOG_RT.sd, self.LOG_THR)])
-        idx, value = propose(h, cands, s, runtime_thresholds=[np.exp(self.LOG_THR)])
+        idx, value = propose(h, cands, s, t_max=np.exp(self.LOG_THR))
         assert idx == 1 == int(np.argmax(acq))
         assert value == pytest.approx(acq[1])
 
     def test_safe_region_masks_argmax(self, setup):
         h, cands, s = setup
-        idx, _ = propose(h, cands, s, runtime_thresholds=[np.exp(self.LOG_THR)], gamma=0.5)
+        idx, _ = propose(h, cands, s, t_max=np.exp(self.LOG_THR), gamma=0.5)
         assert idx == 2
 
     def test_empty_safe_region_picks_most_plausibly_safe(self, setup):
         h, cands, s = setup
-        idx, value = propose(h, cands, s, runtime_thresholds=[1e-3], gamma=0.5)
+        idx, value = propose(h, cands, s, t_max=1e-3, gamma=0.5)
         assert idx == int(np.argmin(self.LOG_RT.mu + 0.5 * self.LOG_RT.sd)) == 3
         assert value == float("inf")

@@ -10,7 +10,7 @@ from repro.baselines.ga import ga_minimize
 from repro.baselines.locat import spearman
 from repro.core.config_space import ConfigSpace
 from repro.core.controller import OnlineTuner
-from repro.core.objective import Constraint, ExecResult, TuningProblem
+from repro.core.objective import ExecResult, TuningProblem
 
 ALL_TUNERS = (
     RandomSearchTuner, RFHOCTuner, DACTuner, CherryPickTuner,
@@ -25,7 +25,7 @@ def space():
 
 def _drive(tuner_cls, space, n=14, seed=0, **kw):
     """Run a tuner against a synthetic objective for n iterations."""
-    prob = TuningProblem(beta=1.0, constraints=(Constraint("runtime", 500.0),))
+    prob = TuningProblem(beta=1.0, t_max=500.0)
     if tuner_cls is OnlineTuner:
         kw.setdefault("use_meta", False)
     t = tuner_cls(space, prob, seed=seed, **kw)

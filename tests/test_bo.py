@@ -5,7 +5,7 @@ import pytest
 from repro.core import gp as gp_module
 from repro.core.bo import RunHistory, datasize_feature, fit_surrogates
 from repro.core.config_space import ConfigSpace
-from repro.core.objective import Constraint, ExecResult, TuningProblem
+from repro.core.objective import ExecResult, TuningProblem
 
 
 @pytest.fixture()
@@ -44,7 +44,7 @@ class TestRunHistory:
         assert obs.objective == pytest.approx(42.0)
 
     def test_feasibility_uses_constraints(self):
-        prob = TuningProblem(beta=1.0, constraints=(Constraint("runtime", 20.0),))
+        prob = TuningProblem(beta=1.0, t_max=20.0)
         h = RunHistory(ConfigSpace(), prob)
         cfg = h.space.default_config()
         assert h.add(cfg, _result(10)).feasible

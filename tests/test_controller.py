@@ -6,7 +6,7 @@ from repro.baselines.base import YES
 from repro.core.config_space import ConfigSpace
 from repro.core.controller import OnlineTuner
 from repro.core.gp import GaussianProcess
-from repro.core.objective import Constraint, ExecResult, TuningProblem, resource
+from repro.core.objective import ExecResult, TuningProblem, resource
 
 
 @pytest.fixture(scope="module")
@@ -36,14 +36,14 @@ class TestInit:
 
     def test_init_repair_respects_resource_constraint(self, space):
         rmax = resource(space.clip(space.default_config() | {"spark.executor.instances": 30}))
-        prob = TuningProblem(beta=0.5, constraints=(Constraint("resource", rmax),))
+        prob = TuningProblem(beta=0.5, r_max=rmax)
         t = OnlineTuner(space, prob, seed=0, use_meta=False)
         for c in t._init_configs:
             assert resource(c) <= rmax
 
     def test_no_repair_when_unsafe(self, space):
         rmax = resource(space.clip(space.default_config() | {"spark.executor.instances": 2}))
-        prob = TuningProblem(beta=0.5, constraints=(Constraint("resource", rmax),))
+        prob = TuningProblem(beta=0.5, r_max=rmax)
         t = OnlineTuner(space, prob, seed=0, use_meta=False, use_safe=False)
         # vanilla-BO ablation keeps raw Sobol inits (may violate)
         assert any(resource(c) > rmax for c in t._init_configs)

@@ -142,11 +142,10 @@ class TestHarness:
         space = ConfigSpace()
         sim = ClusterSimulator()
         ref = space.default_config()
-        cons = harness.default_constraints(space, get_profile("wordcount"), sim, ref)
-        kinds = {c.metric for c in cons}
-        assert kinds == {"runtime", "resource"}
-        res_c = next(c for c in cons if c.metric == "resource")
-        assert res_c.threshold == pytest.approx(2.0 * resource(ref))
+        profile = get_profile("wordcount")
+        t_max, r_max = harness.default_constraints(space, profile, sim, ref)
+        assert t_max == pytest.approx(2.0 * harness.reference_run(profile, sim, ref).runtime_s)
+        assert r_max == pytest.approx(2.0 * resource(ref))
 
     def test_run_tuning_budget(self):
         from repro.baselines.base import Tuner

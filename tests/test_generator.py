@@ -8,7 +8,7 @@ from repro.core.agd import N_AGD
 from repro.core.bo import RunHistory, fit_surrogates
 from repro.core.config_space import ConfigSpace
 from repro.core.generator import ConfigGenerator
-from repro.core.objective import Constraint, ExecResult, TuningProblem, resource
+from repro.core.objective import ExecResult, TuningProblem, resource
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,7 @@ class TestSuggest:
 
     def test_resource_constraint_filtering(self, space):
         small = resource(space.clip(space.default_config() | {"spark.executor.instances": 50}))
-        prob = TuningProblem(beta=0.5, constraints=(Constraint("resource", small),))
+        prob = TuningProblem(beta=0.5, r_max=small)
         gen = ConfigGenerator(space, prob, seed=0, use_agd=False)
         h = _history(space, prob)
         for _ in range(3):
@@ -94,7 +94,7 @@ class TestSuggest:
         def rt(cfg):
             return 10.0 + 1000.0 * space.to_unit(cfg)[i_inst]
 
-        prob = TuningProblem(beta=0.5, constraints=(Constraint("runtime", 200.0),))
+        prob = TuningProblem(beta=0.5, t_max=200.0)
         gen = ConfigGenerator(space, prob, seed=0, use_agd=False)
         h = _history(space, prob, n=14, runtime_fn=rt)
         picks = [_suggest(gen, h) for _ in range(5)]
@@ -167,7 +167,7 @@ class TestCandidates:
     def _proposed(self, space, threshold, monkeypatch):
         """The candidate count, and the resource of every row handed to
         propose()."""
-        prob = TuningProblem(beta=0.5, constraints=(Constraint("resource", threshold),))
+        prob = TuningProblem(beta=0.5, r_max=threshold)
         gen = self._gen(space, prob, [space.index_of("spark.executor.instances")])
         pool, seen = [], []
         candidates = gen._candidates

@@ -1,10 +1,12 @@
-"""Unit tests for the generalized objective (Eq. 1) and constraints."""
+"""Unit tests for the generalized objective (Eq. 1) and its two bounds."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config_space import ConfigSpace, hibench_space
 from repro.core.objective import (
-    Constraint, ExecResult, TuningProblem, execution_cost, objective, resource,
+    ExecResult, TuningProblem, execution_cost, objective, resource,
 )
 
 
@@ -72,30 +74,58 @@ class TestObjective:
 
 
 class TestConstraints:
+    """``TuningProblem.feasible``: a run that did not fail, under both
+    bounds of Eq. 1 (inclusive); ``None`` leaves a bound open."""
+
     def test_runtime_constraint(self, cfg):
-        c = Constraint("runtime", 100.0)
+        prob = TuningProblem(t_max=100.0)
         ok = ExecResult(runtime_s=90, mem_gbh=1, cpu_coreh=1)
         bad = ExecResult(runtime_s=110, mem_gbh=1, cpu_coreh=1)
-        assert c.satisfied(ok, cfg) and not c.satisfied(bad, cfg)
+        assert prob.feasible(ok, cfg) and not prob.feasible(bad, cfg)
 
     def test_runtime_constraint_failed_run(self, cfg):
-        c = Constraint("runtime", 100.0)
+        # a failed run is infeasible even inside both bounds
+        prob = TuningProblem(t_max=100.0, r_max=resource(cfg) + 1)
         oom = ExecResult(runtime_s=10, mem_gbh=1, cpu_coreh=1, feasible=False)
-        assert not c.satisfied(oom, cfg)
+        assert not prob.feasible(oom, cfg)
+        assert not TuningProblem().feasible(oom, cfg)
 
     def test_resource_constraint(self, cfg):
         r = resource(cfg)
         res = ExecResult(runtime_s=1, mem_gbh=1, cpu_coreh=1)
-        assert Constraint("resource", r + 1).satisfied(res, cfg)
-        assert not Constraint("resource", r - 1).satisfied(res, cfg)
+        assert TuningProblem(r_max=r + 1).feasible(res, cfg)
+        assert not TuningProblem(r_max=r - 1).feasible(res, cfg)
 
-    def test_unknown_metric_raises(self, cfg):
-        res = ExecResult(runtime_s=1, mem_gbh=1, cpu_coreh=1)
-        with pytest.raises(ValueError):
-            Constraint("latency", 1.0).satisfied(res, cfg)
+    def test_bounds_are_inclusive(self, cfg):
+        res = ExecResult(runtime_s=50.0, mem_gbh=1, cpu_coreh=1)
+        assert TuningProblem(t_max=50.0).feasible(res, cfg)
+        assert TuningProblem(r_max=resource(cfg)).feasible(res, cfg)
+        assert TuningProblem(t_max=50.0, r_max=resource(cfg)).feasible(res, cfg)
+
+    def test_none_is_unbounded(self, cfg):
+        huge = ExecResult(runtime_s=1e12, mem_gbh=1, cpu_coreh=1)
+        big = dict(cfg, **{"spark.executor.instances": 10_000})
+        assert TuningProblem().feasible(huge, big)
+        assert TuningProblem(t_max=None, r_max=resource(big)).feasible(huge, big)
+        assert TuningProblem(t_max=1e12, r_max=None).feasible(huge, big)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        runtime=st.floats(0.0, 200.0),
+        ok=st.booleans(),
+        instances=st.integers(1, 50),
+        t_max=st.none() | st.floats(0.0, 200.0),
+        r_max=st.none() | st.floats(0.0, 400.0),
+    )
+    def test_feasible_is_eq1(self, cfg, runtime, ok, instances, t_max, r_max):
+        config = dict(cfg, **{"spark.executor.instances": instances})
+        res = ExecResult(runtime_s=runtime, mem_gbh=1, cpu_coreh=1, feasible=ok)
+        expected = (ok and (t_max is None or runtime <= t_max)
+                    and (r_max is None or resource(config) <= r_max))
+        assert TuningProblem(0.5, t_max, r_max).feasible(res, config) == expected
 
     def test_problem_feasibility(self, cfg):
-        prob = TuningProblem(beta=0.5, constraints=(Constraint("runtime", 50.0),))
+        prob = TuningProblem(beta=0.5, t_max=50.0)
         ok = ExecResult(runtime_s=40, mem_gbh=1, cpu_coreh=1)
         bad = ExecResult(runtime_s=60, mem_gbh=1, cpu_coreh=1)
         assert prob.feasible(ok, cfg) and not prob.feasible(bad, cfg)
