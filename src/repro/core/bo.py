@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.config_space import ConfigSpace
 from repro.core.gp import GaussianProcess
+from repro.core.meta import MetaEnsembleSurrogate, SourceTask
 from repro.core.objective import ExecResult, TuningProblem
 
 
@@ -141,11 +142,11 @@ def fit_surrogates(
     *,
     with_datasize: bool = False,
     runtime: bool = False,
-    meta_factory=None,
+    sources: list[tuple[SourceTask, float]] | None = None,
 ) -> Surrogates:
     """Fit the objective GP on the penalized objectives — wrapped into
-    the meta-ensemble by ``meta_factory`` when given (see
-    :meth:`repro.core.meta.MetaLearner.ensemble_factory`) — and, if
+    the meta-ensemble over the weighted source tasks ``sources`` when
+    given (see :meth:`repro.core.meta.MetaLearner.nearest`) — and, if
     ``runtime``, a GP on log-runtime over the same
     :class:`repro.core.gp.PosteriorBasis`, so the rows' kernels are
     factorized once. The next run's datasize is taken to be the last
@@ -154,7 +155,7 @@ def fit_surrogates(
     y = history.penalized_objectives()
     cat_mask = history.space.cat_mask
     gp_f = GaussianProcess(cat_mask, has_datasize=with_datasize).fit(X, y)
-    objective = meta_factory(X, y, gp_f) if meta_factory else gp_f
+    objective = MetaEnsembleSurrogate(sources, gp_f, X, y) if sources else gp_f
     gp_t = None
     if runtime:
         # log-runtime: positive, multiplicative noise, long tails

@@ -54,13 +54,14 @@ class OnlineTuner(Tuner):
         self._degradations = 0
         self._expected: float | None = None  # the pending suggestion's expected objective
         meta = use_meta and meta_learner is not None and target_meta is not None
+        sources = meta_learner.nearest(target_meta) if meta else None
         self.generator = ConfigGenerator(
             space, problem, seed=seed,
             use_subspace=use_subspace, use_agd=use_agd, use_safe=use_safe,
-            meta_surrogate_factory=meta_learner.ensemble_factory(target_meta) if meta else None,
+            meta_sources=sources,
         )
         if meta:
-            self._init_configs = meta_learner.warm_start_configs(target_meta, k=self.n_init)
+            self._init_configs = [t.history.best().config for t, _ in sources]
         elif reference_config is not None:
             # online production setting: the pre-tuning (manual/default)
             # configuration is evaluated first — it is the known-safe

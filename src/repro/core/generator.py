@@ -37,7 +37,7 @@ class ConfigGenerator:
     use_subspace: bool = True
     use_agd: bool = True
     use_safe: bool = True
-    meta_surrogate_factory: object | None = None  # see core.meta
+    meta_sources: list | None = None  # weighted source tasks, see MetaLearner.nearest
     subspace: SubspaceManager = field(init=False)
     # the last EIC pick's acquisition value, for the stopping criterion
     last_ei: float = field(init=False, default=float("inf"))
@@ -85,7 +85,7 @@ class ConfigGenerator:
         snapped row."""
         surrogates = fit_surrogates(
             history, with_datasize=True, runtime=True,
-            meta_factory=self.meta_surrogate_factory,
+            sources=self.meta_sources,
         )
         it = len(history) + 1
         # AGD needs "observations sufficient to approximate f" (§4.3):

@@ -9,9 +9,9 @@ here) learns to predict that distance from the 75-dim event-log
 meta-features of the two tasks, so similarity is available for a *new*
 task before any surrogate exists.
 
-The learned similarity powers (§5.2):
-- **warm-starting** — the best configurations of the top-3 most similar
-  source tasks seed the initial design;
+The learned similarity powers (§5.2), both over the ``N_SOURCES``
+nearest source tasks (:meth:`MetaLearner.nearest`):
+- **warm-starting** — their best configurations seed the initial design;
 - **ensemble surrogate** — ``μ_meta = Σ wᵢμᵢ``, ``σ²_meta = Σ wᵢ²σᵢ²``
   (Eq. 12) over the source surrogates plus the current-task GP, whose
   weight is the rank agreement of its in-sample predictions with the
@@ -20,13 +20,18 @@ The learned similarity powers (§5.2):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.bo import RunHistory
 from repro.core.config_space import ConfigSpace
 from repro.core.gp import GaussianProcess
 from repro.ml.gbm import GradientBoostedRegressor
+
+if TYPE_CHECKING:  # core.bo builds the meta-ensemble, so it imports this module
+    from repro.core.bo import RunHistory
+
+N_SOURCES = 3  # source tasks a target transfers from (§5.2's top-3)
 
 
 def kendall_tau(a: np.ndarray, b: np.ndarray) -> float:
@@ -63,12 +68,6 @@ class SourceTask:
         # standardize per-task so cross-task predictions are comparable
         self._mu, self._sd = float(y.mean()), float(y.std()) or 1.0
         self.surrogate.fit(self.history.X_unit(), (y - self._mu) / self._sd)
-
-    def best_config(self, rank: int = 0) -> dict:
-        order = sorted(
-            self.history.observations, key=lambda o: (not o.feasible, o.objective)
-        )
-        return order[min(rank, len(order) - 1)].config
 
 
 def surrogate_distance(
@@ -141,21 +140,10 @@ class MetaLearner:
         scored = [(t, score(t)) for t in self.tasks]
         return sorted(scored, key=lambda p: p[1])
 
-    def warm_start_configs(self, target_meta: np.ndarray, *, k: int = 3) -> list[dict]:
-        """Initial design: best config of each of the top-k similar tasks."""
-        return [t.best_config() for t, _ in self.rank_sources(target_meta)[:k]]
-
-    def ensemble_factory(self, target_meta: np.ndarray, *, top_k: int = 3):
-        """A factory for :class:`ConfigGenerator.meta_surrogate_factory`."""
-        sources = self.rank_sources(target_meta)[:top_k]
-
-        def build(X: np.ndarray, y: np.ndarray, gp: GaussianProcess):
-            """The ensemble around ``gp``, already fitted on ``X``, ``y``."""
-            return MetaEnsembleSurrogate(
-                [(t, max(1.0 - d, 0.0)) for t, d in sources], gp, X, y
-            )
-
-        return build
+    def nearest(self, target_meta: np.ndarray) -> list[tuple[SourceTask, float]]:
+        """The ``N_SOURCES`` source tasks nearest the target, nearest
+        first, each with its ensemble weight ``max(1 − d, 0)``."""
+        return [(t, max(1.0 - d, 0.0)) for t, d in self.rank_sources(target_meta)[:N_SOURCES]]
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.controller import OnlineTuner
 from repro.core.meta import MetaLearner, SourceTask
 from repro.core.objective import objective as obj_fn
-from repro.experiments.harness import incumbent_score, reference_run, tune
+from repro.experiments.harness import incumbent_score, mean_scores, reference_run, tune
 from repro.experiments.hibench import HIBENCH_TASKS, hibench_env
 from repro.simcluster import get_profile
 from repro.simcluster.eventlog import meta_features
@@ -42,19 +42,12 @@ class SafetyResult:
 
 def safety(*, tasks=HIBENCH_TASKS, budget: int = 30, seeds=(0, 1)) -> SafetyResult:
     space, sim = hibench_env()
-    per_task = {}
-    for task in tasks:
-        pct = {}
-        for use_safe in (True, False):
-            vals = [
-                100.0
-                * np.mean([o.feasible for o in tune(
-                    space, sim, get_profile(task), seed=s, budget=budget, use_safe=use_safe
-                ).observations])
-                for s in seeds
-            ]
-            pct[use_safe] = float(np.mean(vals))
-        per_task[task] = (pct[True], pct[False])
+    pct = mean_scores(
+        space, sim, tasks, {"with": {"use_safe": True}, "without": {"use_safe": False}},
+        lambda task, history: 100.0 * np.mean([o.feasible for o in history.observations]),
+        seeds=seeds, budget=budget,
+    )
+    per_task = {task: (p["with"], p["without"]) for task, p in pct.items()}
     w = float(np.mean([v[0] for v in per_task.values()]))
     wo = float(np.mean([v[1] for v in per_task.values()]))
     return SafetyResult(w, wo, per_task)
@@ -77,22 +70,16 @@ class AGDResult:
 
 def agd(*, tasks=HIBENCH_TASKS, budget: int = 30, seeds=(0, 1)) -> AGDResult:
     space, sim = hibench_env()
-    per_task = {}
-    extras = []
     default = space.default_config()
-    for task in tasks:
-        profile = get_profile(task)
-        ref = obj_fn(reference_run(profile, sim, default).runtime_s, default, 0.5)
-        cost = {}
-        for use_agd in (True, False):
-            vals = [
-                incumbent_score(tune(space, sim, profile, seed=s, budget=budget,
-                                     use_agd=use_agd), attrgetter("objective"), ref)
-                for s in seeds
-            ]
-            cost[use_agd] = float(np.mean(vals))
-        per_task[task] = (cost[True], cost[False])
-        extras.append(100.0 * (cost[False] - cost[True]) / cost[False])
+    refs = {t: obj_fn(reference_run(get_profile(t), sim, default).runtime_s, default, 0.5)
+            for t in tasks}
+    cost = mean_scores(
+        space, sim, tasks, {"with": {"use_agd": True}, "without": {"use_agd": False}},
+        lambda task, history: incumbent_score(history, attrgetter("objective"), refs[task]),
+        seeds=seeds, budget=budget,
+    )
+    per_task = {task: (c["with"], c["without"]) for task, c in cost.items()}
+    extras = [100.0 * (wo - w) / wo for w, wo in per_task.values()]
     return AGDResult(float(np.mean(extras)), per_task)
 
 
@@ -132,21 +119,18 @@ class SubspaceResult:
 def subspace(*, tasks=("pagerank", "terasort"), budget: int = 30, seeds=(0, 1)) -> SubspaceResult:
     """Full vs fixed-small vs adaptive sub-space (paper Fig. 7)."""
     space, sim = hibench_env()
-    out = {}
-    for task in tasks:
-        profile = get_profile(task)
-        default = space.default_config()
-        ref = obj_fn(sim.run(profile, default, seed=99).runtime_s, default, 0.5)
-        modes = {}
-        for mode, kwargs in SUBSPACE_MODES.items():
-            vals = [
-                incumbent_score(tune(space, sim, profile, seed=s, budget=budget, **kwargs),
-                                attrgetter("objective"), ref)
-                for s in seeds
-            ]
-            modes[mode] = 100.0 * (ref - float(np.mean(vals))) / ref
-        out[task] = modes
-    return SubspaceResult(out)
+    default = space.default_config()
+    refs = {t: obj_fn(sim.run(get_profile(t), default, seed=99).runtime_s, default, 0.5)
+            for t in tasks}
+    cost = mean_scores(
+        space, sim, tasks, SUBSPACE_MODES,
+        lambda task, history: incumbent_score(history, attrgetter("objective"), refs[task]),
+        seeds=seeds, budget=budget,
+    )
+    return SubspaceResult({
+        task: {mode: 100.0 * (refs[task] - v) / refs[task] for mode, v in modes.items()}
+        for task, modes in cost.items()
+    })
 
 
 def format_subspace(res: SubspaceResult) -> str:

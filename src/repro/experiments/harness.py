@@ -17,7 +17,7 @@ from repro.core.bo import RunHistory
 from repro.core.config_space import ConfigSpace
 from repro.core.controller import OnlineTuner
 from repro.core.objective import ExecResult, TuningProblem, resource
-from repro.simcluster.profile import WorkloadProfile
+from repro.simcluster.profile import WorkloadProfile, get_profile
 from repro.simcluster.simulator import ClusterSimulator
 
 DATASIZE_SIGMA = 0.10    # lognormal sigma of each run's data size
@@ -52,7 +52,8 @@ def reference_run(profile: WorkloadProfile, simulator: ClusterSimulator, referen
 
 def incumbent_score(history: RunHistory, metric, reference: float) -> float:
     """``metric`` of the best feasible run, else ``reference``: the value of
-    the known-safe reference config the service would keep serving."""
+    the known-safe reference config the service would keep serving. Every
+    experiment scores a tuning run by this rule."""
     best = history.best_feasible()
     return reference if best is None else metric(best)
 
@@ -109,3 +110,24 @@ def tune(
         tuner_kwargs = {"use_meta": False, "reference_config": reference} | tuner_kwargs
     tuner = method(space, problem, seed=seed, **tuner_kwargs)
     return run_tuning(tuner, SimEvaluator(profile, simulator, seed=seed), budget)
+
+
+def mean_scores(
+    space: ConfigSpace, simulator: ClusterSimulator, tasks, variants: dict[str, dict], score,
+    *, seeds, budget: int,
+) -> dict[str, dict[str, float]]:
+    """``{task: {variant: mean score}}``: one :func:`tune` run per seed of
+    each task under each variant's ``tune`` keywords, scored by
+    ``score(task, history)`` and averaged over the seeds. Every run seeds
+    itself, so the order of the runs does not matter."""
+    return {
+        task: {
+            name: float(np.mean([
+                score(task, tune(space, simulator, get_profile(task), seed=seed,
+                                 budget=budget, **kwargs))
+                for seed in seeds
+            ]))
+            for name, kwargs in variants.items()
+        }
+        for task in tasks
+    }

@@ -23,7 +23,7 @@ from repro.baselines import (
 from repro.core.config_space import hibench_space
 from repro.core.controller import OnlineTuner
 from repro.core.objective import execution_cost
-from repro.experiments.harness import incumbent_score, reference_run, tune
+from repro.experiments.harness import incumbent_score, mean_scores, reference_run
 from repro.simcluster import ClusterSimulator, get_profile
 
 HIBENCH_TASKS = ("bayes", "kmeans", "nweight", "wordcount", "pagerank", "terasort")
@@ -62,19 +62,16 @@ def run(
 ) -> HiBenchResult:
     beta = 1.0 if objective == "runtime" else 0.5
     space, sim = hibench_env()
-    best: dict[str, dict[str, float]] = {m.name: {} for m in methods}
     default = space.default_config()
+    refs = {t: _metric(reference_run(get_profile(t), sim, default), default, objective)
+            for t in tasks}
     score = lambda o: _metric(o.result, o.config, objective)
-    for task in tasks:
-        profile = get_profile(task)
-        ref = _metric(reference_run(profile, sim, default), default, objective)
-        for method in methods:
-            vals = [
-                incumbent_score(tune(space, sim, profile, seed=seed, budget=budget,
-                                     beta=beta, method=method), score, ref)
-                for seed in seeds
-            ]
-            best[method.name][task] = float(np.mean(vals))
+    scores = mean_scores(
+        space, sim, tasks, {m.name: {"method": m, "beta": beta} for m in methods},
+        lambda task, history: incumbent_score(history, score, refs[task]),
+        seeds=seeds, budget=budget,
+    )
+    best = {m.name: {t: scores[t][m.name] for t in tasks} for m in methods}
     relative = {}
     for name, per_task in best.items():
         relative[name] = {}

@@ -10,7 +10,7 @@ row the paper prints last.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.config_space import ConfigSpace
 from repro.core.objective import execution_cost
@@ -67,33 +67,34 @@ def run(*, budget: int = 20, seed: int = 0) -> list[TaskRow]:
         profile = get_profile(prof_name)
         manual = _manual_config(space, inst, cores, mem)
         ref = sim.run(profile, manual, seed=seed + 1)
-        rows.append(
-            TaskRow(
-                display, "Manual", ref.mem_gbh, ref.cpu_coreh, ref.runtime_s,
-                execution_cost(ref.runtime_s, manual),
-                inst, cores, mem, None,
-            )
+        row = TaskRow(
+            display, "Manual", ref.mem_gbh, ref.cpu_coreh, ref.runtime_s,
+            execution_cost(ref.runtime_s, manual),
+            inst, cores, mem, None,
         )
         history = tune(space, sim, profile, seed=seed, budget=budget, reference=manual)
-        best = history.best()
-        best_iter = 1 + next(
-            i for i, o in enumerate(history.observations) if o is best
-        )
-        c = best.config
-        rows.append(
-            TaskRow(
+        best = history.best_feasible()
+        if best is None:
+            # no feasible run: the service keeps serving the manual config
+            ours = replace(row, method="Ours")
+        else:
+            c = best.config
+            ours = TaskRow(
                 display, "Ours", best.result.mem_gbh, best.result.cpu_coreh,
                 best.result.runtime_s, execution_cost(best.result.runtime_s, c),
                 c["spark.executor.instances"], c["spark.executor.cores"],
-                c["spark.executor.memory"], best_iter,
+                c["spark.executor.memory"],
+                1 + next(i for i, o in enumerate(history.observations) if o is best),
             )
-        )
+        rows += [row, ours]
     return rows
 
 
 def avg_reduction(rows: list[TaskRow]) -> dict[str, float]:
     """Average % reduction (Ours vs Manual) over the tasks; negative
-    values mean an increase, as in the paper's sign convention."""
+    values mean an increase, as in the paper's sign convention. The
+    ``iters`` entry averages over the tasks with a tuned incumbent (NaN
+    when there is none)."""
     reds = {"memory": [], "cpu": [], "runtime": [], "cost": [], "iters": []}
     for i in range(0, len(rows), 2):
         man, ours = rows[i], rows[i + 1]
@@ -101,8 +102,9 @@ def avg_reduction(rows: list[TaskRow]) -> dict[str, float]:
         reds["cpu"].append(100.0 * (man.cpu_coreh - ours.cpu_coreh) / man.cpu_coreh)
         reds["runtime"].append(100.0 * (man.runtime_s - ours.runtime_s) / man.runtime_s)
         reds["cost"].append(100.0 * (man.cost - ours.cost) / man.cost)
-        reds["iters"].append(ours.iteration)
-    return {k: sum(v) / len(v) for k, v in reds.items()}
+        if ours.iteration is not None:
+            reds["iters"].append(ours.iteration)
+    return {k: sum(v) / len(v) if v else float("nan") for k, v in reds.items()}
 
 
 def format_table(rows: list[TaskRow]) -> str:

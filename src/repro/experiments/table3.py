@@ -52,9 +52,11 @@ def run(*, n_tasks: int = 40, budget: int = 20, seed: int = 0) -> PopulationResu
         manual = space.clip(space.default_config() | manual_over)
         pre = sim.run(profile, manual, seed=seed + ti)
         history = tune(space, sim, profile, seed=seed + ti, budget=budget, reference=manual)
-        best = history.best()
-        # post-tuning: best config applied to a fresh periodic execution
-        post_run = sim.run(profile, best.config, seed=seed + ti + 10_000)
+        best = history.best_feasible()
+        # post-tuning: the best feasible config (the manual one while
+        # there is none) applied to a fresh periodic execution
+        post_run = sim.run(profile, manual if best is None else best.config,
+                           seed=seed + ti + 10_000)
         for key, get in (
             ("memory", lambda r: r.mem_gbh),
             ("cpu", lambda r: r.cpu_coreh),

@@ -58,15 +58,11 @@ class WorkloadProfile:
     cpu_scale: float = 1.0      # absolute CPU-cost calibration (see module doc)
 
 
-def _wc(name: str, **kw) -> WorkloadProfile:
-    return WorkloadProfile(name=name, **kw)
-
-
 #: Calibrated profiles. Per-family shapes come from profiling the real
 #: PySpark implementations at SF<=0.1 (input/shuffle byte ratios, CPU
 #: shares); see tests/test_profiles.py and ``python -m repro.workloads``.
-PROFILES: dict[str, WorkloadProfile] = {
-    "wordcount": _wc(
+PROFILES: dict[str, WorkloadProfile] = {p.name: p for p in (
+    WorkloadProfile(
         "wordcount",
         stages=(
             StageProfile(1.0, 0.12, 3.0, ops=("flatMap", "map")),
@@ -76,7 +72,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         cpu_scale=100,
         base_datasize_mb=30_000,
     ),
-    "sort": _wc(
+    WorkloadProfile(
         "sort",
         stages=(
             StageProfile(1.0, 1.0, 1.2, ops=("map", "sortBy")),
@@ -87,7 +83,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         base_datasize_mb=30_000,
         skew=0.15,
     ),
-    "terasort": _wc(
+    WorkloadProfile(
         "terasort",
         stages=(
             StageProfile(1.0, 1.0, 1.5, ops=("map", "sortBy")),
@@ -98,7 +94,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         base_datasize_mb=50_000,
         skew=0.2,
     ),
-    "pagerank": _wc(
+    WorkloadProfile(
         "pagerank",
         stages=(
             StageProfile(1.0, 0.6, 2.0, ops=("join", "map", "cache")),
@@ -110,7 +106,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         cache_frac=0.8,
         base_datasize_mb=24_000,
     ),
-    "kmeans": _wc(
+    WorkloadProfile(
         "kmeans",
         stages=(
             StageProfile(1.0, 0.02, 6.0, ops=("map", "cache")),
@@ -122,7 +118,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         base_datasize_mb=48_000,
         skew=0.05,
     ),
-    "bayes": _wc(
+    WorkloadProfile(
         "bayes",
         stages=(
             StageProfile(1.0, 0.25, 4.0, ops=("flatMap", "map")),
@@ -132,7 +128,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         cpu_scale=50,
         base_datasize_mb=15_000,
     ),
-    "nweight": _wc(
+    WorkloadProfile(
         "nweight",
         stages=(
             StageProfile(1.0, 0.9, 2.5, ops=("join", "map", "cache")),
@@ -145,7 +141,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         base_datasize_mb=6_000,
         skew=0.25,
     ),
-    "lr": _wc(
+    WorkloadProfile(
         "lr",
         stages=(
             StageProfile(1.0, 0.01, 7.0, ops=("map", "cache")),
@@ -157,7 +153,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         base_datasize_mb=40_000,
         skew=0.05,
     ),
-    "svd": _wc(
+    WorkloadProfile(
         "svd",
         stages=(
             StageProfile(1.0, 0.05, 8.0, ops=("map", "cache")),
@@ -170,7 +166,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         skew=0.05,
     ),
     # --- Spark SQL benchmark-style tasks (hourly, small) --------------
-    "sql_data_selection": _wc(
+    WorkloadProfile(
         "sql_data_selection",
         stages=(
             StageProfile(1.0, 0.05, 1.0, ops=("filter", "map")),
@@ -180,7 +176,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         base_datasize_mb=800,
         sql=True,
     ),
-    "sql_skew_detection": _wc(
+    WorkloadProfile(
         "sql_skew_detection",
         stages=(
             StageProfile(1.0, 0.3, 1.5, ops=("map", "groupBy")),
@@ -192,7 +188,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         skew=0.5,
         sql=True,
     ),
-    "sql_feature_calculation": _wc(
+    WorkloadProfile(
         "sql_feature_calculation",
         stages=(
             StageProfile(1.0, 0.2, 2.5, ops=("join", "map")),
@@ -202,7 +198,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         base_datasize_mb=1_500,
         sql=True,
     ),
-    "sql_data_preprocessing": _wc(
+    WorkloadProfile(
         "sql_data_preprocessing",
         stages=(
             StageProfile(1.0, 0.15, 1.2, ops=("filter", "map", "distinct")),
@@ -213,7 +209,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         sql=True,
     ),
     # --- production (daily) families used in Table 2/3 ----------------
-    "feature_extraction": _wc(
+    WorkloadProfile(
         "feature_extraction",
         stages=(
             StageProfile(1.0, 0.6, 2.0, ops=("flatMap", "map", "join")),
@@ -226,7 +222,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         base_datasize_mb=120_000,
         skew=0.2,
     ),
-    "user_traffic": _wc(
+    WorkloadProfile(
         "user_traffic",
         stages=(
             StageProfile(1.0, 0.8, 1.8, ops=("map", "join", "groupBy")),
@@ -239,7 +235,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         base_datasize_mb=150_000,
         skew=0.3,
     ),
-    "dau_analysis": _wc(
+    WorkloadProfile(
         "dau_analysis",
         stages=(
             StageProfile(1.0, 0.5, 1.4, ops=("filter", "map", "distinct")),
@@ -251,7 +247,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         cpu_scale=1000,
         base_datasize_mb=60_000,
     ),
-    "log_processing": _wc(
+    WorkloadProfile(
         "log_processing",
         stages=(
             StageProfile(1.0, 0.7, 1.8, ops=("flatMap", "filter", "map")),
@@ -264,7 +260,7 @@ PROFILES: dict[str, WorkloadProfile] = {
         base_datasize_mb=200_000,
         skew=0.25,
     ),
-}
+)}
 
 
 def get_profile(name: str) -> WorkloadProfile:

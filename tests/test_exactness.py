@@ -117,7 +117,7 @@ class TestSuggestedConfigsUnchanged:
         probe = sim.run(get_profile("lr"), space.default_config(), seed=0)
         tuner, digest = _run(OnlineTuner, 12, task="lr", meta_learner=learner,
                              target_meta=meta_features(probe))
-        assert tuner.generator.meta_surrogate_factory is not None
+        assert tuner.generator.meta_sources is not None
         assert digest == DIGESTS["Ours-meta"]
 
     def test_tuneful(self):

@@ -3,6 +3,7 @@
 Budgets here are tiny (smoke-level); the full-budget numbers are
 produced by the benchmarks and recorded in EXPERIMENTS.md.
 """
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -13,17 +14,21 @@ import pytest
 
 import repro
 from repro.baselines.base import Tuner
+from repro.core.config_space import ConfigSpace
 from repro.core.objective import execution_cost
 from repro.experiments import ablations, harness, hibench, table1, table2, table3, table4, table5
 from repro.experiments.registry import EXPERIMENTS
-from repro.simcluster import get_profile
+from repro.simcluster import ClusterSimulator, get_profile
+from repro.simcluster.profile import production_population
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _python(*args):
-    """A fresh interpreter that imports ``repro`` from this checkout."""
-    env = os.environ | {"PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1])}
+    """A fresh interpreter that imports ``repro`` from this checkout, with
+    one BLAS thread: the thread count changes what the tuners suggest."""
+    env = os.environ | {"PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1])} | {
+        var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=120)
 
@@ -221,6 +226,22 @@ class TestFeasibleOnlyScoring:
         assert best is history.observations[-1]
         assert harness.incumbent_score(history, lambda o: o.objective, -1.0) == best.objective
 
+    def test_no_feasible_run_keeps_the_manual_config(self, monkeypatch):
+        monkeypatch.setattr(harness, "CONSTRAINT_FACTOR", 1e-9)  # no run is feasible
+        rows = table2.run(budget=4)
+        for manual, ours in zip(rows[::2], rows[1::2]):
+            assert ours == dataclasses.replace(manual, method="Ours")
+        avg = table2.avg_reduction(rows)
+        assert avg["cost"] == 0.0 and np.isnan(avg["iters"])
+        assert "avg #iter nan" in table2.format_table(rows)
+        # Table 3's post-tuning run is the manual config's
+        res = table3.run(n_tasks=1, budget=4)
+        space, sim = ConfigSpace(), ClusterSimulator()
+        [(profile, manual_over)] = production_population(1, seed=0)
+        manual = space.clip(space.default_config() | manual_over)
+        pre, post = (sim.run(profile, manual, seed=s) for s in (0, 10_000))
+        assert res.reduction_post["memory"] == 100.0 * (pre.mem_gbh - post.mem_gbh) / pre.mem_gbh
+
 
 class TestAblationsSmoke:
     def test_safety_structure(self):
@@ -237,10 +258,13 @@ class TestRegistry:
         stems = {p.stem for p in (ROOT / "benchmarks" / "results").glob("*.txt")}
         assert set(EXPERIMENTS) == stems
 
-    def test_cli_prints_the_saved_text(self):
-        proc = _python("-m", "repro.experiments", "table1")
+    # every saved result but the two HiBench ones, which take about 20 s each
+    @pytest.mark.parametrize(
+        "name", [n for n in EXPERIMENTS if n not in ("hibench_runtime", "hibench_cost")])
+    def test_cli_prints_the_saved_text(self, name):
+        proc = _python("-m", "repro.experiments", name)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == table1.format_table() + "\n"
+        assert proc.stdout == (ROOT / "benchmarks" / "results" / f"{name}.txt").read_text()
 
     def test_cli_rejects_unknown_name(self):
         proc = _python("-m", "repro.experiments", "table9")

@@ -8,7 +8,8 @@ from repro.core.bo import RunHistory, fit_surrogates
 from repro.core.config_space import ConfigSpace
 from repro.core.gp import GaussianProcess
 from repro.core.meta import (
-    MetaLearner, SourceTask, kendall_tau, rank_distance, surrogate_distance,
+    MetaEnsembleSurrogate, MetaLearner, SourceTask, kendall_tau, rank_distance,
+    surrogate_distance,
 )
 from repro.core.objective import ExecResult, TuningProblem
 from tests.test_gp import _shared_case
@@ -112,7 +113,7 @@ class TestMetaLearner:
 
     def test_warm_start_configs(self, learner):
         ml, tasks = learner
-        configs = ml.warm_start_configs(tasks[0].meta, k=3)
+        configs = [t.history.best().config for t, _ in ml.nearest(tasks[0].meta)]
         assert len(configs) == 3
         for c in configs:
             assert set(c) == set(ml.space.names)
@@ -134,11 +135,11 @@ class TestEnsembleSurrogate:
             _task(space, "c", lambda u: -100 * u[0], seed=3),
         ]
         ml = MetaLearner(space, seed=0).fit(tasks)
-        factory = ml.ensemble_factory(tasks[0].meta)
+        sources = ml.nearest(tasks[0].meta)
         rng = np.random.default_rng(5)
         X = rng.random((10, space.dim))
         y = 100 * X[:, 0]
-        ens = factory(X, y, GaussianProcess(space.cat_mask).fit(X, y))
+        ens = MetaEnsembleSurrogate(sources, GaussianProcess(space.cat_mask).fit(X, y), X, y)
         mu, sd = ens.predict(rng.random((6, space.dim)))
         assert mu.shape == (6,) and sd.shape == (6,)
         assert np.all(sd >= 0)
@@ -149,11 +150,12 @@ class TestEnsembleSurrogate:
             _task(space, "b", lambda u: 105 * u[0], seed=2),
         ]
         ml = MetaLearner(space, seed=0).fit(tasks)
-        factory = ml.ensemble_factory(tasks[0].meta)
+        sources = ml.nearest(tasks[0].meta)
         # scarce current-task data: 3 points only
         rng = np.random.default_rng(6)
         X = rng.random((3, space.dim))
-        ens = factory(X, 100 * X[:, 0], GaussianProcess(space.cat_mask).fit(X, 100 * X[:, 0]))
+        y = 100 * X[:, 0]
+        ens = MetaEnsembleSurrogate(sources, GaussianProcess(space.cat_mask).fit(X, y), X, y)
         lo = np.zeros(space.dim)[None, :]
         hi = np.ones(space.dim)[None, :]
         mu_lo, _ = ens.predict(lo)
@@ -165,11 +167,11 @@ class TestEnsembleSurrogate:
             _task(space, "a", lambda u: 100 * u[0], seed=1),
             _task(space, "b", lambda u: 105 * u[0], seed=2),
         ]
-        factory = MetaLearner(space, seed=0).fit(tasks).ensemble_factory(tasks[0].meta)
+        sources = MetaLearner(space, seed=0).fit(tasks).nearest(tasks[0].meta)
         rng = np.random.default_rng(7)
         X = rng.random((10, space.dim))
         y = 100 * X[:, 0] + rng.normal(0, 5, 10)
-        ens = factory(X, y, GaussianProcess(space.cat_mask).fit(X, y))
+        ens = MetaEnsembleSurrogate(sources, GaussianProcess(space.cat_mask).fit(X, y), X, y)
         mu, _ = ens.current.predict(X)
         assert ens.current_weight == float(np.clip((1.0 + kendall_tau(mu, y)) / 2.0, 0.1, 1.0))
         rows, predict = [], ens.current.predict
@@ -187,19 +189,20 @@ def test_meta_surrogates_on_a_shared_basis_equal_lone_fits(space, seed, case):
         _task(space, "a", lambda u: 100 * u[0], seed=1),
         _task(space, "b", lambda u: 105 * u[1], seed=2),
     ]
-    factory = MetaLearner(space, seed=0).fit(tasks).ensemble_factory(tasks[0].meta)
+    sources = MetaLearner(space, seed=0).fit(tasks).nearest(tasks[0].meta)
     rng = np.random.default_rng(seed)
     h = RunHistory(space, TuningProblem(beta=0.5))
     for cfg in space.sample_random(12, rng):
         runtime = 60.0 + 80.0 * space.to_unit(cfg)[0] + rng.uniform(0.0, 20.0)
         h.add(cfg, ExecResult(runtime_s=float(runtime), mem_gbh=1, cpu_coreh=1,
                               datasize_mb=float(rng.uniform(500, 2000))))
-    s = fit_surrogates(h, with_datasize=True, runtime=True, meta_factory=factory)
+    s = fit_surrogates(h, with_datasize=True, runtime=True, sources=sources)
     gp_f, gp_t = s.objective.current, s.runtime
     assert gp_t.basis is gp_f.basis
     assert _shared_case(gp_f, gp_t) == case
     X, y = h.X_unit(with_datasize=True), h.penalized_objectives()
-    lone = factory(X, y, GaussianProcess(space.cat_mask, has_datasize=True).fit(X, y))
+    lone = MetaEnsembleSurrogate(
+        sources, GaussianProcess(space.cat_mask, has_datasize=True).fit(X, y), X, y)
     lone_t = GaussianProcess(space.cat_mask, has_datasize=True).fit(X, np.log(h.runtimes()))
     assert s.objective.current_weight == lone.current_weight
     for gp, ref in ((gp_f, lone.current), (gp_t, lone_t)):
