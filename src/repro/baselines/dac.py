@@ -27,6 +27,6 @@ class DACTuner(Tuner):
             return self.space.sample_random(1, self.rng)[0]
         X = self.history.X_unit(with_datasize=True)
         y = self.history.objectives()
-        model = GradientBoostedRegressor(n_estimators=60, max_depth=4, learning_rate=0.1).fit(X, y)
+        model = GradientBoostedRegressor(n_estimators=60, max_depth=4).fit(X, y)
         ds = self.history.next_datasize()
         return ga_minimize(self.space, lambda U: model.predict(model_rows(U, ds)), rng=self.rng)

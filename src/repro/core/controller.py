@@ -61,7 +61,10 @@ class OnlineTuner(Tuner):
             meta_sources=sources,
         )
         if meta:
-            self._init_configs = [t.history.best().config for t, _ in sources]
+            # fewer sources than the design's size: Sobol rows fill the rest
+            self._init_configs = [t.history.best().config for t, _ in sources] + space.sample_sobol(
+                self.n_init - len(sources), seed=seed
+            )
         elif reference_config is not None:
             # online production setting: the pre-tuning (manual/default)
             # configuration is evaluated first — it is the known-safe

@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # core.bo builds the meta-ensemble, so it imports this module
     from repro.core.bo import RunHistory
 
 N_SOURCES = 3  # source tasks a target transfers from (§5.2's top-3)
+N_SHARED_CONFIGS = 128  # random configs two surrogates are ranked on
 
 
 def kendall_tau(a: np.ndarray, b: np.ndarray) -> float:
@@ -71,11 +72,11 @@ class SourceTask:
 
 
 def surrogate_distance(
-    t1: SourceTask, t2: SourceTask, space: ConfigSpace, *, n_rand: int = 128, seed: int = 0
+    t1: SourceTask, t2: SourceTask, space: ConfigSpace, *, seed: int = 0
 ) -> float:
     """Dist(Mⁱ, Mʲ) via Kendall-tau on random shared configs (§5.1)."""
     rng = np.random.default_rng(seed)
-    _, U = space.snap(space.sample_unit(n_rand, rng))
+    _, U = space.snap(space.sample_unit(N_SHARED_CONFIGS, rng))
     p1, _ = t1.surrogate.predict(U)
     p2, _ = t2.surrogate.predict(U)
     return rank_distance(kendall_tau(p1, p2))
@@ -108,9 +109,8 @@ class MetaLearner:
                     y.append(d)
         if len(y) < 2:
             raise ValueError("need at least two source tasks to learn similarity")
-        self.model = GradientBoostedRegressor(
-            n_estimators=80, max_depth=3, learning_rate=0.1
-        ).fit(np.array(X), np.array(y))
+        self.model = GradientBoostedRegressor(n_estimators=80, max_depth=3).fit(
+            np.array(X), np.array(y))
         return self
 
     def predict_distance(self, v1: np.ndarray, v2: np.ndarray) -> float:

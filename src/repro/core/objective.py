@@ -48,8 +48,8 @@ def executor_memory_gb(config: dict):
     return mem + config["spark.memory.offHeap.enabled"] * config["spark.memory.offHeap.size"]
 
 
-def resource(config: dict, *, c: float = MEM_CORE_PRICE_RATIO) -> float:
-    """White-box resource function R(x): vcores + c * memory-GB.
+def resource(config: dict) -> float:
+    """White-box resource function R(x): vcores + ``MEM_CORE_PRICE_RATIO`` × memory-GB.
 
     Counts executors (instances × cores, instances × memory) plus the
     driver. Off-heap memory is charged when enabled. ``config`` may map
@@ -60,7 +60,7 @@ def resource(config: dict, *, c: float = MEM_CORE_PRICE_RATIO) -> float:
     cores = config["spark.executor.cores"]
     vcores = inst * cores + config["spark.driver.cores"]
     mem_gb = inst * executor_memory_gb(config) + config["spark.driver.memory"]
-    return vcores + c * mem_gb
+    return vcores + MEM_CORE_PRICE_RATIO * mem_gb
 
 
 def objective(runtime_s: float, config: dict, beta: float) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.tree import RegressionTree, TreeStack
+from repro.ml.tree import TreeStack
 
 
 def _leaf_boxes(stack: TreeStack, dim: int):
@@ -109,11 +109,6 @@ def _importances(stack: TreeStack, dim: int) -> np.ndarray:
         f_i = marg - mean[t]
         out[t, i] = float(span[p, :k].copy() @ f_i**2) / total_var[t]
     return out
-
-
-def _tree_importance(tree: RegressionTree, dim: int) -> np.ndarray:
-    """One tree's single-parameter importances."""
-    return _importances(TreeStack([tree]), dim)[0]
 
 
 def fanova_importance(forest: RandomForestRegressor, dim: int) -> np.ndarray:

@@ -13,13 +13,14 @@ import numpy as np
 
 from repro.ml.tree import RegressionTree, TreeStack
 
+LEARNING_RATE = 0.1  # shrinkage of each boosting stage
+
 
 @dataclass
 class GradientBoostedRegressor:
     """L2 gradient boosting: each stage fits residuals with a shallow tree."""
 
     n_estimators: int = 100
-    learning_rate: float = 0.1
     max_depth: int = 3
     min_samples_leaf: int = 2
     _init: float = field(init=False, default=0.0)
@@ -35,7 +36,7 @@ class GradientBoostedRegressor:
         for _ in range(self.n_estimators):
             t = RegressionTree(max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf)
             t.fit(X, y - pred)
-            pred += self.learning_rate * t.predict(X)
+            pred += LEARNING_RATE * t.predict(X)
             self._trees.append(t)
         self._stack = TreeStack(self._trees)
         return self
@@ -46,5 +47,5 @@ class GradientBoostedRegressor:
         X = np.asarray(X, dtype=np.float64)
         out = np.full(len(X), self._init)
         for v in self._stack.leaf_values(X):  # the trees in fit order
-            out += self.learning_rate * v
+            out += LEARNING_RATE * v
         return out

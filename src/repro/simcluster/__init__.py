@@ -6,8 +6,9 @@ single offline ``local[*]`` JVM cannot vary ``spark.executor.*``
 parameters, and the experiment grid (7 tuners × 30 iterations × 10
 seeds × many tasks) is days of real cluster time — so this package
 provides the substitution documented in DESIGN.md §2: an analytic
-cluster simulator whose workload profiles are calibrated from real
-PySpark runs of the HiBench-lite workloads in :mod:`repro.workloads`.
+cluster simulator over hand-set workload profiles. ``python -m
+repro.workloads`` prints Spark's own stage counters from real runs of
+the HiBench-lite workloads next to them; nothing is fitted to them.
 
 - :mod:`repro.simcluster.profile`   — workload profiles + populations,
 - :mod:`repro.simcluster.simulator` — (profile, config, datasize) → metrics,

@@ -4,10 +4,11 @@ The paper characterizes a tuning task by 75 meta-features parsed from
 the Spark event log: 11 stage-level features (which Spark actions/
 transformations the job ran) and 64 task-level features (whether tasks
 were read/write/CPU-intensive etc.). Production event logs are not
-available offline, so we synthesize the same summary from an executed
-run's per-stage metrics — real profiled runs (``workloads.runner``)
-and simulated runs (:class:`repro.simcluster.ClusterSimulator`) both
-emit the ``stages`` metric structure consumed here.
+available offline, so the same summary is taken from a run's per-stage
+metrics, the ``stages`` list: simulated runs
+(:class:`repro.simcluster.ClusterSimulator`) emit it, and so do real
+runs (``workloads.runner``), whose per-task means come from Spark's
+own stage counters and whose ops come from the workload's profile.
 
 Layout (75 total):
 - features 0..10 — fraction of stages using each op in

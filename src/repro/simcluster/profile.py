@@ -3,12 +3,13 @@
 A :class:`WorkloadProfile` captures the execution shape of one periodic
 Spark job: its stage DAG (input / shuffle volume and CPU cost per
 stage), how iterative it is, how much it relies on RDD caching, and its
-skew. Constants for the HiBench-lite families are calibrated from
-profiling real PySpark runs of :mod:`repro.workloads` (``python -m
-repro.workloads`` regenerates the ratios); absolute
-CPU ms/MB values are scaled so nominal runtimes land in the ranges the
-paper reports (minutes for daily production jobs, tens of seconds for
-hourly SQL jobs).
+skew. Every constant is set by hand: the stage shapes follow each
+family's Spark plan, and absolute CPU ms/MB values are scaled so nominal
+runtimes land in the ranges the paper reports (minutes for daily
+production jobs, tens of seconds for hourly SQL jobs). ``python -m
+repro.workloads`` prints the shuffle/input ratio that Spark's stage
+counters give for real runs of :mod:`repro.workloads` next to each
+profile's, for comparison only (EXPERIMENTS.md).
 """
 from __future__ import annotations
 
@@ -55,12 +56,12 @@ class WorkloadProfile:
     cache_frac: float = 0.0     # fraction of dataset cached across iterations
     skew: float = 0.1           # straggler tail (0 = perfectly balanced)
     sql: bool = False           # Spark SQL job (affects meta-features only)
-    cpu_scale: float = 1.0      # absolute CPU-cost calibration (see module doc)
+    cpu_scale: float = 1.0      # absolute CPU-cost scale (see module doc)
 
 
-#: Calibrated profiles. Per-family shapes come from profiling the real
-#: PySpark implementations at SF<=0.1 (input/shuffle byte ratios, CPU
-#: shares); see tests/test_profiles.py and ``python -m repro.workloads``.
+#: The profiles, set by hand (see the module doc). ``python -m
+#: repro.workloads`` compares their shuffle ratios with real runs';
+#: tests/test_profiles.py checks their shape.
 PROFILES: dict[str, WorkloadProfile] = {p.name: p for p in (
     WorkloadProfile(
         "wordcount",
@@ -268,11 +269,6 @@ def get_profile(name: str) -> WorkloadProfile:
         return PROFILES[name]
     except KeyError:
         raise KeyError(f"unknown workload profile {name!r}; known: {sorted(PROFILES)}")
-
-
-def scaled(profile: WorkloadProfile, datasize_mb: float) -> WorkloadProfile:
-    """The same job shape at a different dataset size."""
-    return replace(profile, base_datasize_mb=datasize_mb)
 
 
 def production_population(

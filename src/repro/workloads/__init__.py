@@ -5,6 +5,7 @@ experiments, and the four production Spark SQL tasks of Table 2).
 
 Each module exposes pure functions ``SparkSession/DataFrame → DataFrame``
 checked against DuckDB or NumPy references in tests; ``runner`` runs
-them under honourable local-mode knobs and measures the byte/CPU ratios
-that calibrate :mod:`repro.simcluster.profile`.
+them in local mode and reads each run's stage counters from Spark, and
+``python -m repro.workloads`` prints the measured shuffle/input ratios
+next to the hand-set ones of :mod:`repro.simcluster.profile`.
 """

@@ -1,6 +1,9 @@
-"""Profile the real PySpark HiBench-lite workloads and print the measured
-byte/time ratios next to the simulator profile constants they calibrate
-(DESIGN.md §2 substitution).
+"""Run the real PySpark HiBench-lite workloads and print, for each, the
+shuffle/input ratio read from Spark's stage counters next to the ratio
+of its hand-set simulator profile (DESIGN.md §2 substitution). Nothing
+is written back: the profiles stay as they are. The measured input is
+compressed Parquet bytes read, while a profile counts uncompressed MB of
+its dataset, so the two ratios are not the same quantity.
 
 Usage: ``python -m repro.workloads [--sf 0.01]``.
 """
@@ -27,12 +30,11 @@ if __name__ == "__main__":
         .config("spark.sql.shuffle.partitions", "16")
         .getOrCreate()
     )
-    print(f"{'workload':<26}{'wall_s':>8}{'input_mb':>10}{'shuffle_mb':>11}"
-          f"{'meas_ratio':>11}{'profile_ratio':>14}")
+    print(f"{'workload':<26}{'wall_s':>8}{'stages':>7}{'input_mb':>10}{'shuffle_mb':>11}"
+          f"{'meas_ratio':>11}{'profile_ratio':>14}{'meas/profile':>13}")
     for name in WORKLOAD_NAMES:
         m = run_workload(spark, name, sf=args.sf)
-        prof = PROFILES.get(name)
-        prof_ratio = sum(s.shuffle_frac for s in prof.stages) if prof else float("nan")
-        print(f"{name:<26}{m.wall_s:>8.2f}{m.input_mb:>10.2f}{m.shuffle_mb:>11.2f}"
-              f"{m.shuffle_frac:>11.2f}{prof_ratio:>14.2f}")
+        prof_ratio = sum(s.shuffle_frac for s in PROFILES[name].stages)
+        print(f"{name:<26}{m.wall_s:>8.2f}{len(m.stages):>7}{m.input_mb:>10.3f}{m.shuffle_mb:>11.3f}"
+              f"{m.shuffle_frac:>11.3f}{prof_ratio:>14.2f}{m.shuffle_frac / prof_ratio:>13.2f}")
     spark.stop()

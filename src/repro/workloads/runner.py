@@ -1,36 +1,44 @@
-"""Profiling runner: execute HiBench-lite workloads on real Spark and
-extract the calibration quantities behind the simulator profiles.
+"""Profiling runner: run the HiBench-lite workloads on real Spark and read
+the counters Spark keeps for each of their stages.
 
-For each workload family this measures wall time and estimates
-input/shuffle volumes from the actual data (row counts × sampled row
-widths — Spark's per-stage shuffle byte counters are not exposed to
-PySpark without a JVM listener, so volumes are derived from the data
-the job demonstrably moved). The result carries the same ``stages``
-metric structure the simulator emits, so 75-dim meta-features
-(:mod:`repro.simcluster.eventlog`) can be computed for *real* runs too.
+A run reads its inputs from Parquet files and runs the job under its own
+job group; a DataFrame result goes to the ``noop`` sink, so that Catalyst
+prunes no operator (a closing ``count()`` drops a sort). The run's stages
+are the group's completed stages, as per-task means of the quantities
+:mod:`repro.simcluster.eventlog` summarizes, so real runs have
+meta-features too.
+
+The counters come from Spark's status store through two private JVM
+calls over py4j (``listenerBus`` and ``statusStore``): with the UI off,
+no public PySpark API returns per-stage bytes.
 """
 from __future__ import annotations
 
+import tempfile
 import time
+import uuid
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from pyspark import SparkContext
 from pyspark.sql import DataFrame, SparkSession
 
 from repro import synth_data
+from repro.simcluster.profile import PROFILES
 from repro.workloads import bayes, kmeans, lr, nweight, pagerank, sortbench, sql_tasks, svd, wordcount
 
-
-def _df_mb(df: DataFrame, rows: int | None = None, sample: int = 200) -> float:
-    """Approximate in-memory MB of a DataFrame from sampled row widths."""
-    n = rows if rows is not None else df.count()
-    if n == 0:
-        return 0.0
-    pdf = df.limit(sample).toPandas()
-    if len(pdf) == 0:
-        return 0.0
-    bytes_per_row = max(pdf.memory_usage(index=False, deep=True).sum() / len(pdf), 1.0)
-    return n * bytes_per_row / 1e6
+#: Each stage key (eventlog's per-task quantities), with the
+#: ``StageData`` counter it averages and that counter's units per key unit.
+_COUNTERS = {
+    "duration_ms": ("executorRunTime", 1.0),
+    "cpu_ms": ("executorCpuTime", 1e6),  # ns
+    "gc_ms": ("jvmGcTime", 1.0),
+    "input_mb": ("inputBytes", 1e6),
+    "shuffle_read_mb": ("shuffleReadBytes", 1e6),
+    "shuffle_write_mb": ("shuffleWriteBytes", 1e6),
+    "spill_mb": ("diskBytesSpilled", 1e6),
+    "peak_mem_mb": ("peakExecutionMemory", 1e6),
+}
 
 
 @dataclass
@@ -40,9 +48,7 @@ class RunMetrics:
     name: str
     wall_s: float
     input_mb: float
-    shuffle_mb: float
-    rows_in: int
-    rows_out: int
+    shuffle_mb: float  # shuffle bytes written, over all stages
     stages: list[dict] = field(default_factory=list)
 
     @property
@@ -54,49 +60,16 @@ class RunMetrics:
         return {"stages": self.stages, "workload": self.name}
 
 
-def _mk_stages(wall_s: float, input_mb: float, shuffle_mb: float,
-               rows_in: int, ops_map: tuple, ops_red: tuple) -> list[dict]:
-    half = wall_s * 500.0  # ms, split evenly between the two stage shapes
-    return [
-        {
-            "n_tasks": max(1, rows_in // 10_000), "duration_ms": half,
-            "cpu_ms": half * 0.7, "gc_ms": half * 0.05, "input_mb": input_mb,
-            "shuffle_read_mb": 0.0, "shuffle_write_mb": shuffle_mb,
-            "spill_mb": 0.0, "peak_mem_mb": input_mb, "ops": ops_map,
-        },
-        {
-            "n_tasks": 64, "duration_ms": half, "cpu_ms": half * 0.5,
-            "gc_ms": half * 0.05, "input_mb": 0.0,
-            "shuffle_read_mb": shuffle_mb, "shuffle_write_mb": 0.0,
-            "spill_mb": 0.0, "peak_mem_mb": shuffle_mb, "ops": ops_red,
-        },
-    ]
-
-
 @dataclass(frozen=True)
 class _Workload:
-    """How one workload family is run and profiled."""
+    """How one workload family is run."""
 
-    inputs: Callable  # (spark, sf, seed) → input DataFrames; the first gives rows_in
+    inputs: Callable  # (spark, sf, seed) → input DataFrames
     job: Callable  # (spark, seed, *inputs) → output DataFrame, or a driver-side result
-    shuffle: Callable  # (input MB, output, output rows) → MB one shuffle stage moves
-    ops: tuple[tuple, tuple]  # operators of the map and the reduce stage
-    rows_out: int | None = None  # a driver-side result's fixed row count
-    shuffle_rounds: int = 1  # shuffles of one stage's size the job makes in all
-
-
-def _output_mb(in_mb: float, out: DataFrame, rows_out: int) -> float:
-    return _df_mb(out, rows_out)
-
-
-def _input_share(frac: float) -> Callable:
-    return lambda in_mb, out, rows_out: in_mb * frac
 
 
 def _sql(task: Callable, inputs: Callable) -> _Workload:
-    return _Workload(inputs, lambda spark, seed, *dfs: task(*dfs),
-                     lambda in_mb, out, rows_out: max(_df_mb(out, rows_out), in_mb * 0.05),
-                     (("filter", "map"), ("groupBy", "aggregate")))
+    return _Workload(inputs, lambda spark, seed, *dfs: task(*dfs))
 
 
 def _kv(spark, sf, seed):
@@ -115,42 +88,31 @@ _WORKLOADS = {
     "wordcount": _Workload(
         lambda spark, sf, seed: (synth_data.text_corpus(
             spark, n_lines=max(100, int(600_000 * sf)), seed=seed),),
-        lambda spark, seed, text: wordcount.wordcount(text),
-        _output_mb,  # word/count pairs cross the shuffle
-        (("flatMap", "map"), ("groupBy", "aggregate"))),
-    "sort": _Workload(_kv, lambda spark, seed, recs: sortbench.sort_records(recs),
-                      _input_share(1.0), (("map", "sortBy"), ("sortBy",))),
-    "terasort": _Workload(_kv, lambda spark, seed, recs: sortbench.terasort(recs, partitions=8),
-                          _input_share(1.0), (("map", "sortBy"), ("sortBy", "repartition"))),
+        lambda spark, seed, text: wordcount.wordcount(text)),
+    "sort": _Workload(_kv, lambda spark, seed, recs: sortbench.sort_records(recs)),
+    "terasort": _Workload(_kv, lambda spark, seed, recs: sortbench.terasort(recs, partitions=8)),
     "pagerank": _Workload(
         lambda spark, sf, seed: (synth_data.edge_list(
             spark, n_nodes=max(50, int(20_000 * sf)), n_edges=max(200, int(120_000 * sf)),
             seed=seed),),
-        lambda spark, seed, edges: pagerank.pagerank(spark, edges, iterations=3),
-        _input_share(0.6), (("join", "map", "cache"), ("groupBy", "aggregate")),
-        shuffle_rounds=3),
+        lambda spark, seed, edges: pagerank.pagerank(spark, edges, iterations=3)),
     "kmeans": _Workload(
         _points(500_000),
-        lambda spark, seed, pts: kmeans.kmeans(pts, k=4, iterations=3, seed=seed),
-        _input_share(0.02), (("map", "cache"), ("aggregate",)), rows_out=4),
+        lambda spark, seed, pts: kmeans.kmeans(pts, k=4, iterations=3, seed=seed)),
     "bayes": _Workload(
         lambda spark, sf, seed: (synth_data.labeled_corpus(
             spark, n_docs=max(100, int(200_000 * sf)), seed=seed),),
-        lambda spark, seed, docs: bayes.train_naive_bayes(docs),
-        _output_mb, (("flatMap", "map"), ("groupBy", "aggregate"))),
+        lambda spark, seed, docs: bayes.train_naive_bayes(docs)),
     "nweight": _Workload(
         lambda spark, sf, seed: (synth_data.edge_list(
             spark, n_nodes=max(30, int(3_000 * sf)), n_edges=max(100, int(30_000 * sf)),
             seed=seed),),
-        lambda spark, seed, edges: nweight.nweight(edges, hops=2),
-        _output_mb, (("join", "map", "cache"), ("groupBy", "aggregate"))),
+        lambda spark, seed, edges: nweight.nweight(edges, hops=2)),
     "lr": _Workload(
         lambda spark, sf, seed: (synth_data.labeled_points(
             spark, n=max(200, int(400_000 * sf)), seed=seed),),
-        lambda spark, seed, df: lr.logistic_regression(df, iterations=3),
-        _input_share(0.01), (("map", "cache"), ("aggregate",)), rows_out=1),
-    "svd": _Workload(_points(400_000), lambda spark, seed, pts: svd.singular_values(pts),
-                     _input_share(0.05), (("map", "cache"), ("aggregate",)), rows_out=1),
+        lambda spark, seed, df: lr.logistic_regression(df, iterations=3)),
+    "svd": _Workload(_points(400_000), lambda spark, seed, pts: svd.singular_values(pts)),
     "sql_data_selection": _sql(sql_tasks.data_selection, _lineitem),
     "sql_skew_detection": _sql(sql_tasks.skew_detection, _lineitem),
     "sql_feature_calculation": _sql(
@@ -164,18 +126,52 @@ _WORKLOADS = {
 WORKLOAD_NAMES = tuple(_WORKLOADS)
 
 
+def _stages(sc: SparkContext, group: str, name: str) -> list[dict]:
+    """The completed stages of ``group``'s jobs, as per-task means. A
+    stage that reads shuffle data takes the ops of ``name``'s last
+    profile stage, any other stage those of its first."""
+    profile = PROFILES[name].stages
+    sc._jsc.sc().listenerBus().waitUntilEmpty()  # the store has seen every event
+    tracker, store = sc.statusTracker(), sc._jsc.sc().statusStore()
+    ids = sorted({s for j in tracker.getJobIdsForGroup(group) for s in tracker.getJobInfo(j).stageIds})
+    stages = []
+    for data in (store.lastStageAttempt(i) for i in ids):
+        if data.status().toString() != "COMPLETE":
+            continue  # SKIPPED: the stage's shuffle output was already there
+        n = data.numTasks()
+        stage = {key: getattr(data, counter)() / unit / n for key, (counter, unit) in _COUNTERS.items()}
+        stage["n_tasks"] = n
+        stage["ops"] = (profile[-1] if stage["shuffle_read_mb"] > 0 else profile[0]).ops
+        stages.append(stage)
+    return stages
+
+
 def run_workload(spark: SparkSession, name: str, *, sf: float = 0.01, seed: int = 0) -> RunMetrics:
-    """Run one workload family at scale factor ``sf`` and profile it."""
+    """Run one workload family at scale factor ``sf`` and read its stages."""
     w = _WORKLOADS.get(name)
     if w is None:
         raise KeyError(f"unknown workload {name!r}; known: {sorted(_WORKLOADS)}")
-    inputs = w.inputs(spark, sf, seed)
-    rows = inputs[0].count()
-    in_mb = _df_mb(inputs[0], rows) + sum(_df_mb(df) for df in inputs[1:])
-    t0 = time.perf_counter()
-    out = w.job(spark, seed, *inputs)
-    rows_out = out.count() if w.rows_out is None else w.rows_out
-    wall = time.perf_counter() - t0
-    sh = w.shuffle(in_mb, out, rows_out)
-    return RunMetrics(name, wall, in_mb, sh * w.shuffle_rounds, rows, rows_out,
-                      _mk_stages(wall, in_mb, sh, rows, *w.ops))
+    sc, group = spark.sparkContext, uuid.uuid4().hex
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = w.inputs(spark, sf, seed)
+        for i, df in enumerate(inputs):
+            df.write.parquet(f"{tmp}/{i}")
+        # read back outside the group, so no schema job joins the run;
+        # Parquet's vectored reads run off the task thread, and Spark's
+        # input counter would see only the footers
+        read = spark.read.option("parquet.hadoop.vectored.io.enabled", "false")
+        inputs = [read.parquet(f"{tmp}/{i}") for i in range(len(inputs))]
+        sc.setJobGroup(group, name)
+        try:
+            t0 = time.perf_counter()
+            out = w.job(spark, seed, *inputs)
+            if isinstance(out, DataFrame):
+                out.write.format("noop").mode("overwrite").save()
+            wall = time.perf_counter() - t0
+        finally:  # what Scala's clearJobGroup clears; PySpark has none
+            for key in ("spark.jobGroup.id", "spark.job.description", "spark.job.interruptOnCancel"):
+                sc.setLocalProperty(key, None)
+    stages = _stages(sc, group, name)
+    input_mb = sum(s["input_mb"] * s["n_tasks"] for s in stages)
+    shuffle_mb = sum(s["shuffle_write_mb"] * s["n_tasks"] for s in stages)
+    return RunMetrics(name, wall, input_mb, shuffle_mb, stages)

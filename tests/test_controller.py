@@ -7,6 +7,11 @@ from repro.core.config_space import ConfigSpace
 from repro.core.controller import OnlineTuner
 from repro.core.gp import GaussianProcess
 from repro.core.objective import ExecResult, TuningProblem, resource
+from repro.experiments.ablations import build_meta_learner
+from repro.experiments.harness import tune
+from repro.experiments.hibench import hibench_env
+from repro.simcluster import get_profile
+from repro.simcluster.eventlog import meta_features
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +52,20 @@ class TestInit:
         t = OnlineTuner(space, prob, seed=0, use_meta=False, use_safe=False)
         # vanilla-BO ablation keeps raw Sobol inits (may violate)
         assert any(resource(c) > rmax for c in t._init_configs)
+
+    def test_two_meta_sources_fill_the_design_with_sobol(self):
+        space, sim = hibench_env()
+        learner = build_meta_learner(space, sim, ("terasort", "kmeans"), budget=6)
+        profile = get_profile("lr")
+        target_meta = meta_features(sim.run(profile, space.default_config(), seed=0))
+        sources = learner.nearest(target_meta)
+        assert len(sources) == 2 < OnlineTuner.n_init
+        h = tune(space, sim, profile, seed=0, budget=OnlineTuner.n_init + 1, use_meta=True,
+                 meta_learner=learner, target_meta=target_meta, reference_config=None)
+        assert len(h) == OnlineTuner.n_init + 1
+        starts = [t.history.best().config for t, _ in sources]
+        assert [o.config for o in h.observations[:2]] == starts
+        assert h.observations[2].config not in starts
 
 
 class TestObserve:

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.fanova import _tree_importance, fanova_importance
+from repro.ml.fanova import _importances, fanova_importance
 from repro.ml.forest import RandomForestRegressor, draw_subsets
-from repro.ml.tree import RegressionTree
+from repro.ml.tree import RegressionTree, TreeStack
 
 
 def _fit_forest(fn, d=4, n=400, seed=0, **kw):
@@ -137,7 +137,7 @@ class TestExactness:
     @given(_tree_case())
     def test_equals_per_dimension_reference(self, case):
         tree, d = case
-        got = _tree_importance(tree, d)
+        got = _importances(TreeStack([tree]), d)[0]
         assert np.array_equal(got, _reference_tree_importance(tree, np.zeros(d), np.ones(d)))
         unsplit = np.setdiff1d(np.arange(d), tree.feature)
         assert np.all(got[unsplit] == 0.0)

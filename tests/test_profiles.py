@@ -1,10 +1,12 @@
 """Unit tests for workload profiles and the production population."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.config_space import ConfigSpace
 from repro.simcluster.profile import (
-    PROFILES, STAGE_OPS, WorkloadProfile, get_profile, production_population, scaled,
+    PROFILES, STAGE_OPS, WorkloadProfile, get_profile, production_population,
 )
 
 
@@ -55,7 +57,7 @@ class TestProfiles:
             get_profile("nope")
 
     def test_scaled(self):
-        p = scaled(get_profile("wordcount"), 123.0)
+        p = replace(get_profile("wordcount"), base_datasize_mb=123.0)
         assert p.base_datasize_mb == 123.0
         assert p.stages == get_profile("wordcount").stages
 

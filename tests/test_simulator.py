@@ -1,10 +1,11 @@
 """Unit tests for the cluster execution simulator substrate."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.config_space import ConfigSpace
 from repro.simcluster import ClusterSimulator, get_profile
-from repro.simcluster.profile import scaled
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +50,7 @@ class TestResourceScaling:
 
     def test_diminishing_returns_and_overhead(self, space, sim):
         # a tiny job gains nothing from 700 executors vs 50
-        p = scaled(get_profile("sql_data_selection"), 400)
+        p = replace(get_profile("sql_data_selection"), base_datasize_mb=400)
         mid = sim.run(p, _cfg(space, executor_instances=50), seed=1)
         huge = sim.run(p, _cfg(space, executor_instances=700), seed=1)
         assert huge.runtime_s >= mid.runtime_s * 0.8

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.ml.fanova import _leaf_boxes
 from repro.ml.forest import RandomForestRegressor, draw_subsets
-from repro.ml.gbm import GradientBoostedRegressor
+from repro.ml.gbm import LEARNING_RATE, GradientBoostedRegressor
 from repro.ml.tree import RegressionTree, TreeStack
 
 
@@ -202,7 +202,7 @@ class TestPredictExact:
                                      min_samples_leaf=1).fit(X, y)
         ref = np.full(len(Q), m._init)
         for t in m._trees:
-            ref += m.learning_rate * _walk(t, Q)
+            ref += LEARNING_RATE * _walk(t, Q)
         assert np.array_equal(m.predict(Q), ref)
 
 
