@@ -24,7 +24,27 @@ def measured(spark):
     return get
 
 
+def _bytes(stages, key):
+    """The bytes of one counter (an ``_mb`` per-task mean) over ``stages``."""
+    return round(sum(s[key] * s["n_tasks"] for s in stages) * 1e6)
+
+
 class TestRunner:
+    @pytest.mark.parametrize("name", ["pagerank", "sql_feature_calculation", "wordcount"])
+    def test_profile_matches_recorded(self, measured, name):
+        # the run has the map and reduce sides its profile records: its
+        # first stage reads input with the profile's first ops, its last
+        # reads shuffle data with the profile's last ops
+        profile = PROFILES[name].stages
+        assert profile[0].shuffle_frac > 0 and profile[-1].is_shuffle_read
+        m = measured(name)
+        first, last = m.stages[0], m.stages[-1]
+        assert first["input_mb"] > 0 and first["shuffle_read_mb"] == 0
+        assert first["ops"] == profile[0].ops
+        assert last["shuffle_read_mb"] > 0 and last["ops"] == profile[-1].ops
+        assert m.shuffle_mb > 0
+
+
     def test_all_simulated_families_profilable(self):
         # every HiBench-lite + SQL simulator profile has a real runner
         for name in WORKLOAD_NAMES:
@@ -43,6 +63,25 @@ class TestRunner:
     def test_stage_ops_come_from_the_profile(self, measured, name):
         profile_ops = [p.ops for p in PROFILES[name].stages]
         assert all(s["ops"] in profile_ops for s in measured(name).stages)
+
+    def test_wordcount_metrics(self, measured):
+        m = measured("wordcount")
+        assert m.wall_s > 0 and m.input_mb > 0 and m.shuffle_mb > 0
+        assert m.shuffle_frac == m.shuffle_mb / m.input_mb
+        # the reduce side reads every byte the map side wrote
+        assert _bytes(m.stages, "shuffle_read_mb") == _bytes(m.stages, "shuffle_write_mb") > 0
+
+    def test_sort_shuffles_everything(self, measured):
+        # every shuffled byte reaches the single sorted output
+        m = measured("sort")
+        written = _bytes(m.stages, "shuffle_write_mb")
+        assert written > 0 and written == round(m.shuffle_mb * 1e6)
+        assert _bytes(m.stages, "shuffle_read_mb") == written
+
+    def test_sql_task_runs(self, measured):
+        m = measured("sql_data_selection")
+        assert m.wall_s > 0 and m.input_mb > 0
+        assert m.stages[0]["ops"] == PROFILES["sql_data_selection"].stages[0].ops
 
     @pytest.mark.parametrize("name", ["sort", "terasort"])
     def test_sorts_shuffle_every_key(self, spark, measured, name):
