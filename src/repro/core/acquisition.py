@@ -50,12 +50,14 @@ def eic(
     mu: np.ndarray,
     sigma: np.ndarray,
     best: float,
-    constraint_posteriors: list[tuple[np.ndarray, np.ndarray, float]],
+    runtime: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> np.ndarray:
-    """EIC(x) = EI(x) * prod_c Pr[c(x) <= threshold_c] (Eq. 6)."""
+    """EIC(x) = EI(x) * Pr[log T(x) <= log t_max] (Eq. 6): ``runtime``
+    is the log-runtime posterior and log-threshold ``(mu_t, sd_t,
+    log_thr)``, Eq. 1's one black-box bound; EI alone when it is None."""
     a = expected_improvement(mu, sigma, best)
-    for c_mu, c_sigma, thr in constraint_posteriors:
-        a = a * prob_below(c_mu, c_sigma, thr)
+    if runtime is not None:
+        a = a * prob_below(*runtime)
     return a
 
 
@@ -88,18 +90,17 @@ def propose(
     with value ``inf``.
     """
     U = surrogates.rows(cands)
-    posteriors = []
-    safe = None
+    runtime = safe = None
     if t_max is not None:
         mu_t, sd_t = surrogates.runtime.predict(U)
         log_thr = np.log(max(t_max, 1e-9))
-        posteriors.append((mu_t, sd_t, log_thr))
+        runtime = (mu_t, sd_t, log_thr)
         if gamma is not None:
             safe = safe_mask(mu_t, sd_t, log_thr, gamma)
             if not safe.any():
                 return int(np.argmin(mu_t + gamma * sd_t)), float("inf")
     mu_f, sd_f = surrogates.objective.predict(U)
-    acq = eic(mu_f, sd_f, float(history.best().objective), posteriors)
+    acq = eic(mu_f, sd_f, float(history.best().objective), runtime)
     if safe is not None:
         acq = np.where(safe, acq, -np.inf)
     idx = int(np.argmax(acq))

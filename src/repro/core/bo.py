@@ -154,11 +154,11 @@ def fit_surrogates(
     X = history.X_unit(with_datasize=with_datasize)
     y = history.penalized_objectives()
     cat_mask = history.space.cat_mask
-    gp_f = GaussianProcess(cat_mask, has_datasize=with_datasize).fit(X, y)
+    gp_f = GaussianProcess(cat_mask).fit(X, y)
     objective = MetaEnsembleSurrogate(sources, gp_f, X, y) if sources else gp_f
     gp_t = None
     if runtime:
         # log-runtime: positive, multiplicative noise, long tails
-        gp_t = GaussianProcess(cat_mask, has_datasize=with_datasize).fit(
+        gp_t = GaussianProcess(cat_mask).fit(
             gp_f.basis, np.log(np.maximum(history.runtimes(), 1e-9)))
     return Surrogates(objective, gp_t, history.next_datasize() if with_datasize else None)

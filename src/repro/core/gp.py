@@ -11,7 +11,9 @@ lengthscale (also the datasize SE lengthscale) and the noise are
 grid-searched by maximizing the exact log marginal likelihood —
 observation counts are tiny online (≤ tens), so a coarse grid is both
 robust and fast, and needs no scipy; the categorical decay is set from
-the categorical-dimension count. :meth:`MixedKernel.stack` builds the
+the categorical-dimension count. The kernel is one function of its two
+sets of rows, :func:`mixed_kernel`; the rows carry the datasize column
+exactly when they are wider than the categorical mask. It builds the
 kernels of several lengthscales over one set of distances and mismatch
 counts (one matrix product), and is called once for all grid
 lengthscales. The kernels of all grid points, lengthscale by noise, are
@@ -52,60 +54,50 @@ def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass
-class MixedKernel:
-    """Product kernel: Matérn52(numeric) × Hamming(categorical) × SE(size).
+def mixed_kernel(A: np.ndarray, B: np.ndarray, cat_mask: np.ndarray,
+                 lengthscales: Sequence[float]) -> np.ndarray:
+    """Product kernel Matérn52(numeric) × Hamming(categorical) × SE(size)
+    between the rows ``A`` and ``B`` at each lengthscale, as one
+    ``(len(lengthscales), len(A), len(B))`` array.
 
-    ``cat_mask`` marks categorical dims of the config vector; the data
-    size, if used, is the final column of the input matrix and is
-    handled by the SE factor, at the numeric lengthscale. The Hamming
-    decay scales with the categorical-dimension count, or every config
-    pair would be "far".
+    ``cat_mask`` marks the categorical dims of the config vector. Rows
+    wider than it carry the data size in their last column, which the
+    SE factor takes at the numeric lengthscale. The Hamming decay scales
+    with the categorical-dimension count, or every config pair would be
+    "far". Raises ``ValueError`` when ``A`` and ``B`` differ in width.
     """
-
-    cat_mask: np.ndarray
-    has_datasize: bool = False
-    lengthscale: float = 0.5
-    cat_decay: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.cat_decay = max(float(np.asarray(self.cat_mask).sum()) / 2.0, 0.5)
-
-    def __call__(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return self.stack(A, B, [self.lengthscale])[0]
-
-    def stack(self, A: np.ndarray, B: np.ndarray, lengthscales: Sequence[float]) -> np.ndarray:
-        """``k(A, B)`` at each lengthscale, as one
-        ``(len(lengthscales), len(A), len(B))`` array."""
-        d = len(self.cat_mask)
-        num = ~self.cat_mask
-        An, Bn = A[:, :d][:, num], B[:, :d][:, num]
-        scale = np.array([max(ls, 1e-6) for ls in lengthscales])[:, None, None]
-        K = _matern52(np.sqrt(_pairwise_sq(An, Bn)) / scale)
-        if self.cat_mask.any():
-            Ac, Bc = A[:, :d][:, self.cat_mask], B[:, :d][:, self.cat_mask]
-            # the mismatch count as one product: each B entry equals one
-            # distinct value of its column, so a one-hot over those adds the
-            # same 0/1s as a broadcast over B (small integer sums are exact)
-            Bs = np.sort(Bc, axis=0).T
-            first = np.ones(Bs.shape, bool)
-            first[:, 1:] = Bs[:, 1:] != Bs[:, :-1]
-            c, vals = np.nonzero(first)[0], Bs[first]
-            onehot = (Bc.T[c] == vals[:, None]).astype(np.float64)
-            mism = (np.abs(Ac[:, c] - vals) > 1e-9).astype(np.float64) @ onehot
-            K = K * np.exp(-mism / max(self.cat_decay, 1e-6))
-        if self.has_datasize:
-            ds_a, ds_b = A[:, d:], B[:, d:]
-            two_sq = np.array([2.0 * max(ls, 1e-6) ** 2 for ls in lengthscales])
-            K = K * np.exp(-_pairwise_sq(ds_a, ds_b) / two_sq[:, None, None])
-        return K
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"kernel rows differ in width: {A.shape[1]} and {B.shape[1]}")
+    d = len(cat_mask)
+    num = ~cat_mask
+    An, Bn = A[:, :d][:, num], B[:, :d][:, num]
+    scale = np.array([max(ls, 1e-6) for ls in lengthscales])[:, None, None]
+    K = _matern52(np.sqrt(_pairwise_sq(An, Bn)) / scale)
+    n_cat = np.count_nonzero(cat_mask)
+    if n_cat:
+        Ac, Bc = A[:, :d][:, cat_mask], B[:, :d][:, cat_mask]
+        # the mismatch count as one product: each B entry equals one
+        # distinct value of its column, so a one-hot over those adds the
+        # same 0/1s as a broadcast over B (small integer sums are exact)
+        Bs = np.sort(Bc, axis=0).T
+        first = np.ones(Bs.shape, bool)
+        first[:, 1:] = Bs[:, 1:] != Bs[:, :-1]
+        c, vals = np.nonzero(first)[0], Bs[first]
+        onehot = (Bc.T[c] == vals[:, None]).astype(np.float64)
+        mism = (np.abs(Ac[:, c] - vals) > 1e-9).astype(np.float64) @ onehot
+        K = K * np.exp(-mism / max(n_cat / 2.0, 0.5))
+    if A.shape[1] > d:
+        two_sq = np.array([2.0 * max(ls, 1e-6) ** 2 for ls in lengthscales])
+        K = K * np.exp(-_pairwise_sq(A[:, d:], B[:, d:]) / two_sq[:, None, None])
+    return K
 
 
 class PosteriorBasis:
-    """What the GPs fitted on one set of rows ``X`` share: the rows, the
-    hyperparameter grid, the Cholesky factors of its kernel stack and
-    their log-determinants, all built once. A GP's targets enter only
-    through its own standardization and ``alpha``.
+    """What the GPs fitted on one set of rows ``X`` share: the rows and
+    their categorical mask, the hyperparameter grid, the Cholesky
+    factors of its kernel stack and their log-determinants, all built
+    once. A GP's targets enter only through its own standardization and
+    ``alpha``.
 
     It also memoizes, for the last read-only query while more than one
     GP uses it, the cross-kernel per lengthscale and the explained
@@ -115,20 +107,20 @@ class PosteriorBasis:
     a fit on rows (the benchmark's tracer records it).
     """
 
-    def __init__(self, kernel: MixedKernel, X: np.ndarray) -> None:
+    def __init__(self, cat_mask: np.ndarray, X: np.ndarray) -> None:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if not np.isfinite(X).all():
             raise ValueError("GP inputs and targets must be finite")
-        self.kernel, self.X = kernel, X
+        self.cat_mask, self.X = np.asarray(cat_mask, bool), X
         # pairwise distances grow ~sqrt(d) in the unit cube, so the
         # candidate lengthscales must scale with dimensionality or a
         # high-d GP collapses to its prior mean between observations
-        dim_scale = max(np.sqrt((~kernel.cat_mask).sum() / 2.0), 1.0)
+        dim_scale = max(np.sqrt((~self.cat_mask).sum() / 2.0), 1.0)
         lengthscales = LS_GRID + tuple(g * dim_scale for g in LS_GRID)
         grid = [(ls, nz) for ls in lengthscales for nz in NOISE_GRID]
         n = len(X)
         noise = (np.array(NOISE_GRID) + _JITTER)[:, None, None] * np.eye(n)
-        K = (kernel.stack(X, X, lengthscales)[:, None] + noise).reshape(-1, n, n)
+        K = (mixed_kernel(X, X, self.cat_mask, lengthscales)[:, None] + noise).reshape(-1, n, n)
         try:
             L = np.linalg.cholesky(K)
         except np.linalg.LinAlgError:
@@ -163,7 +155,7 @@ class PosteriorBasis:
         memo = self._memo_of(Q)
         Ks = memo.get(lengthscale)
         if Ks is None:
-            Ks = memo[lengthscale] = self.kernel.stack(Q, self.X, [lengthscale])[0]
+            Ks = memo[lengthscale] = mixed_kernel(Q, self.X, self.cat_mask, [lengthscale])[0]
         explained = memo.get((lengthscale, noise))
         if explained is None:
             v = np.linalg.solve(L, Ks.T)
@@ -190,28 +182,24 @@ class GaussianProcess:
     """
 
     cat_mask: np.ndarray
-    has_datasize: bool = False
-    kernel: MixedKernel = field(init=False)
     # fitted state
     basis: PosteriorBasis | None = field(init=False, default=None)
     _alpha: np.ndarray | None = field(init=False, default=None)
     _L: np.ndarray | None = field(init=False, default=None)
     _y_mean: float = field(init=False, default=0.0)
     _y_std: float = field(init=False, default=1.0)
+    lengthscale: float = field(init=False, default=0.5)
     noise: float = field(init=False, default=1e-3)
-
-    def __post_init__(self) -> None:
-        self.kernel = MixedKernel(np.asarray(self.cat_mask, bool), self.has_datasize)
 
     def fit(self, X: np.ndarray | PosteriorBasis, y: np.ndarray) -> "GaussianProcess":
         """Fit on the rows ``X``, or on the rows of a basis another GP
-        of the same kernel was fitted on, sharing its factors. Keep the
-        grid point of highest log marginal likelihood, the first on ties
-        (lengthscale outer, noise inner)."""
+        was fitted on, sharing its factors. Keep the grid point of
+        highest log marginal likelihood, the first on ties (lengthscale
+        outer, noise inner)."""
         y = np.asarray(y, dtype=np.float64)
         if not np.isfinite(y).all():
             raise ValueError("GP inputs and targets must be finite")
-        basis = X if isinstance(X, PosteriorBasis) else PosteriorBasis(self.kernel, X)
+        basis = X if isinstance(X, PosteriorBasis) else PosteriorBasis(self.cat_mask, X)
         self._y_mean = float(y.mean())
         self._y_std = float(y.std()) or 1.0
         z = (y - self._y_mean) / self._y_std
@@ -228,8 +216,7 @@ class GaussianProcess:
             if lml > best[0]:
                 best = (lml, (ls, nz, L_i, a))
         ls, nz, L, a = best[1]
-        self.kernel.lengthscale = ls
-        self.noise = nz
+        self.lengthscale, self.noise = ls, nz
         self._L, self._alpha = L.copy(), a
         self.basis = basis
         basis.users += 1
@@ -239,7 +226,7 @@ class GaussianProcess:
         if self.basis is None:
             raise RuntimeError("GP is not fitted")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        Ks, explained = self.basis.posterior(X, self.kernel.lengthscale, self.noise, self._L)
+        Ks, explained = self.basis.posterior(X, self.lengthscale, self.noise, self._L)
         mu = Ks @ self._alpha
         # the kernel is stationary with unit amplitude: k(x, x) = 1
         var = np.clip(1.0 + self.noise - explained, 1e-12, None)

@@ -67,8 +67,8 @@ class SourceTask:
         self.surrogate = GaussianProcess(self.history.space.cat_mask)
         y = self.history.penalized_objectives()
         # standardize per-task so cross-task predictions are comparable
-        self._mu, self._sd = float(y.mean()), float(y.std()) or 1.0
-        self.surrogate.fit(self.history.X_unit(), (y - self._mu) / self._sd)
+        mu, sd = float(y.mean()), float(y.std()) or 1.0
+        self.surrogate.fit(self.history.X_unit(), (y - mu) / sd)
 
 
 def surrogate_distance(

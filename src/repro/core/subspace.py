@@ -90,10 +90,8 @@ class SubspaceManager:
         """
         if len(y) < MIN_HISTORY or len(y) % REFIT_EVERY != 0:
             return
-        forest = RandomForestRegressor(
-            n_estimators=16, max_depth=5, max_features=max(3, self.space.dim // 3),
-            seed=self.seed,
-        ).fit(np.asarray(X_unit), np.asarray(y))
+        forest = RandomForestRegressor(n_estimators=16, max_depth=5, seed=self.seed).fit(
+            np.asarray(X_unit), np.asarray(y))
         imp = fanova_importance(forest, self.space.dim)
         if self.importance is None:
             self.importance = imp

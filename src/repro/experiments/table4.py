@@ -1,8 +1,10 @@
 """Table 4 — execution cost of the top-3 warm-started configurations.
 
 For each (target ← source) pair in the paper's Table 4 the source task
-is tuned first; the meta-knowledge learner then transfers the source's
-three best configurations to the target, where each is evaluated.
+is tuned first; its three best runs (feasible first, then by objective)
+are evaluated on the target as they are. The pairs are fixed by the
+paper, so no meta-learner (:mod:`repro.core.meta`) picks the source or
+the configs.
 Reported: execution cost of the Default and Manual configurations and
 of Top1/Top2/Top3 — the paper's observation to check is that the
 transferred configs beat Manual in the first three trials and that the

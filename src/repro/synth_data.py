@@ -61,23 +61,6 @@ def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame
     return spark.createDataFrame(pdf)
 
 
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    n = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "p_partkey": np.arange(1, n + 1),
-            "p_type": g.choice(
-                ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"], n
-            ),
-            "p_brand": g.choice([f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)], n),
-            "p_size": g.integers(1, 51, n),
-            "p_retailprice": (900 + (np.arange(1, n + 1) % 1000) / 10.0).round(2),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
 def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
     n = max(1, int(_N_CUSTOMER_PER_SF * sf))
     g = _rng(seed)

@@ -28,6 +28,8 @@ if __name__ == "__main__":
     spark = (
         SparkSession.builder.appName("profile-workloads")
         .config("spark.sql.shuffle.partitions", "16")
+        # the tests' plan: every join shuffles both sides
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
     print(f"{'workload':<26}{'wall_s':>8}{'stages':>7}{'input_mb':>10}{'shuffle_mb':>11}"

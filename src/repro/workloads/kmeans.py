@@ -8,6 +8,7 @@ iteration, the exact HiBench KMeans stage shape.
 from __future__ import annotations
 
 import numpy as np
+from pyspark import StorageLevel
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -47,7 +48,12 @@ def kmeans(points: DataFrame, *, k: int = 4, iterations: int = 5, seed: int = 0)
     init = points.limit(10 * k).toPandas()[dims].to_numpy()
     rng = np.random.default_rng(seed)
     centroids = init[rng.choice(len(init), size=k, replace=False)]
+    owned = points.storageLevel == StorageLevel.NONE  # a caller's cache stays
     cached = points.cache()
-    for _ in range(iterations):
-        centroids = lloyd_step(cached, centroids)
+    try:
+        for _ in range(iterations):
+            centroids = lloyd_step(cached, centroids)
+    finally:
+        if owned:
+            cached.unpersist()
     return centroids

@@ -9,6 +9,7 @@ the same deterministic update.
 from __future__ import annotations
 
 import numpy as np
+from pyspark import StorageLevel
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -35,7 +36,12 @@ def logistic_regression(
     """Train weights by ``iterations`` full-batch GD steps."""
     dims = _dims(df)
     w = np.zeros(len(dims))
+    owned = df.storageLevel == StorageLevel.NONE  # a caller's cache stays
     cached = df.cache()
-    for _ in range(iterations):
-        w = w - lr * gradient(cached, w)
+    try:
+        for _ in range(iterations):
+            w = w - lr * gradient(cached, w)
+    finally:
+        if owned:
+            cached.unpersist()
     return w

@@ -10,7 +10,10 @@ meta-features too.
 
 The counters come from Spark's status store through two private JVM
 calls over py4j (``listenerBus`` and ``statusStore``): with the UI off,
-no public PySpark API returns per-stage bytes.
+no public PySpark API returns per-stage bytes. A third (the session's
+``cacheManager``) releases whatever the job cached on its inputs, since
+a DataFrame cached inside a workload is not the runner's to unpersist;
+the caller's own caches stay.
 """
 from __future__ import annotations
 
@@ -171,6 +174,11 @@ def run_workload(spark: SparkSession, name: str, *, sf: float = 0.01, seed: int 
         finally:  # what Scala's clearJobGroup clears; PySpark has none
             for key in ("spark.jobGroup.id", "spark.job.description", "spark.job.interruptOnCancel"):
                 sc.setLocalProperty(key, None)
+            # every cache built on an input (cascade): pagerank's nodes
+            # and bayes' counts, which their lazy results read in the write
+            manager = spark._jsparkSession.sharedState().cacheManager()
+            for df in inputs:
+                manager.uncacheQuery(df._jdf, True, True)
     stages = _stages(sc, group, name)
     input_mb = sum(s["input_mb"] * s["n_tasks"] for s in stages)
     shuffle_mb = sum(s["shuffle_write_mb"] * s["n_tasks"] for s in stages)

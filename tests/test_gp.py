@@ -6,62 +6,71 @@ from hypothesis import strategies as st
 
 from repro.core import gp as gp_module
 from repro.core.config_space import ConfigSpace
-from repro.core.gp import _JITTER, GaussianProcess, MixedKernel, _matern52, _pairwise_sq
+from repro.core.gp import _JITTER, GaussianProcess, _matern52, _pairwise_sq, mixed_kernel
 
 
 def _numeric_mask(d):
     return np.zeros(d, dtype=bool)
 
 
+def _k(A, B, cat_mask, ls=0.5):
+    """The mixed kernel at one lengthscale."""
+    return mixed_kernel(A, B, cat_mask, [ls])[0]
+
+
 class TestKernel:
     def test_self_similarity_is_one(self):
-        k = MixedKernel(_numeric_mask(3))
         X = np.random.default_rng(0).random((5, 3))
-        assert np.allclose(np.diag(k(X, X)), 1.0)
+        assert np.allclose(np.diag(_k(X, X, _numeric_mask(3))), 1.0)
 
     def test_symmetry(self):
-        k = MixedKernel(_numeric_mask(3))
         X = np.random.default_rng(0).random((6, 3))
-        K = k(X, X)
+        K = _k(X, X, _numeric_mask(3))
         assert np.allclose(K, K.T)
 
     def test_decay_with_distance(self):
-        k = MixedKernel(_numeric_mask(1))
         a = np.array([[0.0]])
-        vals = [k(a, np.array([[x]]))[0, 0] for x in (0.0, 0.3, 0.9)]
+        vals = [_k(a, np.array([[x]]), _numeric_mask(1))[0, 0] for x in (0.0, 0.3, 0.9)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_psd(self):
-        k = MixedKernel(_numeric_mask(4))
         X = np.random.default_rng(1).random((20, 4))
-        eig = np.linalg.eigvalsh(k(X, X))
+        eig = np.linalg.eigvalsh(_k(X, X, _numeric_mask(4)))
         assert eig.min() > -1e-8
 
     def test_hamming_on_categoricals(self):
         mask = np.array([False, True])
-        k = MixedKernel(mask)
         a = np.array([[0.5, 0.0]])
         same = np.array([[0.5, 0.0]])
         diff = np.array([[0.5, 1.0]])
-        assert k(a, same)[0, 0] > k(a, diff)[0, 0]
+        assert _k(a, same, mask)[0, 0] > _k(a, diff, mask)[0, 0]
 
     def test_datasize_factor(self):
-        k = MixedKernel(_numeric_mask(1), has_datasize=True)
+        # rows one column wider than the mask carry the datasize
         a = np.array([[0.5, 0.2]])
         near = np.array([[0.5, 0.25]])
         far = np.array([[0.5, 0.9]])
-        assert k(a, near)[0, 0] > k(a, far)[0, 0]
+        assert _k(a, near, _numeric_mask(1))[0, 0] > _k(a, far, _numeric_mask(1))[0, 0]
+
+    def test_rows_of_different_widths_raise(self):
+        # a datasize column on one side only is an error, not ignored
+        X = np.random.default_rng(0).random((4, 3))
+        for A, B in ((X, X[:, :2]), (X[:, :2], X)):
+            with pytest.raises(ValueError, match="width"):
+                mixed_kernel(A, B, _numeric_mask(2), [0.5])
+        with pytest.raises(ValueError, match="width"):
+            GaussianProcess(_numeric_mask(2)).fit(X, X[:, 0]).predict(X[:, :2])
 
     def test_matern52_at_zero(self):
         assert _matern52(np.array([0.0]))[0] == pytest.approx(1.0)
 
 
 class TestGP:
-    def _fit(self, f, n=25, d=2, seed=0, **kw):
+    def _fit(self, f, n=25, d=2, seed=0):
         rng = np.random.default_rng(seed)
         X = rng.random((n, d))
         y = f(X)
-        gp = GaussianProcess(_numeric_mask(d), **kw).fit(X, y)
+        gp = GaussianProcess(_numeric_mask(d)).fit(X, y)
         return gp, X, y
 
     def test_interpolates_training_points(self):
@@ -112,7 +121,7 @@ class TestGP:
         rng = np.random.default_rng(4)
         X = np.concatenate([rng.random((30, 2)), rng.random((30, 1))], axis=1)
         y = X[:, 0] + 2.0 * X[:, 2]  # depends on the datasize column
-        gp = GaussianProcess(_numeric_mask(2), has_datasize=True).fit(X, y)
+        gp = GaussianProcess(_numeric_mask(2)).fit(X, y)
         mu_small, _ = gp.predict(np.array([[0.5, 0.5, 0.1]]))
         mu_big, _ = gp.predict(np.array([[0.5, 0.5, 0.9]]))
         assert mu_big[0] > mu_small[0]
@@ -195,15 +204,14 @@ class TestGPProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 30),
            st.floats(0.15, 5.0), st.booleans())
-    def test_kernel_prior_variance_is_one(self, seed, n, d, ls, has_datasize):
+    def test_kernel_prior_variance_is_one(self, seed, n, d, ls, datasize):
         rng = np.random.default_rng(seed)
         cat_mask = rng.random(d) < 0.3
-        X = rng.random((n, d + has_datasize))
+        X = rng.random((n, d + datasize))
         X[:, :d][:, cat_mask] = np.rint(X[:, :d][:, cat_mask] * 2) / 2
-        k = MixedKernel(cat_mask, has_datasize, lengthscale=ls)
-        np.testing.assert_allclose(k(X, X).diagonal(), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_k(X, X, cat_mask, ls).diagonal(), 1.0, rtol=0, atol=1e-12)
         for x in X:
-            assert k(x[None], x[None])[0, 0] == pytest.approx(1.0, rel=0, abs=1e-12)
+            assert _k(x[None], x[None], cat_mask, ls)[0, 0] == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 def test_predict_std_matches_full_prior_diagonal():
@@ -215,28 +223,28 @@ def test_predict_std_matches_full_prior_diagonal():
         return np.concatenate([U, rng.random((n, 1))], axis=1)
 
     X, Xs = rows(40), rows(300)
-    gp = GaussianProcess(space.cat_mask, has_datasize=True).fit(X, rng.normal(size=40))
+    gp = GaussianProcess(space.cat_mask).fit(X, rng.normal(size=40))
     for Q in (Xs, X):
         _, sd = gp.predict(Q)
-        v = np.linalg.solve(gp._L, gp.kernel(Q, gp.basis.X).T)
-        var = np.clip(gp.kernel(Q, Q).diagonal() + gp.noise - (v**2).sum(0), 1e-12, None)
+        v = np.linalg.solve(gp._L, _k(Q, gp.basis.X, space.cat_mask, gp.lengthscale).T)
+        prior = _k(Q, Q, space.cat_mask, gp.lengthscale).diagonal()
+        var = np.clip(prior + gp.noise - (v**2).sum(0), 1e-12, None)
         np.testing.assert_allclose(sd, np.sqrt(var) * gp._y_std, rtol=1e-12, atol=0)
 
 
-def _reference_kernel(k, A, B):
-    """Matérn52 × Hamming × SE at ``k``'s lengthscale, one matrix; the
-    Hamming decay is half the categorical count, at least 0.5."""
-    d = len(k.cat_mask)
-    num = ~k.cat_mask
-    K = _matern52(np.sqrt(_pairwise_sq(A[:, :d][:, num], B[:, :d][:, num]))
-                  / max(k.lengthscale, 1e-6))
-    if k.cat_mask.any():
-        Ac, Bc = A[:, :d][:, k.cat_mask], B[:, :d][:, k.cat_mask]
+def _reference_kernel(cat_mask, ls, A, B):
+    """Matérn52 × Hamming × SE at lengthscale ``ls``, one matrix; the
+    Hamming decay is half the categorical count, at least 0.5, and the
+    SE factor is taken over the columns after the mask's."""
+    d = len(cat_mask)
+    num = ~cat_mask
+    K = _matern52(np.sqrt(_pairwise_sq(A[:, :d][:, num], B[:, :d][:, num])) / max(ls, 1e-6))
+    if cat_mask.any():
+        Ac, Bc = A[:, :d][:, cat_mask], B[:, :d][:, cat_mask]
         mism = (np.abs(Ac[:, None, :] - Bc[None, :, :]) > 1e-9).sum(axis=2)
-        K = K * np.exp(-mism / max(k.cat_mask.sum() / 2.0, 0.5))
-    if k.has_datasize:
-        K = K * np.exp(-_pairwise_sq(A[:, d:], B[:, d:])
-                       / (2.0 * max(k.lengthscale, 1e-6) ** 2))
+        K = K * np.exp(-mism / max(cat_mask.sum() / 2.0, 0.5))
+    if A.shape[1] > d:
+        K = K * np.exp(-_pairwise_sq(A[:, d:], B[:, d:]) / (2.0 * max(ls, 1e-6) ** 2))
     return K
 
 
@@ -244,13 +252,11 @@ def _reference_fit(gp, X, y):
     """``fit``'s grid search with one kernel built per grid point:
     (lengthscale, noise, L, alpha) of the best point."""
     z = (y - y.mean()) / (y.std() or 1.0)
-    dim_scale = max(np.sqrt((~gp.kernel.cat_mask).sum() / 2.0), 1.0)
-    k = MixedKernel(gp.kernel.cat_mask, gp.has_datasize)
+    dim_scale = max(np.sqrt((~gp.cat_mask).sum() / 2.0), 1.0)
     best = (-np.inf, None)
     for ls in gp_module.LS_GRID + tuple(g * dim_scale for g in gp_module.LS_GRID):
         for nz in gp_module.NOISE_GRID:
-            k.lengthscale = ls
-            K = _reference_kernel(k, X, X) + (nz + _JITTER) * np.eye(len(X))
+            K = _reference_kernel(gp.cat_mask, ls, X, X) + (nz + _JITTER) * np.eye(len(X))
             try:
                 L = np.linalg.cholesky(K)
             except np.linalg.LinAlgError:
@@ -272,7 +278,7 @@ def _mixed_rows(rng, n, d, cat_mask):
 
 def _assert_fit_equals_reference(gp, X, y):
     ls, nz, L, a = _reference_fit(gp, X, y)
-    assert (gp.kernel.lengthscale, gp.noise) == (ls, nz)
+    assert (gp.lengthscale, gp.noise) == (ls, nz)
     assert np.array_equal(gp._L, L) and np.array_equal(gp._alpha, a)
 
 
@@ -284,14 +290,12 @@ class TestKernelStackExact:
         rng = np.random.default_rng(seed)
         cat_mask = rng.random(d) < 0.3
         X, Q = _mixed_rows(rng, n, d, cat_mask), _mixed_rows(rng, 7, d, cat_mask)
-        k = MixedKernel(cat_mask, True)
         for A, B in ((X, X), (Q, X)):
-            stack = k.stack(A, B, lengthscales)
+            stack = mixed_kernel(A, B, cat_mask, lengthscales)
             assert stack.shape == (len(lengthscales), len(A), len(B))
             for K, ls in zip(stack, lengthscales):
-                k.lengthscale = ls
-                assert np.array_equal(K, _reference_kernel(k, A, B))
-                assert np.array_equal(k(A, B), K)
+                assert np.array_equal(K, _reference_kernel(cat_mask, ls, A, B))
+                assert np.array_equal(_k(A, B, cat_mask, ls), K)
 
     # categorical values on the grid, within the 1e-9 tolerance of it,
     # 2e-9 off it, and a negative zero
@@ -317,12 +321,9 @@ class TestKernelStackExact:
             # B's column draws from a subset, so A meets values B lacks
             B[:, j] = rng.choice(rng.choice(values, rng.integers(1, 4)), n)
             A[:, j] = rng.choice(values, m)
-        k = MixedKernel(cat_mask, True)
-        for ls, K in zip((0.3, 1.7), k.stack(A, B, (0.3, 1.7))):
-            k.lengthscale = ls
-            assert np.array_equal(K, _reference_kernel(k, A, B))
-        k.lengthscale = 0.9
-        assert np.array_equal(k.stack(B, B, (0.9,))[0], _reference_kernel(k, B, B))
+        for ls, K in zip((0.3, 1.7), mixed_kernel(A, B, cat_mask, (0.3, 1.7))):
+            assert np.array_equal(K, _reference_kernel(cat_mask, ls, A, B))
+        assert np.array_equal(_k(B, B, cat_mask, 0.9), _reference_kernel(cat_mask, 0.9, B, B))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 12),
@@ -335,7 +336,7 @@ class TestKernelStackExact:
         X = _mixed_rows(rng, n, d, cat_mask)
         X = np.concatenate([X, X[rng.integers(0, n, repeats)]])
         y = rng.normal(size=len(X)) * 10.0 ** rng.integers(-3, 4)
-        gp = GaussianProcess(cat_mask, has_datasize=True).fit(X, y)
+        gp = GaussianProcess(cat_mask).fit(X, y)
         _assert_fit_equals_reference(gp, X, y)
         # owned arrays, not views into the grid's stack: the fit keeps
         # no stack alive, and a view may round differently
@@ -404,16 +405,16 @@ def _pair_case(seed, scaled):
 
 def _shared_case(gp_f, gp_t):
     """Which part of the posterior the pair shares."""
-    if (gp_f.kernel.lengthscale, gp_f.noise) == (gp_t.kernel.lengthscale, gp_t.noise):
+    if (gp_f.lengthscale, gp_f.noise) == (gp_t.lengthscale, gp_t.noise):
         return "same grid point"
-    if gp_f.kernel.lengthscale == gp_t.kernel.lengthscale:
+    if gp_f.lengthscale == gp_t.lengthscale:
         return "same lengthscale"
     return "different lengthscales"
 
 
 def _assert_same_gp(a, b):
-    assert (a.kernel.lengthscale, a.noise, a._y_mean, a._y_std) == \
-        (b.kernel.lengthscale, b.noise, b._y_mean, b._y_std)
+    assert (a.lengthscale, a.noise, a._y_mean, a._y_std) == \
+        (b.lengthscale, b.noise, b._y_mean, b._y_std)
     assert np.array_equal(a._L, b._L) and np.array_equal(a._alpha, b._alpha)
 
 
@@ -424,8 +425,8 @@ class TestPosteriorBasis:
     def test_case_seeds_cover_every_case(self):
         for case, seed in self.CASE_SEEDS.items():
             cat_mask, X, y_f, y_t, _ = _pair_case(seed, scaled=False)
-            gp_f = GaussianProcess(cat_mask, has_datasize=True).fit(X, y_f)
-            gp_t = GaussianProcess(cat_mask, has_datasize=True).fit(gp_f.basis, y_t)
+            gp_f = GaussianProcess(cat_mask).fit(X, y_f)
+            gp_t = GaussianProcess(cat_mask).fit(gp_f.basis, y_t)
             assert _shared_case(gp_f, gp_t) == case
 
     @settings(max_examples=60, deadline=None)
@@ -435,12 +436,12 @@ class TestPosteriorBasis:
     @example(seed=CASE_SEEDS["different lengthscales"], scaled=False)
     def test_pair_equals_two_lone_gps(self, seed, scaled):
         cat_mask, X, y_f, y_t, Q = _pair_case(seed, scaled)
-        gp_f = GaussianProcess(cat_mask, has_datasize=True).fit(X, y_f)
-        gp_t = GaussianProcess(cat_mask, has_datasize=True).fit(gp_f.basis, y_t)
+        gp_f = GaussianProcess(cat_mask).fit(X, y_f)
+        gp_t = GaussianProcess(cat_mask).fit(gp_f.basis, y_t)
         assert gp_t.basis is gp_f.basis and len(gp_f.basis) == len(X)
         event(_shared_case(gp_f, gp_t))
-        lone_f = GaussianProcess(cat_mask, has_datasize=True).fit(X, y_f)
-        lone_t = GaussianProcess(cat_mask, has_datasize=True).fit(X, y_t)
+        lone_f = GaussianProcess(cat_mask).fit(X, y_f)
+        lone_t = GaussianProcess(cat_mask).fit(X, y_t)
         _assert_same_gp(gp_f, lone_f)
         _assert_same_gp(gp_t, lone_t)
         # the runtime GP predicts first in propose(); then the objective
@@ -475,8 +476,8 @@ class TestPosteriorBasis:
         X = np.random.default_rng(3).random((12, 3))
         gp_f = GaussianProcess(_numeric_mask(3)).fit(X, X.sum(1))
         gp_t = GaussianProcess(_numeric_mask(3)).fit(gp_f.basis, 4.0 * X.sum(1))
-        assert (gp_f.kernel.lengthscale, gp_f.noise) == (gp_t.kernel.lengthscale, gp_t.noise)
-        stack, solve, calls = MixedKernel.stack, np.linalg.solve, []
+        assert (gp_f.lengthscale, gp_f.noise) == (gp_t.lengthscale, gp_t.noise)
+        stack, solve, calls = gp_module.mixed_kernel, np.linalg.solve, []
 
         def counted_stack(*args):
             calls.append("stack")
@@ -486,7 +487,7 @@ class TestPosteriorBasis:
             calls.append("solve")
             return solve(*args)
 
-        monkeypatch.setattr(MixedKernel, "stack", counted_stack)
+        monkeypatch.setattr(gp_module, "mixed_kernel", counted_stack)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         Q = _read_only(np.random.default_rng(4).random((9, 3)))
         want = gp_t.predict(Q)

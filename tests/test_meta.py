@@ -202,11 +202,11 @@ def test_meta_surrogates_on_a_shared_basis_equal_lone_fits(space, seed, case):
     assert _shared_case(gp_f, gp_t) == case
     X, y = h.X_unit(with_datasize=True), h.penalized_objectives()
     lone = MetaEnsembleSurrogate(
-        sources, GaussianProcess(space.cat_mask, has_datasize=True).fit(X, y), X, y)
-    lone_t = GaussianProcess(space.cat_mask, has_datasize=True).fit(X, np.log(h.runtimes()))
+        sources, GaussianProcess(space.cat_mask).fit(X, y), X, y)
+    lone_t = GaussianProcess(space.cat_mask).fit(X, np.log(h.runtimes()))
     assert s.objective.current_weight == lone.current_weight
     for gp, ref in ((gp_f, lone.current), (gp_t, lone_t)):
-        assert (gp.kernel.lengthscale, gp.noise) == (ref.kernel.lengthscale, ref.noise)
+        assert (gp.lengthscale, gp.noise) == (ref.lengthscale, ref.noise)
         assert np.array_equal(gp._L, ref._L) and np.array_equal(gp._alpha, ref._alpha)
     Q = s.rows(space.snap(space.sample_unit(50, rng))[1])
     for model, ref in ((gp_t, lone_t), (s.objective, lone), (gp_t, lone_t)):

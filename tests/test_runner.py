@@ -2,6 +2,7 @@
 figures are Spark's own stage counters, its ops the profile's."""
 import numpy as np
 import pytest
+from pyspark import StorageLevel
 
 from repro.simcluster.eventlog import _TASK_KEYS, meta_features
 from repro.simcluster.profile import PROFILES
@@ -13,15 +14,24 @@ SF = 0.002
 
 @pytest.fixture(scope="module")
 def measured(spark):
-    """One run per workload at ``SF``, made on first use."""
-    runs = {}
+    """One run per workload at ``SF``, made on first use. ``get.persistent``
+    holds the session's persistent RDD count before and after each run,
+    which a cache of the caller's (``get.mine``) is part of."""
+    persistent_rdds = spark.sparkContext._jsc.sc().getPersistentRDDs
+    runs, persistent = {}, {}
 
     def get(name):
         if name not in runs:
+            before = persistent_rdds().size()
             runs[name] = run_workload(spark, name, sf=SF)
+            persistent[name] = (before, persistent_rdds().size())
         return runs[name]
 
-    return get
+    get.mine = spark.range(4).cache()
+    get.mine.count()
+    get.persistent = persistent
+    yield get
+    get.mine.unpersist()
 
 
 def _bytes(stages, key):
@@ -44,6 +54,15 @@ class TestRunner:
         assert last["shuffle_read_mb"] > 0 and last["ops"] == profile[-1].ops
         assert m.shuffle_mb > 0
 
+    def test_runs_leave_no_cache_behind(self, measured):
+        # kmeans and lr cache their input, pagerank and bayes an
+        # intermediate that their lazy result reads: every run releases
+        # what it cached, and only that
+        for name in WORKLOAD_NAMES:
+            measured(name)
+            before, after = measured.persistent[name]
+            assert after == before, name
+        assert measured.mine.storageLevel != StorageLevel.NONE
 
     def test_all_simulated_families_profilable(self):
         # every HiBench-lite + SQL simulator profile has a real runner
