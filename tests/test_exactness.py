@@ -19,7 +19,9 @@ searches over their predictions.
 Four forests shaped like the sub-space refit's, Tuneful's, RFHOC's and
 Table 5's are pinned on their own: a sha256 over every tree's node
 arrays and one over the fANOVA importances, recorded before the feature
-subsets were drawn once per forest.
+subsets were drawn once per forest. So are two boosted-tree fits shaped
+like the meta-learner's and DAC's: a sha256 over every stage's node
+arrays, recorded before the trees grew in lockstep.
 
 A change meant to keep behaviour (a refactor, a speed-up) must keep
 every digest. A change meant to alter what the tuners suggest updates
@@ -41,6 +43,7 @@ from repro.experiments.harness import (
 from repro.experiments.hibench import hibench_env
 from repro.ml.fanova import fanova_importance
 from repro.ml.forest import RandomForestRegressor
+from repro.ml.gbm import GradientBoostedRegressor
 from repro.simcluster import get_profile
 from repro.simcluster.eventlog import meta_features
 
@@ -191,3 +194,47 @@ def test_forest_and_fanova_unchanged(case):
                                (t.value, np.float64)))
     importance = _sha([np.asarray(fanova_importance(forest, dim), dtype=np.float64)])
     assert (nodes, importance) == FOREST_DIGESTS[case]
+
+
+#: (rows, columns, boosting options) shaped like each caller's model: the
+#: meta-learner's similarity regressor (a dozen pair rows of four sources'
+#: 75 meta-features) and DAC's (unit rows of the 30-parameter space plus
+#: the datasize column).
+GBM_CASES = {
+    "meta": (12, 150, dict(n_estimators=80, max_depth=3)),
+    "DAC": (30, 31, dict(n_estimators=60, max_depth=4)),
+}
+#: sha256 of every stage's node arrays.
+GBM_DIGESTS = {
+    "meta": "2da7e10efcc20f824d03c81d898f58e5bc2f891e3be46f161a7e4f7551528052",
+    "DAC": "3171e4a0cec6a47608846c26c1325c597596c3e3f40eeb254116e2a92eb77211",
+}
+
+
+def _gbm(case: str):
+    n, d, options = GBM_CASES[case]
+    rng = np.random.default_rng(d)
+    if case == "meta":
+        # every ordered pair of four sources, both orders sharing a distance
+        meta = np.log1p(rng.gamma(1.0, 5.0, (4, d // 2))).round(3)
+        pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+        X = np.array([np.r_[np.abs(meta[a] - meta[b]), (meta[a] + meta[b]) / 2.0]
+                      for a, b in pairs])
+        dist = rng.random((4, 4)).round(3)
+        y = np.array([dist[min(a, b), max(a, b)] for a, b in pairs])
+    else:
+        space = ConfigSpace()
+        U = space.snap(space.sample_unit(n, rng))[1]
+        X = np.c_[U, rng.choice([0.25, 0.5, 1.0], n)]
+        y = np.exp(2.0 * U[:, 0] - U[:, 3] * U[:, 7] + rng.normal(0.0, 0.2, n)).round(2)
+    return GradientBoostedRegressor(**options).fit(X, y)
+
+
+@pytest.mark.parametrize("case", GBM_CASES)
+def test_gbm_unchanged(case):
+    model = _gbm(case)
+    assert len(model._trees) == GBM_CASES[case][2]["n_estimators"]
+    assert _sha(np.asarray(a, dtype=dt) for t in model._trees
+                for a, dt in ((t.feature, np.int64), (t.threshold, np.float64),
+                              (t.left, np.int64), (t.right, np.int64),
+                              (t.value, np.float64))) == GBM_DIGESTS[case]
