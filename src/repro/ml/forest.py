@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree, TreeStack
+from repro.ml.tree import RegressionTree, TreeGrower, TreeStack
 
 
 def draw_subsets(seeds, d: int, m: int, k: int) -> np.ndarray:
@@ -60,7 +60,8 @@ class RandomForestRegressor:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         """Each tree fits a bootstrap sample, and its nodes' feature
-        subsets come from a generator seeded for it. A node searches for
+        subsets come from a generator seeded for it; the trees grow
+        together (:class:`repro.ml.tree.TreeGrower`). A node searches for
         a split only if its targets differ, so a tree over ``n`` rows
         reads at most ``min(2**max_depth − 1, n − 1)`` subsets; those are
         drawn for every tree up front (:func:`draw_subsets`)."""
@@ -73,14 +74,11 @@ class RandomForestRegressor:
         for _ in range(self.n_estimators):
             boot.append(rng.integers(0, n, size=n))
             seeds.append(rng.integers(2**31))
-        subsets = [None] * self.n_estimators
+        subsets = None
         if mf < d:
             subsets = draw_subsets(seeds, d, mf, min(2**self.max_depth - 1, n - 1))
-        self.trees = [
-            RegressionTree(max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf)
-            .fit(X[idx], y[idx], sub)
-            for idx, sub in zip(boot, subsets)
-        ]
+        self.trees = [RegressionTree(self.max_depth, self.min_samples_leaf) for _ in boot]
+        TreeGrower(X, np.array(boot)).fit(self.trees, y, subsets)
         self._stack = TreeStack(self.trees)
         return self
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree, TreeStack
+from repro.ml.tree import RegressionTree, TreeGrower, TreeStack
 
 LEARNING_RATE = 0.1  # shrinkage of each boosting stage
 
@@ -32,11 +32,11 @@ class GradientBoostedRegressor:
         y = np.asarray(y, dtype=np.float64)
         self._init = float(y.mean())
         pred = np.full(len(y), self._init)
-        self._trees = []
+        self._trees, grower = [], TreeGrower(X, np.arange(len(y))[None])
         for _ in range(self.n_estimators):
             t = RegressionTree(max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf)
-            t.fit(X, y - pred)
-            pred += LEARNING_RATE * t.predict(X)
+            # the values of the leaves the training rows end in: what predict(X) walks to
+            pred += LEARNING_RATE * grower.fit([t], y - pred)[0]
             self._trees.append(t)
         self._stack = TreeStack(self._trees)
         return self

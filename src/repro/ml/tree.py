@@ -8,15 +8,18 @@ interval-marginal machinery also assumes.
 A fitted tree is five arrays over its nodes in depth-first preorder:
 ``feature`` (−1 at a leaf), ``threshold`` (a row goes left iff
 ``x[feature] <= threshold``), ``left``, ``right`` (a leaf's are itself)
-and ``value`` (the node's mean target). :class:`TreeStack` is the one
-predict path of the tree, the forest and the boosted trees; fANOVA reads
-the leaves' boxes off the same arrays.
+and ``value`` (the node's mean target). :class:`TreeGrower` is the one
+build and :class:`TreeStack` the one predict path of the tree, the forest
+and the boosted trees; fANOVA reads the leaves' boxes off the same arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+#: a search pass's fixed cost, in padded (node, row, candidate) cells
+PASS_CELLS = 4000
 
 
 @dataclass
@@ -39,93 +42,184 @@ class RegressionTree:
 
     def fit(self, X: np.ndarray, y: np.ndarray,
             subsets: np.ndarray | None = None) -> "RegressionTree":
-        """Grow the tree on ``(X, y)``. Every node's split search scores
-        all features, or, given ``subsets`` (``(k, m)`` feature indices),
-        the next row of it in preorder, in that row's order (the random
-        forest's per-node feature sampling); running out raises."""
+        """Grow the tree on ``(X, y)``, given ``subsets`` (``(k, m)``
+        feature indices) or not: :class:`TreeGrower` for one tree."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
             raise ValueError("X must be 2-D and aligned with non-empty y")
-        nodes: list[list] = []  # [feature, threshold, left, right, value]
-        self.depth = 0
-        nl = np.arange(1.0, len(y))[:, None]  # left sizes 1 … n−1
-        cols = np.arange(X.shape[1] if subsets is None else subsets.shape[1])
-        self._build(X, y, 0, nodes, nl, cols, None if subsets is None else iter(subsets))
-        self.feature, self.threshold, self.left, self.right, self.value = map(
-            np.array, zip(*nodes))
+        TreeGrower(X, np.arange(len(y))[None]).fit(
+            [self], y, None if subsets is None else subsets[None])
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return TreeStack([self]).leaf_values(X)[0]
 
-    # -- internals ----------------------------------------------------
 
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int, nodes: list,
-               nl: np.ndarray, cols: np.ndarray, subsets) -> int:
-        """Append the subtree of these rows to ``nodes`` in preorder;
-        return its root's index. ``nl`` is the column of left sizes
-        1 … n−1 of the whole fit, ``cols`` the column indices of a
-        candidate block and ``subsets`` the iterator over the feature
-        subsets (None: every feature)."""
-        i, n = len(nodes), len(y)
-        mean = y.sum() / n
-        nodes.append([-1, 0.0, i, i, mean])
-        if depth > self.depth:
-            self.depth = depth
-        if depth >= self.max_depth:
-            return i
-        ys = y.tolist()
-        if max(ys) == min(ys):  # a one-row node is constant, so it stops here too
-            return i
-        feats = None
-        if subsets is not None and (feats := next(subsets, None)) is None:
-            raise ValueError("the feature subsets ran out")
-        feat, thr = self._best_split(X, y, mean, nl[: n - 1], cols, feats)
-        if feat < 0:
-            return i
-        go_left = X[:, feat] <= thr
-        go_right = ~go_left
-        node = nodes[i]
-        node[0], node[1] = feat, thr
-        node[2] = self._build(X[go_left], y[go_left], depth + 1, nodes, nl, cols, subsets)
-        node[3] = self._build(X[go_right], y[go_right], depth + 1, nodes, nl, cols, subsets)
-        return i
+def _sums(A: np.ndarray, lens: list[int]) -> np.ndarray:
+    """Each row's sum over its first ``lens`` entries as NumPy's ``.sum()``
+    of them rounds it: a running sum from +0.0 below 8, pairwise above."""
+    out = np.empty(len(lens)) if min(lens) >= 8 else (
+        A.cumsum(axis=1)[np.arange(len(lens)), np.array(lens) - 1] + 0.0)
+    for i, k in enumerate(lens):
+        if k >= 8:
+            out[i] = np.add.reduce(A[i, :k])
+    return out
 
-    def _best_split(self, X: np.ndarray, y: np.ndarray, mean: float, nl: np.ndarray,
-                    cols: np.ndarray, feats: np.ndarray | None) -> tuple[int, float]:
-        """Best (feature, threshold) over the candidate features ``feats``
-        (every column when None), scored in one pass: each column sorted,
-        every cut's SSE from cumulative sums, invalid cuts at +inf;
-        ``(-1, 0.0)`` when no cut gains. ``mean`` is ``y``'s, ``nl`` the
-        ``(n - 1, 1)`` column of left sizes 1 … n−1 and ``cols`` the
-        candidates' column indices ``0 … len(feats) − 1``."""
-        n = len(y)
-        best_gain, best = 0.0, (-1, 0.0)
-        dev = y - mean
-        base_sse = float((dev * dev).sum())
-        Xf = X if feats is None else X[:, feats]
-        order = Xf.argsort(axis=0, kind="stable")
-        xs, ys = Xf[order, cols], y[order]
-        # cumulative sums → SSE of every prefix/suffix split in O(n)
-        csum, csq = ys.cumsum(axis=0), (ys * ys).cumsum(axis=0)
-        tot, totsq = csum[-1], csq[-1]
-        valid = xs[1:] > xs[:-1]
-        msl = self.min_samples_leaf
-        if msl > 1:
-            valid &= (nl >= msl) & (n - nl >= msl)
-        sl, sql = csum[:-1], csq[:-1]
-        sse = (sql - sl * sl / nl) + ((totsq - sql) - (tot - sl) ** 2 / nl[::-1])
-        sse[~valid] = np.inf
-        ks = sse.argmin(axis=0)
-        # a column with no valid cut has gain -inf and is never picked
-        for j, gain in enumerate((base_sse - sse[ks, cols]).tolist()):
-            if gain > best_gain + 1e-12:
-                i = ks[j] + 1
-                best_gain = gain
-                best = (j if feats is None else int(feats[j]),
-                        float((xs[i - 1, j] + xs[i, j]) / 2.0))
-        return best
+
+class TreeGrower:
+    """Grows trees over the rows ``rows[t]`` (``(T, n)`` indices) of ``X``
+    in lockstep, each exactly as it would grow alone node by node: the
+    same splits, every sum rounded as over the node's own rows. Successive
+    fits (boosting stages) share the column orders."""
+
+    def __init__(self, X: np.ndarray, rows: np.ndarray):
+        (T, n), d = rows.shape, X.shape[1]
+        self.shape, self.pad = (T, n), T * n  # the all-NaN row after every tree's rows
+        self.src = np.append(rows, len(X))
+        Xn = np.vstack([X, np.full((1, d), np.nan)])
+        # each row's rank among its column's distinct values (NaN last, as
+        # one): (rank, position) orders a column's positions stably
+        v = np.take_along_axis(Xn, o := Xn.argsort(axis=0), axis=0)
+        step = (v[1:] != v[:-1]) & ((v[1:] == v[1:]) | (v[:-1] == v[:-1]))
+        rank, cols = np.empty_like(o), np.arange(d)[:, None]
+        rank[o, cols.T] = np.r_[np.zeros((1, d), dtype=int), step.cumsum(axis=0)]
+        order = (rank[self.src] * (self.pad + 1) + np.arange(self.pad + 1)[:, None]).argsort(0).T
+        # (position, feature) → slot f·(pad+1) + s of the flat sorted tables
+        self.slot = np.empty((self.pad + 1, d), dtype=np.int64)
+        self.slot[order, cols] = np.arange(order.size).reshape(d, -1)
+        self.X, self.sorted_X = Xn[self.src], Xn[self.src[order], cols].ravel()
+        self.sorted_src = self.src[order].ravel()
+        self.varying = np.flatnonzero(step.any(axis=0))  # the columns that can split
+        self.nl = np.arange(1.0, n)  # left sizes 1 … n−1
+        self.nr = np.maximum(np.arange(n + 1)[:, None] - self.nl, 1.0)  # by node size, ≥ 1
+
+    def fit(self, trees: list[RegressionTree], y: np.ndarray,
+            subsets: np.ndarray | None = None) -> np.ndarray:
+        """Grow ``trees[t]`` (all with ``trees[0]``'s options) on its rows of
+        ``(X, y)``, tree ``t``'s ``j``-th search scoring ``subsets[t, j]``
+        (in preorder; running out raises) or every feature; return the
+        ``(T, n)`` values of the leaves the rows end in."""
+        (T, n), pad, Xp, nl, nr = self.shape, self.pad, self.X, self.nl, self.nr
+        max_depth, msl = trees[0].max_depth, trees[0].min_samples_leaf
+        yp, sorted_y = np.append(y, np.nan)[self.src], np.append(y, 0.0)[self.sorted_src]
+        cuts = (nl >= msl) & (nr >= msl)  # by node size: the cuts leaving msl rows a side
+        # per node: tree, depth, code, rows, mean, feature (-1 at a leaf), threshold and
+        # the children's codes (a leaf's: its own); codes sort by tree, then in preorder
+        nodes, stacks, used = [], [[] for _ in range(T)], [0] * T
+
+        def add(t, depth, code, rows):
+            # one row's targets are all equal, and under 2 msl rows no cut is valid
+            # (a node of subsets still reads one then, unless its targets are equal)
+            if depth < max_depth and len(rows) >= (2 if subsets is not None else 2 * msl):
+                stacks[t].append(len(nodes))
+            nodes.append([t, depth, code, rows, None, -1, 0.0, code, code])
+
+        def means(batch):  # padded rows, sizes, targets and means (stored) of nodes
+            rows = [nodes[i][3] for i in batch]
+            lens = [len(r) for r in rows]
+            R, ns = np.full((len(rows), max(lens)), pad), np.array(lens)
+            R[np.arange(max(lens)) < ns[:, None]] = np.concatenate(rows)
+            mean = _sums(Y := yp[R], lens) / ns
+            for i, v in zip(batch, mean.tolist()):
+                nodes[i][4] = v
+            return R, lens, ns, Y, mean
+
+        def search(batch, R, lens, ns, base, F):
+            # (node, row, candidate): each candidate column's rows sorted stably
+            g = (self.slot[R][:, :, self.varying] if subsets is None
+                 else self.slot[R[:, :, None], F[:, None]])
+            g.sort(axis=1)
+            xs, ys, c = self.sorted_X[g], sorted_y[g], slice(R.shape[1] - 1)
+            csum, csq = ys.cumsum(axis=1), (ys * ys).cumsum(axis=1)  # the pads add 0
+            sl, sql, tot, totsq = csum[:, :-1], csq[:, :-1], csum[:, -1:], csq[:, -1:]
+            valid = xs[:, 1:] > xs[:, :-1]  # False at the pads' NaN
+            if msl > 1:
+                valid &= cuts[ns, c, None]
+            sse = np.where(valid, (sql - sl * sl / nl[c, None])
+                           + ((totsq - sql) - (tot - sl) ** 2 / nr[ns, c, None]), np.inf)
+            gains = base[:, None] - sse.min(axis=1)
+            picks = []  # a column with no valid cut has gain -inf and is never picked
+            for b, row in enumerate(gains.tolist()):
+                best_gain, j = 0.0, -1
+                for col, gain in enumerate(row):
+                    if gain > best_gain + 1e-12:
+                        best_gain, j = gain, col
+                if j >= 0:
+                    picks.append((b, j))
+            w, j = np.array(picks, dtype=int).reshape(-1, 2).T
+            k, f, Rw = sse[w, :, j].argmin(axis=1), F[w, j], R[w]
+            lo, hi = xs[w, k, j], xs[w, k + 1, j]
+            # the midpoint, or lo where it rounds up to hi (adjacent floats)
+            thr = np.where((lo + hi) / 2.0 < hi, (lo + hi) / 2.0, lo)
+            go = Xp[Rw, f[:, None]] <= thr[:, None]
+            # each winner's rows, its left child's first, each side in row order
+            S = Rw[np.arange(len(w))[:, None], (~go).argsort(axis=1, kind="stable")]
+            for b, fb, tb, s, nb in zip(w.tolist(), f.tolist(), thr.tolist(), S, go.sum(1).tolist()):
+                t, depth, code = nodes[batch[b]][:3]
+                digit = 4 ** (max_depth - depth - 1)  # the children's: 1 left, 2 right
+                nodes[batch[b]][5:] = fb, tb, code + digit, code + 2 * digit
+                add(t, depth + 1, code + 2 * digit, s[nb: lens[b]])  # the left opens last,
+                add(t, depth + 1, code + digit, s[:nb])  # so it searches first
+
+        for t in range(T):
+            add(t, 0, 4 ** (max_depth + 1) * t, np.arange(t * n, t * n + n))
+        while any(stacks):
+            # a round searches every open node whose features are known: given subsets,
+            # each tree's next in preorder, and the next after it while the last taken
+            # has children that cannot search (so it reads one subset, or none)
+            batch = []
+            for s in stacks:
+                while s:
+                    batch.append(i := s.pop())
+                    if subsets is not None and nodes[i][1] + 1 < max_depth and len(nodes[i][3]) > 2:
+                        break  # its subtree's reads are known once it has grown
+            R, lens, ns, Y, mean = means(batch)
+            split = (np.fmax.reduce(Y, axis=1) > np.fmin.reduce(Y, axis=1)).tolist()
+            if not all(split):
+                batch, lens = [i for i, s in zip(batch, split) if s], [k for k, s in zip(lens, split) if s]
+                if not batch:
+                    continue
+                R, ns, Y, mean = R[split, : max(lens)], ns[split], Y[split, : max(lens)], mean[split]
+            if subsets is None:
+                F = self.varying[None].repeat(len(batch), axis=0)
+            else:
+                ts, reads = [nodes[i][0] for i in batch], []
+                for t in ts:  # a tree's nodes in preorder
+                    reads.append(used[t])
+                    used[t] += 1
+                if max(reads) >= subsets.shape[1]:
+                    raise ValueError("the feature subsets ran out")
+                F = subsets[ts, reads]
+            # nodes of like size share a pass; a pass costs about PASS_CELLS padded cells
+            base, m, start = _sums((Y - mean[:, None]) ** 2, lens), F.shape[1], 0
+            by_size = sorted(range(len(batch)), key=lens.__getitem__, reverse=True)
+            for end in range(1, len(batch) + 1):
+                top = lens[by_size[start]]
+                if end == len(batch) or (top - lens[by_size[end]]) * (len(batch) - end) * m > PASS_CELLS:
+                    if start == 0 and end == len(batch):  # one pass: no gathers
+                        search(batch, R, lens, ns, base, F)
+                        break
+                    idx, start = by_size[start:end], end
+                    search([batch[i] for i in idx], R[idx, :top], [lens[i] for i in idx],
+                           ns[idx], base[idx], F[idx])
+
+        if unsearched := [i for i, node in enumerate(nodes) if node[4] is None]:
+            means(unsearched)
+        nodes.sort(key=lambda node: node[2])  # by tree, then in preorder
+        tree, depth, code, rows, value, feat, thr, left, right = zip(*nodes)
+        at = {c: i for i, c in enumerate(code)}
+        feat, thr, value, left, right = map(np.array, (feat, thr, value, [at[c] for c in left],
+                                                       [at[c] for c in right]))
+        ends = np.cumsum(np.bincount(tree, minlength=T)).tolist()
+        for tr, a, b in zip(trees, [0] + ends, ends):
+            tr.feature, tr.threshold, tr.value = feat[a:b], thr[a:b], value[a:b]
+            tr.left, tr.right, tr.depth = left[a:b] - a, right[a:b] - a, max(depth[a:b])
+        leaf = feat < 0
+        fitted = np.empty(pad)
+        fitted[np.concatenate([r for r, is_leaf in zip(rows, leaf) if is_leaf])] = np.repeat(
+            value[leaf], [len(r) for r, is_leaf in zip(rows, leaf) if is_leaf])
+        return fitted.reshape(T, n)
 
 
 class TreeStack:

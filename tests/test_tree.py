@@ -1,4 +1,6 @@
 """Unit tests for the CART regression tree substrate."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from repro.ml.fanova import _leaf_boxes
 from repro.ml.forest import RandomForestRegressor, draw_subsets
 from repro.ml.gbm import LEARNING_RATE, GradientBoostedRegressor
-from repro.ml.tree import RegressionTree, TreeStack
+from repro.ml.tree import RegressionTree, TreeGrower, TreeStack
 
 
 def _xor_data(n=200, seed=0):
@@ -63,6 +65,14 @@ class TestFitPredict:
             RegressionTree(max_depth=4).fit(X, y, draw_subsets([0], 2, 1, 2)[0])
         # a depth-4 tree searches for a split at most 2**4 - 1 times
         RegressionTree(max_depth=4).fit(X, y, draw_subsets([0], 2, 1, 15)[0])
+
+    def test_adjacent_values_split_between_them(self):
+        """A midpoint that rounds up to the right value would send both
+        rows left; the split keeps the left value as its threshold."""
+        lo, hi = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+        assert (lo + hi) / 2.0 == hi
+        t = RegressionTree().fit(np.array([[lo], [hi]]), np.array([0.0, 1.0]))
+        assert t.threshold[0] == lo and t.value.tolist() == [0.5, 0.0, 1.0]
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
@@ -233,11 +243,11 @@ def _reference_best_split(msl, X, y, feats):
 
 
 def _best_split(msl, X, y, feats):
-    """``RegressionTree._best_split`` over ``feats`` (every column when
-    None), with the arguments a fit hands it."""
-    n, width = len(y), X.shape[1] if feats is None else len(feats)
-    return RegressionTree(min_samples_leaf=msl)._best_split(
-        X, y, y.sum() / n, np.arange(1.0, n)[:, None], np.arange(width), feats)
+    """The root's split of a depth-1 tree over ``feats`` (every column
+    when None): the one split search a fit makes there."""
+    t = RegressionTree(max_depth=1, min_samples_leaf=msl)
+    t.fit(X, y, None if feats is None else feats[None])
+    return int(t.feature[0]), float(t.threshold[0])
 
 
 def _feats(d, max_features, seed):
@@ -285,6 +295,29 @@ class TestBestSplit:
         assert _best_split(msl, X, y, None) == _reference_best_split(msl, X, y, range(d))
 
 
+def _reference_tree(X, y, max_depth, msl, next_feats):
+    """One tree grown node by node in preorder with the per-feature split
+    search; ``next_feats()`` gives each search's candidate features."""
+    nodes = []
+
+    def build(Xn, yn, depth):
+        i = len(nodes)
+        nodes.append([-1, 0.0, i, i, yn.sum() / len(yn)])
+        if depth >= max_depth or yn.max() == yn.min():
+            return i
+        feat, thr = _reference_best_split(msl, Xn, yn, next_feats())
+        if feat < 0:
+            return i
+        go_left = Xn[:, feat] <= thr
+        nodes[i][:2] = feat, thr
+        nodes[i][2] = build(Xn[go_left], yn[go_left], depth + 1)
+        nodes[i][3] = build(Xn[~go_left], yn[~go_left], depth + 1)
+        return i
+
+    build(X, y, 0)
+    return [np.array(a) for a in zip(*nodes)]
+
+
 def _reference_forest(X, y, n_estimators, max_depth, msl, max_features, seed):
     """The forest as it was built before the subsets were drawn up front:
     one ``rng.choice`` per split search, on each tree's own generator,
@@ -295,28 +328,46 @@ def _reference_forest(X, y, n_estimators, max_depth, msl, max_features, seed):
     for _ in range(n_estimators):
         idx = rng.integers(0, n, size=n)
         tree_rng = np.random.default_rng(rng.integers(2**31))
-        nodes = []
-
-        def build(Xn, yn, depth):
-            i = len(nodes)
-            nodes.append([-1, 0.0, i, i, yn.sum() / len(yn)])
-            if depth >= max_depth or yn.max() == yn.min():
-                return i
-            feats = np.arange(d)
-            if max_features < d:
-                feats = tree_rng.choice(d, size=max_features, replace=False)
-            feat, thr = _reference_best_split(msl, Xn, yn, feats)
-            if feat < 0:
-                return i
-            go_left = Xn[:, feat] <= thr
-            nodes[i][:2] = feat, thr
-            nodes[i][2] = build(Xn[go_left], yn[go_left], depth + 1)
-            nodes[i][3] = build(Xn[~go_left], yn[~go_left], depth + 1)
-            return i
-
-        build(X[idx], y[idx], 0)
-        trees.append([np.array(a) for a in zip(*nodes)])
+        feats = (lambda: tree_rng.choice(d, size=max_features, replace=False)) \
+            if max_features < d else (lambda: np.arange(d))
+        trees.append(_reference_tree(X[idx], y[idx], max_depth, msl, feats))
     return trees
+
+
+def _reference_gbm(X, y, n_estimators, max_depth, msl):
+    """Boosting as it was done before the trees grew in lockstep: each
+    stage's tree grown node by node over every feature, and its training
+    predictions walked one row at a time."""
+    pred, stages = np.full(len(y), float(y.mean())), []
+    for _ in range(n_estimators):
+        arrays = _reference_tree(X, y - pred, max_depth, msl, lambda: np.arange(X.shape[1]))
+        pred += LEARNING_RATE * _walk(SimpleNamespace(**dict(zip(_FIELDS, arrays))), X)
+        stages.append(arrays)
+    return stages
+
+
+_FIELDS = ("feature", "threshold", "left", "right", "value")
+
+
+def _same_bits(tree, arrays):
+    """The tree's node arrays equal ``arrays`` in dtype and every bit
+    (so −0.0 and 0.0 differ)."""
+    return all(got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+               for got, ref in zip((getattr(tree, f) for f in _FIELDS), arrays))
+
+
+class TestBoostedBuild:
+    @settings(max_examples=60, deadline=None)
+    @given(_split_case(), st.integers(1, 8), st.integers(0, 4))
+    def test_equals_sequential_reference(self, case, n_estimators, max_depth):
+        """Level-by-level stages, and predictions taken from the rows'
+        leaves, equal the node-by-node stages and walked predictions."""
+        X, y, msl, _, _ = case
+        model = GradientBoostedRegressor(n_estimators=n_estimators, max_depth=max_depth,
+                                         min_samples_leaf=msl).fit(X, y)
+        ref = _reference_gbm(X, y, n_estimators, max_depth, msl)
+        for tree, arrays in zip(model._trees, ref, strict=True):
+            assert _same_bits(tree, arrays)
 
 
 class TestForestBuild:
@@ -334,5 +385,41 @@ class TestForestBuild:
         mf = max_features or max(1, X.shape[1] // 3)
         ref = _reference_forest(X, y, n_estimators, max_depth, msl, mf, seed)
         for tree, arrays in zip(forest.trees, ref, strict=True):
-            got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-            assert all(np.array_equal(a, b) for a, b in zip(got, arrays))
+            assert _same_bits(tree, arrays)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(129, 260), st.integers(1, 5), st.booleans(), st.integers(0, 2**31 - 1))
+    def test_big_nodes_equal_per_node_builder(self, n, d, subsample, seed):
+        """Nodes of 8+ and of 129+ rows, whose sums take both of NumPy's
+        pairwise branches, over targets of mixed magnitude, in trees with
+        and without feature subsets."""
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, d)).round(2)
+        y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, n)
+        mf = max(1, d - 1) if subsample else d
+        forest = RandomForestRegressor(n_estimators=3, max_depth=6, max_features=mf,
+                                       seed=seed).fit(X, y)
+        ref = _reference_forest(X, y, 3, 6, 1, mf, seed)
+        for tree, arrays in zip(forest.trees, ref, strict=True):
+            assert _same_bits(tree, arrays)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(40, 120), st.integers(3, 6), st.integers(2, 4), st.integers(0, 2**31 - 1))
+    def test_small_nodes_read_their_subset(self, n, d, msl, seed):
+        """A node under 2·min_samples_leaf rows has no valid cut, yet it
+        searches, so reads a subset, as in the per-node builder."""
+        rng = np.random.default_rng(seed)
+        X, y = rng.random((n, d)).round(1), rng.normal(size=n)
+        forest = RandomForestRegressor(n_estimators=3, max_depth=8, min_samples_leaf=msl,
+                                       max_features=d - 1, seed=seed).fit(X, y)
+        ref = _reference_forest(X, y, 3, 8, msl, d - 1, seed)
+        for tree, arrays in zip(forest.trees, ref, strict=True):
+            assert _same_bits(tree, arrays)
+
+    def test_exhausted_subsets_raise_in_lockstep(self):
+        X, y = _xor_data()
+        rows = np.stack([np.arange(len(y))] * 2)
+        trees = [RegressionTree(max_depth=4), RegressionTree(max_depth=4)]
+        with pytest.raises(ValueError, match="ran out"):
+            TreeGrower(X, rows).fit(trees, y, draw_subsets([0, 1], 2, 1, 2))
+        TreeGrower(X, rows).fit(trees, y, draw_subsets([0, 1], 2, 1, 15))
