@@ -276,8 +276,9 @@ def hibench_space() -> ConfigSpace:
 # ---------------------------------------------------------------------------
 # Sobol' sequence (no scipy offline). Direction numbers follow the
 # Joe–Kuo construction, which this table holds for dimensions 2–32; a
-# test checks every entry (m_k odd, m_k < 2^k). A random digital shift
-# (seeded) decorrelates repeated designs.
+# test checks every entry (m_k odd, m_k < 2^k). The direction numbers of
+# all 32 dimensions are built once, on the first design. A random digital
+# shift (seeded) decorrelates repeated designs.
 # ---------------------------------------------------------------------------
 
 _JOE_KUO: list[tuple[int, int, tuple[int, ...]]] = [
@@ -338,6 +339,15 @@ def _direction_numbers(dim_index: int) -> np.ndarray:
     return v
 
 
+@cache
+def _directions() -> np.ndarray:
+    """Every dimension's direction numbers, ``(1 + len(_JOE_KUO), BITS)``,
+    built once (read-only: every design shares them)."""
+    table = np.stack([_direction_numbers(i) for i in range(1 + len(_JOE_KUO))])
+    table.flags.writeable = False
+    return table
+
+
 def sobol(n: int, d: int, *, seed: int = 0) -> np.ndarray:
     """First ``n`` points of a digitally-shifted Sobol' sequence in
     [0,1)^d, for d ≤ 32 (ValueError beyond)."""
@@ -345,7 +355,7 @@ def sobol(n: int, d: int, *, seed: int = 0) -> np.ndarray:
         raise ValueError(f"sobol: {d} dims; direction numbers exist for at most "
                          f"{1 + len(_JOE_KUO)}")
     rng = np.random.default_rng(seed)
-    V = np.stack([_direction_numbers(i) for i in range(d)])  # (d, BITS)
+    V = _directions()[:d]  # (d, BITS)
     shift = rng.integers(0, 1 << _BITS, size=d, dtype=np.int64)
     out = np.empty((n, d))
     x = np.zeros(d, dtype=np.int64)

@@ -71,15 +71,18 @@ class SourceTask:
         self.surrogate.fit(self.history.X_unit(), (y - mu) / sd)
 
 
+def _shared_configs(space: ConfigSpace, seed: int = 0) -> np.ndarray:
+    """The unit rows, on the grid, of the random configs two surrogates
+    are ranked on."""
+    return space.snap(space.sample_unit(N_SHARED_CONFIGS, np.random.default_rng(seed)))[1]
+
+
 def surrogate_distance(
     t1: SourceTask, t2: SourceTask, space: ConfigSpace, *, seed: int = 0
 ) -> float:
     """Dist(Mⁱ, Mʲ) via Kendall-tau on random shared configs (§5.1)."""
-    rng = np.random.default_rng(seed)
-    _, U = space.snap(space.sample_unit(N_SHARED_CONFIGS, rng))
-    p1, _ = t1.surrogate.predict(U)
-    p2, _ = t2.surrogate.predict(U)
-    return rank_distance(kendall_tau(p1, p2))
+    U = _shared_configs(space, seed)
+    return rank_distance(kendall_tau(t1.surrogate.predict(U)[0], t2.surrogate.predict(U)[0]))
 
 
 def _pair_features(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -98,12 +101,16 @@ class MetaLearner:
     model: GradientBoostedRegressor | None = field(init=False, default=None)
 
     def fit(self, tasks: list[SourceTask]) -> "MetaLearner":
-        """Train M_reg on all source-task pairs."""
+        """Train M_reg on all source-task pairs, each pair's target its
+        :func:`surrogate_distance`: every source predicts the shared
+        configs once."""
         self.tasks = list(tasks)
+        U = _shared_configs(self.space, self.seed)
+        preds = [t.surrogate.predict(U)[0] for t in tasks]
         X, y = [], []
         for i in range(len(tasks)):
             for j in range(i + 1, len(tasks)):
-                d = surrogate_distance(tasks[i], tasks[j], self.space, seed=self.seed)
+                d = rank_distance(kendall_tau(preds[i], preds[j]))
                 for a, b in ((i, j), (j, i)):
                     X.append(_pair_features(tasks[a].meta, tasks[b].meta))
                     y.append(d)

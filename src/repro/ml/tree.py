@@ -15,6 +15,7 @@ and the boosted trees; fANOVA reads the leaves' boxes off the same arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,8 @@ class RegressionTree:
 def _sums(A: np.ndarray, lens: list[int]) -> np.ndarray:
     """Each row's sum over its first ``lens`` entries as NumPy's ``.sum()``
     of them rounds it: a running sum from +0.0 below 8, pairwise above."""
+    if len(lens) == 1:  # one row: its own .sum()
+        return A[0, : lens[0]].sum(keepdims=True)
     out = np.empty(len(lens)) if min(lens) >= 8 else (
         A.cumsum(axis=1)[np.arange(len(lens)), np.array(lens) - 1] + 0.0)
     for i, k in enumerate(lens):
@@ -67,11 +70,34 @@ def _sums(A: np.ndarray, lens: list[int]) -> np.ndarray:
     return out
 
 
+def _passes(lens: list[int], m: int) -> list[list[int]]:
+    """Nodes (indices into their sizes ``lens``) grouped into search passes
+    over ``m`` features, largest first: nodes of like size share a pass,
+    and another is taken once the padding it saves outweighs PASS_CELLS."""
+    order = sorted(range(len(lens)), key=lens.__getitem__, reverse=True)
+    passes, start = [], 0
+    for end in range(1, len(order) + 1):
+        if end == len(order) or (
+                lens[order[start]] - lens[order[end]]) * (len(order) - end) * m > PASS_CELLS:
+            passes.append(order[start:end])
+            start = end
+    return passes
+
+
+def _firsts(key: np.ndarray) -> np.ndarray:
+    """Whether each column of ``key`` is the first column equal to it."""
+    o = np.lexsort(key)  # stable: equal columns stay in order
+    k, first = key[:, o], np.empty(key.shape[1], dtype=bool)
+    first[o] = np.r_[True, (k[:, 1:] != k[:, :-1]).any(axis=0)]
+    return first
+
+
 class TreeGrower:
     """Grows trees over the rows ``rows[t]`` (``(T, n)`` indices) of ``X``
     in lockstep, each exactly as it would grow alone node by node: the
     same splits, every sum rounded as over the node's own rows. Successive
-    fits (boosting stages) share the column orders."""
+    fits (boosting stages) share the column orders and, over every feature,
+    each pass's state that does not depend on y."""
 
     def __init__(self, X: np.ndarray, rows: np.ndarray):
         (T, n), d = rows.shape, X.shape[1]
@@ -91,8 +117,30 @@ class TreeGrower:
         self.X, self.sorted_X = Xn[self.src], Xn[self.src[order], cols].ravel()
         self.sorted_src = self.src[order].ravel()
         self.varying = np.flatnonzero(step.any(axis=0))  # the columns that can split
+        self.rank = rank  # NaN rows tie the all-NaN row, above every value
         self.nl = np.arange(1.0, n)  # left sizes 1 … n−1
         self.nr = np.maximum(np.arange(n + 1)[:, None] - self.nl, 1.0)  # by node size, ≥ 1
+        # (min_samples_leaf, each node's rows) → a pass's search state over every
+        # feature, which does not depend on y: boosting stages meet the same row sets
+        self.layouts: dict[tuple, tuple] = {}
+
+    @cached_property
+    def repeats(self) -> bool:
+        """Whether some column ranks every row as an earlier one does. Only
+        then do nodes' fewer rows make whole columns coincide often enough
+        for :meth:`_distinct` to pay for itself."""
+        return not _firsts(self.rank[:, self.varying]).all()
+
+    def _distinct(self, g: np.ndarray, valid: np.ndarray) -> np.ndarray:
+        """Which columns of a pass over every feature some node can take: at
+        each node, the first of each order of its targets and valid cuts. A
+        later column of that order scores the first one's gain to the bit,
+        which the scan never takes over it, and a column with no valid cut
+        scores −inf."""
+        src, keep = self.sorted_src[g], np.zeros(g.shape[2], dtype=bool)
+        for b in range(len(g)):  # a node's pads read alike in every column
+            keep |= _firsts(np.concatenate([src[b], valid[b]])) & valid[b].any(axis=0)
+        return keep
 
     def fit(self, trees: list[RegressionTree], y: np.ndarray,
             subsets: np.ndarray | None = None) -> np.ndarray:
@@ -103,7 +151,6 @@ class TreeGrower:
         (T, n), pad, Xp, nl, nr = self.shape, self.pad, self.X, self.nl, self.nr
         max_depth, msl = trees[0].max_depth, trees[0].min_samples_leaf
         yp, sorted_y = np.append(y, np.nan)[self.src], np.append(y, 0.0)[self.sorted_src]
-        cuts = (nl >= msl) & (nr >= msl)  # by node size: the cuts leaving msl rows a side
         # per node: tree, depth, code, rows, mean, feature (-1 at a leaf), threshold and
         # the children's codes (a leaf's: its own); codes sort by tree, then in preorder
         nodes, stacks, used = [], [[] for _ in range(T)], [0] * T
@@ -118,26 +165,45 @@ class TreeGrower:
         def means(batch):  # padded rows, sizes, targets and means (stored) of nodes
             rows = [nodes[i][3] for i in batch]
             lens = [len(r) for r in rows]
-            R, ns = np.full((len(rows), max(lens)), pad), np.array(lens)
-            R[np.arange(max(lens)) < ns[:, None]] = np.concatenate(rows)
+            ns = np.array(lens)
+            if len(rows) == 1:  # nothing to pad
+                R = rows[0][None]
+            else:
+                R = np.full((len(rows), max(lens)), pad)
+                R[np.arange(max(lens)) < ns[:, None]] = np.concatenate(rows)
             mean = _sums(Y := yp[R], lens) / ns
             for i, v in zip(batch, mean.tolist()):
                 nodes[i][4] = v
             return R, lens, ns, Y, mean
 
-        def search(batch, R, lens, ns, base, F):
-            # (node, row, candidate): each candidate column's rows sorted stably
-            g = (self.slot[R][:, :, self.varying] if subsets is None
-                 else self.slot[R[:, :, None], F[:, None]])
+        def layout(R, ns, F):
+            # a pass's state that does not depend on y: its nodes' candidate features
+            # (given, or every one), each one's rows sorted stably (as slots) and their
+            # values, the valid cuts, the sizes either side of each cut and, over every
+            # feature, a table of the splits taken
+            if every := F is None:
+                F = np.broadcast_to(self.varying, (len(R), len(self.varying)))
+                g = self.slot[R][:, :, self.varying]
+            else:
+                g = self.slot[R[:, :, None], F[:, None]]
             g.sort(axis=1)
-            xs, ys, c = self.sorted_X[g], sorted_y[g], slice(R.shape[1] - 1)
+            xs, c = self.sorted_X[g], slice(R.shape[1] - 1)
+            valid = xs[:, 1:] > xs[:, :-1]  # False at the pads' NaN
+            if msl > 1:  # the cuts leaving msl rows a side
+                valid &= ((nl[c] >= msl) & (nr[ns, c] >= msl))[:, :, None]
+            if every and self.repeats and not (keep := self._distinct(g, valid)).all():
+                F, g, xs, valid = F[:, keep], g[..., keep], xs[..., keep], valid[..., keep]
+            return F, g, xs, valid, nl[c, None], nr[ns, c, None], {} if every else None
+
+        def search(batch, R, lens, base, state):
+            # splits: (node in the pass, column, cut) → the split's feature, threshold
+            # and rows left and right, none of which depends on y
+            F, g, xs, valid, left_n, right_n, splits = state
+            ys = sorted_y[g]
             csum, csq = ys.cumsum(axis=1), (ys * ys).cumsum(axis=1)  # the pads add 0
             sl, sql, tot, totsq = csum[:, :-1], csq[:, :-1], csum[:, -1:], csq[:, -1:]
-            valid = xs[:, 1:] > xs[:, :-1]  # False at the pads' NaN
-            if msl > 1:
-                valid &= cuts[ns, c, None]
-            sse = np.where(valid, (sql - sl * sl / nl[c, None])
-                           + ((totsq - sql) - (tot - sl) ** 2 / nr[ns, c, None]), np.inf)
+            sse = np.where(valid, (sql - sl * sl / left_n)
+                           + ((totsq - sql) - (tot - sl) ** 2 / right_n), np.inf)
             gains = base[:, None] - sse.min(axis=1)
             picks = []  # a column with no valid cut has gain -inf and is never picked
             for b, row in enumerate(gains.tolist()):
@@ -148,19 +214,31 @@ class TreeGrower:
                 if j >= 0:
                     picks.append((b, j))
             w, j = np.array(picks, dtype=int).reshape(-1, 2).T
-            k, f, Rw = sse[w, :, j].argmin(axis=1), F[w, j], R[w]
-            lo, hi = xs[w, k, j], xs[w, k + 1, j]
-            # the midpoint, or lo where it rounds up to hi (adjacent floats)
-            thr = np.where((lo + hi) / 2.0 < hi, (lo + hi) / 2.0, lo)
-            go = Xp[Rw, f[:, None]] <= thr[:, None]
-            # each winner's rows, its left child's first, each side in row order
-            S = Rw[np.arange(len(w))[:, None], (~go).argsort(axis=1, kind="stable")]
-            for b, fb, tb, s, nb in zip(w.tolist(), f.tolist(), thr.tolist(), S, go.sum(1).tolist()):
+            k = sse[w, :, j].argmin(axis=1)
+            if splits is None:
+                found = cut(R, lens, F, xs, w, j, k)
+            else:  # the splits this pass has not taken before
+                wins = list(zip(w.tolist(), j.tolist(), k.tolist()))
+                if new := [a for a, win in enumerate(wins) if win not in splits]:
+                    splits.update(zip([wins[a] for a in new], cut(R, lens, F, xs, w[new], j[new], k[new])))
+                found = [splits[win] for win in wins]
+            for b, (fb, tb, left, right) in zip(w.tolist(), found):
                 t, depth, code = nodes[batch[b]][:3]
                 digit = 4 ** (max_depth - depth - 1)  # the children's: 1 left, 2 right
                 nodes[batch[b]][5:] = fb, tb, code + digit, code + 2 * digit
-                add(t, depth + 1, code + 2 * digit, s[nb: lens[b]])  # the left opens last,
-                add(t, depth + 1, code + digit, s[:nb])  # so it searches first
+                add(t, depth + 1, code + 2 * digit, right)  # the left opens last,
+                add(t, depth + 1, code + digit, left)  # so it searches first
+
+        def cut(R, lens, F, xs, w, j, k):
+            # each winner's feature and threshold, and its rows left and right of it,
+            # each side in row order
+            f, Rw, lo, hi = F[w, j], R[w], xs[w, k, j], xs[w, k + 1, j]
+            # the midpoint, or lo where it rounds up to hi (adjacent floats)
+            thr = np.where((mid := (lo + hi) / 2.0) < hi, mid, lo)
+            go = Xp[Rw, f[:, None]] <= thr[:, None]
+            S = Rw[np.arange(len(w))[:, None], (~go).argsort(axis=1, kind="stable")]
+            return [(fb, tb, s[:nb], s[nb: lens[b]]) for b, fb, tb, s, nb
+                    in zip(w.tolist(), f.tolist(), thr.tolist(), S, go.sum(1).tolist())]
 
         for t in range(T):
             add(t, 0, 4 ** (max_depth + 1) * t, np.arange(t * n, t * n + n))
@@ -181,9 +259,8 @@ class TreeGrower:
                 if not batch:
                     continue
                 R, ns, Y, mean = R[split, : max(lens)], ns[split], Y[split, : max(lens)], mean[split]
-            if subsets is None:
-                F = self.varying[None].repeat(len(batch), axis=0)
-            else:
+            F = None  # every feature
+            if subsets is not None:
                 ts, reads = [nodes[i][0] for i in batch], []
                 for t in ts:  # a tree's nodes in preorder
                     reads.append(used[t])
@@ -191,18 +268,22 @@ class TreeGrower:
                 if max(reads) >= subsets.shape[1]:
                     raise ValueError("the feature subsets ran out")
                 F = subsets[ts, reads]
-            # nodes of like size share a pass; a pass costs about PASS_CELLS padded cells
-            base, m, start = _sums((Y - mean[:, None]) ** 2, lens), F.shape[1], 0
-            by_size = sorted(range(len(batch)), key=lens.__getitem__, reverse=True)
-            for end in range(1, len(batch) + 1):
-                top = lens[by_size[start]]
-                if end == len(batch) or (top - lens[by_size[end]]) * (len(batch) - end) * m > PASS_CELLS:
-                    if start == 0 and end == len(batch):  # one pass: no gathers
-                        search(batch, R, lens, ns, base, F)
-                        break
-                    idx, start = by_size[start:end], end
-                    search([batch[i] for i in idx], R[idx, :top], [lens[i] for i in idx],
-                           ns[idx], base[idx], F[idx])
+            base = _sums((Y - mean[:, None]) ** 2, lens)
+            m = len(self.varying) if F is None else F.shape[1]
+            for idx in [[0]] if len(batch) == 1 else _passes(lens, m):
+                if len(idx) == len(batch):  # one pass: no gathers
+                    rows, plens, pR, pns, pbase, pF = batch, lens, R, ns, base, F
+                else:
+                    rows, plens = [batch[i] for i in idx], [lens[i] for i in idx]
+                    pR, pns, pbase = R[idx, : plens[0]], ns[idx], base[idx]
+                    pF = None if F is None else F[idx]
+                if pF is None:  # the state depends on the rows alone: fits reuse it
+                    key = (msl, *(nodes[i][3].tobytes() for i in rows))
+                    if (state := self.layouts.get(key)) is None:
+                        state = self.layouts[key] = layout(pR, pns, None)
+                else:
+                    state = layout(pR, pns, pF)
+                search(rows, pR, plens, pbase, state)
 
         if unsearched := [i for i, node in enumerate(nodes) if node[4] is None]:
             means(unsearched)

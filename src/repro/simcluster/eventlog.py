@@ -36,14 +36,6 @@ N_TASK_FEATURES = len(_TASK_KEYS) * 8  # 64
 N_META_FEATURES = N_STAGE_FEATURES + N_TASK_FEATURES  # 75
 
 
-def _stats(v: np.ndarray) -> np.ndarray:
-    return np.array([
-        v.mean(), v.std(), v.min(), v.max(),
-        np.percentile(v, 25), np.percentile(v, 50), np.percentile(v, 75),
-        v.sum(),
-    ])
-
-
 def meta_features(result: ExecResult) -> np.ndarray:
     """75-dim meta-feature vector for one executed run."""
     stages = result.metrics.get("stages", [])
@@ -53,13 +45,13 @@ def meta_features(result: ExecResult) -> np.ndarray:
         sum(1 for s in stages if op in s.get("ops", ())) / len(stages)
         for op in STAGE_OPS
     ])
-    task_feats = []
-    for key in _TASK_KEYS:
-        # one weighted sample per stage: value × task count gives the sum
-        vals = np.array([float(s.get(key, 0.0)) for s in stages])
-        counts = np.array([int(s.get("n_tasks", 1)) for s in stages])
-        st = _stats(vals)
-        st[7] = float((vals * counts).sum())  # true total over tasks
-        # log-compress scale-heavy stats so no quantity dominates
-        task_feats.append(np.sign(st) * np.log1p(np.abs(st)))
-    return np.concatenate([ops_frac, np.concatenate(task_feats)])
+    # one weighted sample per stage and quantity: value × task count gives the sum
+    V = np.array([[float(s.get(key, 0.0)) for s in stages] for key in _TASK_KEYS])
+    counts = np.array([int(s.get("n_tasks", 1)) for s in stages])
+    stats = np.column_stack([
+        V.mean(axis=1), V.std(axis=1), V.min(axis=1), V.max(axis=1),
+        *np.percentile(V, [25, 50, 75], axis=1),
+        (V * counts).sum(axis=1),  # true total over tasks
+    ])
+    # log-compress scale-heavy stats so no quantity dominates
+    return np.concatenate([ops_frac, (np.sign(stats) * np.log1p(np.abs(stats))).ravel()])

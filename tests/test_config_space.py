@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config_space import (
-    _JOE_KUO, SPARK_PARAMS, ConfigSpace, Param, _log_units, hibench_space, sobol,
+    _JOE_KUO, SPARK_PARAMS, ConfigSpace, Param, _directions, _log_units, hibench_space, sobol,
 )
 
 
@@ -317,6 +317,17 @@ class TestSobol:
 
     def test_seed_shifts(self):
         assert not np.array_equal(sobol(16, 5, seed=1), sobol(16, 5, seed=2))
+
+    def test_mutating_a_design_leaves_the_next(self):
+        """Designs share one direction table: a caller writing into its
+        design, or into the table, cannot change the next design."""
+        first = sobol(16, 7, seed=3)
+        ref = first.copy()
+        first[:] = 0.5
+        assert np.array_equal(sobol(16, 7, seed=3), ref)
+        with pytest.raises(ValueError):
+            _directions()[0, 0] = 1
+        assert np.array_equal(sobol(16, 7, seed=3), ref)
 
     def test_no_duplicate_points(self):
         pts = sobol(128, 8)

@@ -12,6 +12,7 @@ from repro.core.meta import (
     surrogate_distance,
 )
 from repro.core.objective import ExecResult, TuningProblem
+from repro.ml.gbm import GradientBoostedRegressor
 from tests.test_gp import _shared_case
 
 
@@ -117,6 +118,20 @@ class TestMetaLearner:
         assert len(configs) == 3
         for c in configs:
             assert set(c) == set(ml.space.names)
+
+    def test_targets_are_the_pair_distances(self, learner, monkeypatch):
+        """The similarity regressor trains on every ordered pair with its
+        surrogate_distance as the target, to the bit."""
+        ml, tasks = learner
+        seen = []
+        monkeypatch.setattr(GradientBoostedRegressor, "fit",
+                            lambda model, X, y: seen.append((X, y)) or model)
+        MetaLearner(ml.space, seed=ml.seed).fit(tasks)
+        (X, y), = seen
+        pairs = [(i, j) for i in range(len(tasks)) for j in range(i + 1, len(tasks))]
+        ref = [surrogate_distance(tasks[i], tasks[j], ml.space, seed=ml.seed)
+               for i, j in pairs for _ in range(2)]
+        assert y.tolist() == ref and len(X) == len(ref)
 
     def test_needs_two_tasks(self, space):
         with pytest.raises(ValueError):

@@ -216,11 +216,12 @@ class TestPredictExact:
         assert np.array_equal(m.predict(Q), ref)
 
 
-def _reference_best_split(msl, X, y, feats):
-    """The per-feature split search over ``feats``, one feature at a time."""
+def _reference_gains(msl, X, y, feats):
+    """Each feature of ``feats``, one at a time: its best valid cut's gain
+    and threshold, or None without a valid cut."""
     n = len(y)
-    best_gain, best = 0.0, (-1, 0.0)
     base_sse = float(((y - y.mean()) ** 2).sum())
+    found = []
     for f in feats:
         order = np.argsort(X[:, f], kind="stable")
         xs, ys = X[order, f], y[order]
@@ -229,16 +230,24 @@ def _reference_best_split(msl, X, y, feats):
         idx = np.arange(1, n)
         valid = (xs[1:] > xs[:-1]) & (idx >= msl) & (n - idx >= msl)
         if not valid.any():
+            found.append(None)
             continue
         nl = idx[valid].astype(np.float64)
         sl, sql = csum[:-1][valid], csq[:-1][valid]
         sse = (sql - sl**2 / nl) + ((totsq - sql) - (tot - sl) ** 2 / (n - nl))
         k = int(np.argmin(sse))
-        gain = base_sse - float(sse[k])
-        if gain > best_gain + 1e-12:
-            i = idx[valid][k]
-            best_gain = gain
-            best = (int(f), float((xs[i - 1] + xs[i]) / 2.0))
+        i = idx[valid][k]
+        found.append((base_sse - float(sse[k]), float((xs[i - 1] + xs[i]) / 2.0)))
+    return found
+
+
+def _reference_best_split(msl, X, y, feats):
+    """The per-feature split search over ``feats``: the first feature whose
+    gain beats the best so far (0 at the start) by more than 1e-12."""
+    best_gain, best = 0.0, (-1, 0.0)
+    for f, cut in zip(feats, _reference_gains(msl, X, y, feats)):
+        if cut is not None and cut[0] > best_gain + 1e-12:
+            best_gain, best = cut[0], (int(f), cut[1])
     return best
 
 
@@ -423,3 +432,125 @@ class TestForestBuild:
         with pytest.raises(ValueError, match="ran out"):
             TreeGrower(X, rows).fit(trees, y, draw_subsets([0, 1], 2, 1, 2))
         TreeGrower(X, rows).fit(trees, y, draw_subsets([0, 1], 2, 1, 15))
+
+
+def _isolating(ys, n=10):
+    """``n`` rows and ``len(ys)`` binary features: feature ``j`` splits row
+    ``j`` (target ``ys[j]``) off from the rest, whose targets are 0, so its
+    gain grows with ``ys[j]``."""
+    k = len(ys)
+    X, y = np.zeros((n, k)), np.zeros(n)
+    X[np.arange(k), np.arange(k)] = 1.0
+    y[:k] = ys
+    return X, y
+
+
+def _gains(X, y):
+    """Features 0 and 1's gains, as the sequential search scores them."""
+    (g0, _), (g1, _) = _reference_gains(1, X, y, [0, 1])
+    return g0, g1
+
+
+def _near_tie(taken):
+    """Rows whose feature 1 scores a gain above feature 0's, by more than
+    1e-12 as the scan tests it (``g1 > g0 + 1e-12``) if ``taken``, else by
+    less: the smallest step of row 1's target that gets there."""
+    for k in range(1, 4096):
+        X, y = _isolating([3.0, 3.0 + k * 2.0**-50])
+        g0, g1 = _gains(X, y)
+        if g1 > g0 and (g1 > g0 + 1e-12) == taken:
+            return X, y
+    raise AssertionError("no step gets there")
+
+
+def _grower_equals_reference(X, y, max_depth, msl):
+    """A tree and a boosted fit equal the node-by-node references to the bit."""
+    tree = RegressionTree(max_depth=max_depth, min_samples_leaf=msl).fit(X, y)
+    assert _same_bits(tree, _reference_tree(X, y, max_depth, msl,
+                                            lambda: np.arange(X.shape[1])))
+    model = GradientBoostedRegressor(n_estimators=6, max_depth=max_depth,
+                                     min_samples_leaf=msl).fit(X, y)
+    for tree, arrays in zip(model._trees, _reference_gbm(X, y, 6, max_depth, msl), strict=True):
+        assert _same_bits(tree, arrays)
+
+
+class TestNearTies:
+    """Two features' gains tie or differ by about the scan's 1e-12: the
+    grower takes the feature the sequential search takes."""
+
+    def test_exactly_equal(self):
+        X, y = _isolating([3.0, 3.0])
+        assert _gains(X, y)[0] == _gains(X, y)[1]
+        assert _best_split(1, X, y, None)[0] == 0  # the first of equal gains
+        _grower_equals_reference(X, y, 2, 1)
+
+    def test_within_1e12(self):
+        X, y = _near_tie(taken=False)
+        assert _best_split(1, X, y, None)[0] == 0  # the higher gain is not taken
+        _grower_equals_reference(X, y, 2, 1)
+        _grower_equals_reference(X[:, ::-1].copy(), y, 2, 1)  # the higher gain first
+
+    def test_just_above_1e12(self):
+        X, y = _near_tie(taken=True)
+        assert np.diff(_gains(X, y))[0] < 2e-12
+        assert _best_split(1, X, y, None)[0] == 1
+        _grower_equals_reference(X, y, 2, 1)
+        _grower_equals_reference(X[:, ::-1].copy(), y, 2, 1)
+
+    def test_repeated_column(self):
+        """A column equal to an earlier one ties it at every node; the
+        grower leaves it out of its searches and still takes the first."""
+        X, y = _isolating([3.0, 2.0, 1.0])
+        assert not TreeGrower(X, np.arange(len(y))[None]).repeats
+        X = np.c_[X[:, [0, 1]], X[:, 0], X[:, 2], X[:, 1]]
+        assert TreeGrower(X, np.arange(len(y))[None]).repeats
+        _grower_equals_reference(X, y, 3, 1)
+
+
+def _pair_rows(n_tasks, d, seed):
+    """The meta-learner's training rows: every ordered pair of tasks, both
+    orders of a pair alike, and their shared distance."""
+    rng = np.random.default_rng(seed)
+    meta = np.log1p(rng.gamma(1.0, 5.0, (n_tasks, d))).round(2)
+    dist = rng.random((n_tasks, n_tasks)).round(3)
+    pairs = [(a, b) for a in range(n_tasks) for b in range(n_tasks) if a != b]
+    X = np.array([np.r_[np.abs(meta[a] - meta[b]), (meta[a] + meta[b]) / 2.0] for a, b in pairs])
+    return X, np.array([dist[min(a, b), max(a, b)] for a, b in pairs])
+
+
+class _CountingDict(dict):
+    """A dict that counts the lookups that find their key."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        self.hits += key in self
+        return super().get(key, default)
+
+
+class TestReusedState:
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(3, 5), st.integers(2, 20), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_boosting_stages_reuse_row_sets(self, n_tasks, d, max_depth, seed):
+        """Pair rows come twice and many columns order them alike, so the
+        stages meet few row sets: the grower keeps each pass's state and
+        reuses it, and every stage equals the node-by-node reference."""
+        X, y = _pair_rows(n_tasks, d, seed)
+        model = GradientBoostedRegressor(n_estimators=20, max_depth=max_depth).fit(X, y)
+        for tree, arrays in zip(model._trees, _reference_gbm(X, y, 20, max_depth, 2), strict=True):
+            assert _same_bits(tree, arrays)
+        grower, pred = TreeGrower(X, np.arange(len(y))[None]), np.full(len(y), y.mean())
+        grower.layouts = _CountingDict()
+        for _ in range(20):
+            tree = RegressionTree(max_depth=max_depth, min_samples_leaf=2)
+            pred += LEARNING_RATE * grower.fit([tree], y - pred)[0]
+        assert grower.layouts.hits >= 19  # at least every later stage's root pass
+
+    def test_one_node_rounds(self):
+        """A chain: each split takes the largest target off alone, so every
+        round holds one node, searched without padding."""
+        X = np.arange(9.0)[:, None] * [1.0, -1.0]
+        y = 10.0 ** np.arange(9) - 1.0
+        t = RegressionTree(max_depth=6, min_samples_leaf=1).fit(X, y)
+        assert (t.feature >= 0).sum() == 6 and t.depth == 6
+        _grower_equals_reference(X, y, 6, 1)
