@@ -21,7 +21,10 @@ Table 5's are pinned on their own: a sha256 over every tree's node
 arrays and one over the fANOVA importances, recorded before the feature
 subsets were drawn once per forest. So are two boosted-tree fits shaped
 like the meta-learner's and DAC's: a sha256 over every stage's node
-arrays, recorded before the trees grew in lockstep.
+arrays, recorded before the trees grew in lockstep. The 30-iteration and
+meta-learned ``OnlineTuner`` runs also pin the acquisition value of
+every EIC pick, recorded before the candidates were scored as sub-space
+blocks.
 
 A change meant to keep behaviour (a refactor, a speed-up) must keep
 every digest. A change meant to alter what the tuners suggest updates
@@ -60,6 +63,13 @@ DIGESTS = {
 #: The objective each suggestion of the 30-iteration ``OnlineTuner`` is
 #: expected to reach, as the restart rule compares it with the run.
 EXPECTED_DIGEST = "a78bd6da0c66737d7e9624bfa77c0bd26f7edd33f893af665da46f5e74f6e4da"
+#: The acquisition value of every EIC pick (``ConfigGenerator.last_ei``)
+#: of the 30-iteration and the meta-learned ``OnlineTuner`` runs: the
+#: candidates' scores, not only which one wins.
+LAST_EI_DIGESTS = {
+    "Ours-30": "9050123f2f3ce433dd8aadcfceb52230c1c964e445ba6a597df6a29451d5f191",
+    "Ours-meta": "3aa81a41c8daf874fb7404eff64be69094ec54af2b298023e4887c4d82252371",
+}
 
 
 def _digest(history) -> str:
@@ -67,6 +77,31 @@ def _digest(history) -> str:
     for obs in history.observations:
         digest.update(json.dumps(obs.config, sort_keys=True).encode())
     return digest.hexdigest()
+
+
+class _RecordingEI(OnlineTuner):
+    """An ``OnlineTuner`` that keeps the ``last_ei`` of each EIC pick."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.eic_values = []
+
+    def suggest(self):
+        # an EIC pick sets last_ei; NaN marks a suggestion that made none
+        # (design, AGD, stopped), which then keeps the value it had
+        gen = self.generator
+        before, gen.last_ei = gen.last_ei, float("nan")
+        try:
+            return super().suggest()
+        finally:
+            if gen.last_ei == gen.last_ei:
+                self.eic_values.append(gen.last_ei)
+            else:
+                gen.last_ei = before
+
+
+def _ei_digest(tuner) -> str:
+    return hashlib.sha256(json.dumps(tuner.eic_values).encode()).hexdigest()
 
 
 def _run(method, budget: int, task: str = "terasort", **kwargs):
@@ -89,9 +124,12 @@ class TestSuggestedConfigsUnchanged:
         assert digest == DIGESTS["Ours"]
 
     def test_online_tuner_every_agd_step(self):
-        tuner, digest = _run(OnlineTuner, 30, ei_stop_rel=0.0)
+        tuner, digest = _run(_RecordingEI, 30, ei_stop_rel=0.0)
         assert not tuner.stopped
         assert digest == DIGESTS["Ours-30"]
+        # 27 generated suggestions, five of them AGD steps
+        assert len(tuner.eic_values) == 22
+        assert _ei_digest(tuner) == LAST_EI_DIGESTS["Ours-30"]
 
     def test_online_tuner_restart_expectations(self):
         expectations = []
@@ -118,10 +156,12 @@ class TestSuggestedConfigsUnchanged:
             )
         learner = MetaLearner(space, seed=0).fit(sources)
         probe = sim.run(get_profile("lr"), space.default_config(), seed=0)
-        tuner, digest = _run(OnlineTuner, 12, task="lr", meta_learner=learner,
+        tuner, digest = _run(_RecordingEI, 12, task="lr", meta_learner=learner,
                              target_meta=meta_features(probe))
         assert tuner.generator.meta_sources is not None
         assert digest == DIGESTS["Ours-meta"]
+        assert tuner.eic_values  # scored by the meta-ensemble
+        assert _ei_digest(tuner) == LAST_EI_DIGESTS["Ours-meta"]
 
     def test_tuneful(self):
         tuner, digest = _run(TunefulTuner, 14)
