@@ -86,8 +86,8 @@ class FixedSubspaceTuner(Tuner):
         if self._dims is None:
             self._dims = self._pick_dims()
         surrogates = fit_surrogates(self.history, with_datasize=self.with_datasize)
-        raw = self.space.sample_unit(
-            self.n_candidates, self.rng, subspace=self._dims, base=self.history.best().unit
-        )
-        idx, _ = propose(self.history, self.space.snap(raw)[1], surrogates)
-        return self.space.from_unit(raw[idx])
+        # the draw of sample_unit(n_candidates, rng, subspace=dims), kept as a block
+        block = self.rng.random((self.n_candidates, len(self._dims)))
+        cands = self.space.snap_subspace(block, self._dims, self.history.best().unit)
+        idx, _ = propose(self.history, cands.rows(surrogates.datasize), surrogates)
+        return self.space.from_unit(cands.raw_row(idx))

@@ -5,9 +5,9 @@ Implements Eq. 3 (Expected Improvement, minimization form), Eq. 6–7
 log-runtime surrogate) and Eq. 8 (safe region via the GP upper bound
 ``u(x) = mu(x) + gamma * sigma(x) <= threshold``). No scipy offline:
 the standard normal CDF uses ``math.erf``. :func:`propose` is the one
-scoring step that Ours and the BO baselines share: candidate unit
-rows → posteriors → EI/EIC (masked to the safe region) → argmax; only
-the winning row becomes a config dict, in the caller.
+scoring step that Ours and the BO baselines share: the candidates'
+model inputs → posteriors → EI/EIC (masked to the safe region) →
+argmax; only the winning row becomes a config dict, in the caller.
 """
 from __future__ import annotations
 
@@ -72,7 +72,7 @@ def safe_mask(
 
 def propose(
     history: RunHistory,
-    cands: np.ndarray,
+    X: np.ndarray,
     surrogates: Surrogates,
     *,
     t_max: float | None = None,
@@ -80,8 +80,10 @@ def propose(
 ) -> tuple[int, float]:
     """Index of the candidate to run next, and its acquisition value.
 
-    Scores the candidates, one snapped unit row each (see
-    :meth:`repro.core.config_space.ConfigSpace.snap`), by EI over the
+    Scores the candidates, one model input each: a snapped unit row (see
+    :meth:`repro.core.config_space.ConfigSpace.snap`) formed by
+    :meth:`Surrogates.rows` or :meth:`SubspaceRows.rows`, read-only so
+    that the GPs share their posterior work. The score is EI over the
     incumbent, times Pr[runtime <= t_max] when ``t_max`` is set (EIC;
     ``surrogates.runtime`` must be fitted then, on log-runtime). With
     ``gamma`` set too, the argmax is restricted to the safe region of
@@ -89,17 +91,16 @@ def propose(
     (least ``mu + gamma*sigma``, as in SafeOpt-style search) is returned
     with value ``inf``.
     """
-    U = surrogates.rows(cands)
     runtime = safe = None
     if t_max is not None:
-        mu_t, sd_t = surrogates.runtime.predict(U)
+        mu_t, sd_t = surrogates.runtime.predict(X)
         log_thr = np.log(max(t_max, 1e-9))
         runtime = (mu_t, sd_t, log_thr)
         if gamma is not None:
             safe = safe_mask(mu_t, sd_t, log_thr, gamma)
             if not safe.any():
                 return int(np.argmin(mu_t + gamma * sd_t)), float("inf")
-    mu_f, sd_f = surrogates.objective.predict(U)
+    mu_f, sd_f = surrogates.objective.predict(X)
     acq = eic(mu_f, sd_f, float(history.best().objective), runtime)
     if safe is not None:
         acq = np.where(safe, acq, -np.inf)

@@ -5,8 +5,9 @@ the acquisition function but by one gradient step from the incumbent's
 unit row:
 
 - ``∂R/∂x`` is a central finite difference of the white-box resource
-  function R(x) at the probes snapped onto the grid, all probes' R in
-  one call (no job executions: R is computed from the config),
+  function R(x) at the probes snapped onto the grid (only their moved
+  dims go through the snap), all probes' R in one call (no job
+  executions: R is computed from the config),
 - ``∂T/∂x`` is approximated by a central finite difference of the
   *runtime surrogate* (Eq. 10) — no extra job executions,
 - the generalized objective's partial derivative combines them via
@@ -62,8 +63,8 @@ class AGDStepper:
         rows = np.arange(k)
         P[1 + rows, dims] = np.minimum(1.0, u[dims] + FD_EPS)
         P[1 + k + rows, dims] = np.maximum(0.0, u[dims] - FD_EPS)
-        V, _ = self.space.snap(P)
-        R = resource(dict(zip(self.space.names, V.T))).tolist()
+        probes = self.space.snap_subspace(P[:, dims], dims, u)
+        R = np.broadcast_to(resource(probes.columns(self.space.names)), len(P)).tolist()
 
         grad = np.zeros(self.space.dim)
         T0, R0 = max(predict_T(u), 1e-9), max(R[0], 1e-9)

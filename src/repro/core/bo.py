@@ -122,7 +122,11 @@ class Surrogates(NamedTuple):
     def rows(self, U: np.ndarray) -> np.ndarray:
         """Model inputs for the configs with unit rows ``U`` at the next
         run, read-only: the GPs of one fit share their posterior work
-        on a read-only query (see :class:`repro.core.gp.PosteriorBasis`)."""
+        on a read-only query (see :class:`repro.core.gp.PosteriorBasis`).
+        Candidates kept as sub-space blocks form the same rows with
+        :meth:`repro.core.config_space.SubspaceRows.rows` and this
+        ``datasize``; every such row has one data size, so the kernel's
+        datasize factor is one row."""
         X = model_rows(U, self.datasize)
         X = X.view() if X is U else X
         X.flags.writeable = False

@@ -17,7 +17,7 @@ the cube, round onto the grid) and value → unit. ``to_unit``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -92,6 +92,21 @@ class _Block:
         if self.kind == "log":
             return self.table[V.astype(np.intp) + self.offset]
         return (V - self.a) / self.b
+
+    def take(self, j: np.ndarray) -> "_Block":
+        """The block of its columns at positions ``j``."""
+        return _Block(self.kind, self.cols[j], self.lo[j], self.hi[j], self.a[j], self.b[j],
+                      self.table, None if self.offset is None else self.offset[j])
+
+
+def _snap(U: np.ndarray, blocks: list[tuple[_Block, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The value and unit matrices of :meth:`ConfigSpace.snap`, each
+    ``(block, columns of U)`` pair filling its columns."""
+    V, S = np.empty(U.shape), np.empty(U.shape)
+    for b, j in blocks:
+        V[:, j] = v = b.values(U[:, j])
+        S[:, j] = b.units(v)
+    return V, S
 
 
 def _bool(name: str, default: bool) -> Param:
@@ -227,11 +242,42 @@ class ConfigSpace:
         (categoricals as their choice index) and the unit matrix whose
         rows equal ``to_unit(from_unit(u))``. Both are filled block by
         block, so no temporary is as large as ``U``."""
-        V, S = np.empty(U.shape), np.empty(U.shape)
-        for b in self._blocks:
-            V[:, b.cols] = v = b.values(U[:, b.cols])
-            S[:, b.cols] = b.units(v)
-        return V, S
+        return _snap(U, [(b, b.cols) for b in self._blocks])
+
+    def snap_subspace(self, B: np.ndarray, dims, base: np.ndarray) -> "SubspaceRows":
+        """The unit rows that equal ``base`` outside the columns ``dims``
+        and hold the block ``B`` on them (column ``j`` of ``B`` is dim
+        ``dims[j]``), snapped as :meth:`snap` snaps them: only ``B`` and
+        one ``base`` row go through the maps. Where ``dims`` cover every
+        column the rows are snapped whole."""
+        d = self.dim
+        dims = np.asarray(dims, dtype=np.intp)
+        if len(dims) == d:
+            U = np.empty((len(B), d))
+            U[:, dims] = B
+            none = np.empty(0)
+            return SubspaceRows(np.arange(d), np.arange(0), none, none, none, U, *self.snap(U))
+        rest = np.ones(d, bool)
+        rest[dims] = False
+        rest = np.flatnonzero(rest)
+        base_V, base_S = self.snap(base[None])
+        # each kind's columns among dims: their positions in B and in the kind's block
+        kind, pos = self._kind_positions
+        blocks = []
+        for k, b in enumerate(self._blocks):
+            j = np.flatnonzero(kind[dims] == k)
+            if len(j):
+                blocks.append((b.take(pos[dims[j]]), j))
+        return SubspaceRows(dims, rest, base[rest], base_V[0, rest], base_S[0, rest],
+                            B, *_snap(B, blocks))
+
+    @cached_property
+    def _kind_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per column, its block's index in ``_blocks`` and its position there."""
+        kind, pos = np.empty(self.dim, np.intp), np.empty(self.dim, np.intp)
+        for k, b in enumerate(self._blocks):
+            kind[b.cols], pos[b.cols] = k, np.arange(len(b.cols))
+        return kind, pos
 
     def sample_unit(
         self, n: int, rng: np.random.Generator, *, subspace: list[int] | None = None,
@@ -255,6 +301,76 @@ class ConfigSpace:
     def sample_sobol(self, n: int, *, seed: int = 0) -> list[dict]:
         """Low-discrepancy initial design (§3.3 "Initial configurations")."""
         return self._configs(self._blockwise(_Block.values, sobol(n, self.dim, seed=seed)))
+
+
+@dataclass(frozen=True)
+class SubspaceRows:
+    """Unit rows that differ only on the columns ``dims``, kept as blocks
+    over those columns (block column ``j`` is dim ``dims[j]``): as drawn
+    (``raw``), snapped onto the grid (``values``, ``units``). On the
+    other columns, ``rest``, every row holds one base row: ``base`` as
+    drawn, ``base_values`` and ``base_units`` snapped. Built by
+    :meth:`ConfigSpace.snap_subspace`; the full rows are formed only by
+    :meth:`rows` and :meth:`raw_row`."""
+
+    dims: np.ndarray
+    rest: np.ndarray
+    base: np.ndarray
+    base_values: np.ndarray
+    base_units: np.ndarray
+    raw: np.ndarray
+    values: np.ndarray
+    units: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def take(self, keep: np.ndarray) -> "SubspaceRows":
+        """The rows where the mask ``keep`` holds; itself, no copy, when
+        it holds for every row."""
+        if keep.all():
+            return self
+        return replace(self, raw=self.raw[keep], values=self.values[keep], units=self.units[keep])
+
+    def columns(self, names: list[str]) -> dict:
+        """Each column's values by parameter name, as :func:`resource`
+        takes them: a block column, or the base's one value."""
+        cols = dict(zip([names[i] for i in self.rest], self.base_values))
+        cols.update(zip([names[i] for i in self.dims], self.values.T))
+        return cols
+
+    def seen(self, X: np.ndarray) -> np.ndarray:
+        """Which rows, snapped, equal a row of the unit matrix ``X``."""
+        # only a row of X that equals the base outside dims can match;
+        # it then matches on the first dim: compare whole blocks only
+        # for the pairs that pass that
+        H = X[(X[:, self.rest] == self.base_units).all(axis=1)][:, self.dims]
+        r, h = np.nonzero(self.units[:, :1] == H[:, 0])
+        seen = np.zeros(len(self), bool)
+        seen[r[(self.units[r] == H[h]).all(axis=1)]] = True
+        return seen
+
+    def rows(self, extra: float | None = None) -> np.ndarray:
+        """The snapped unit rows, read-only, with a last column of the
+        value ``extra`` when it is given."""
+        n, d = len(self), len(self.dims) + len(self.rest)
+        if extra is None and not len(self.rest):
+            X = self.units.view()
+        else:
+            X = np.empty((n, d + (extra is not None)))
+            X[:, self.rest] = self.base_units
+            X[:, self.dims] = self.units
+            if extra is not None:
+                X[:, d] = extra
+        X.flags.writeable = False
+        return X
+
+    def raw_row(self, i: int) -> np.ndarray:
+        """Row ``i`` as drawn."""
+        u = np.empty(len(self.dims) + len(self.rest))
+        u[self.rest] = self.base
+        u[self.dims] = self.raw[i]
+        return u
 
 
 def hibench_space() -> ConfigSpace:

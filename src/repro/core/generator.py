@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.acquisition import propose
 from repro.core.agd import AGDStepper, N_AGD
 from repro.core.bo import RunHistory, Surrogates, fit_surrogates
-from repro.core.config_space import ConfigSpace
+from repro.core.config_space import ConfigSpace, SubspaceRows
 from repro.core.objective import TuningProblem, resource
 from repro.core.subspace import SubspaceManager
 
@@ -51,31 +51,23 @@ class ConfigGenerator:
 
     # -- helpers -------------------------------------------------------
 
-    def _candidates(self, history: RunHistory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Random + local candidates inside the current sub-space: the
-        unit rows as drawn, their values and their snapped unit rows (see
-        :meth:`ConfigSpace.snap`). Rows equal to a history config are
-        dropped, unless every row is one; with none dropped, the arrays
-        are returned as they are."""
+    def _candidates(self, history: RunHistory) -> SubspaceRows:
+        """Random + local candidates inside the current sub-space, as
+        blocks over its dims around the incumbent (see
+        :meth:`ConfigSpace.snap_subspace`). Rows equal to a history
+        config are dropped, unless every row is one; with none dropped,
+        the blocks are returned as they are."""
         base = history.best().unit
         dims = self.subspace.current_dims() if self.use_subspace else list(range(self.space.dim))
         n_rand = int(N_CANDIDATES * 0.7)
-        rand = self.space.sample_unit(n_rand, self._rng, subspace=dims, base=base)
-        # local Gaussian perturbations of the incumbent (exploitation pool)
-        local = np.tile(base, (N_CANDIDATES - n_rand, 1))
-        noise = self._rng.normal(0.0, 0.12, (len(local), len(dims)))
-        local[:, dims] = np.clip(local[:, dims] + noise, 0.0, 1.0)
-        raw = np.concatenate([rand, local])
-        V, U = self.space.snap(raw)
-        # a row equal to a history row equals it on the first redrawn
-        # dim: compare whole rows only for the pairs that pass that
-        X = history.X_unit()
-        r, h = np.nonzero(U[:, dims[0], None] == X[:, dims[0]])
-        new = np.ones(len(U), bool)
-        new[r[(U[r] == X[h]).all(axis=1)]] = False
-        if new.all() or not new.any():
-            return raw, V, U
-        return raw[new], V[new], U[new]
+        # the draw of sample_unit(n_rand, rng, subspace=dims), then local
+        # Gaussian perturbations of the incumbent (exploitation pool)
+        rand = self._rng.random((n_rand, len(dims)))
+        noise = self._rng.normal(0.0, 0.12, (N_CANDIDATES - n_rand, len(dims)))
+        local = np.clip(base[dims] + noise, 0.0, 1.0)
+        cands = self.space.snap_subspace(np.concatenate([rand, local]), dims, base)
+        seen = cands.seen(history.X_unit())
+        return cands if seen.all() else cands.take(~seen)
 
     # -- Algorithm 2 ---------------------------------------------------
 
@@ -95,20 +87,20 @@ class ConfigGenerator:
                 history.best().unit, surrogates,
                 dims=self.subspace.current_dims() if self.use_subspace else None,
             )
-            snapped = self.space.snap(u[None, :])[1]
+            x = surrogates.rows(self.space.snap(u[None, :])[1])
         else:
-            u, snapped = self._eic_pick(history, surrogates)
-        mu, _ = surrogates.objective.predict(surrogates.rows(snapped))
+            u, x = self._eic_pick(history, surrogates)
+        mu, _ = surrogates.objective.predict(x)
         self.expected = float(mu[0])
         return u
 
     def _eic_pick(self, history: RunHistory, surrogates: Surrogates) -> tuple[np.ndarray, np.ndarray]:
-        """The EIC argmax's unit row as drawn, and snapped (one-row matrix)."""
+        """The EIC argmax's unit row as drawn, and its model input (one-row matrix)."""
         if self.use_subspace:
             self.subspace.update_importance(
                 history.X_unit(), history.penalized_objectives()
             )
-        raw, V, U = self._candidates(history)
+        cands = self._candidates(history)
         t_max, gamma = None, None
         # use_safe=False is the paper's "vanilla BO" ablation: plain EI
         # with no constraint probability and no safe region
@@ -116,9 +108,11 @@ class ConfigGenerator:
             # the white-box resource bound: filter analytically
             r_max = self.problem.r_max
             if r_max is not None:
-                ok = resource(dict(zip(self.space.names, V.T))) <= r_max
+                R = resource(cands.columns(self.space.names))
+                ok = np.broadcast_to(R <= r_max, len(cands))
                 if ok.any():
-                    raw, U = raw[ok], U[ok]
+                    cands = cands.take(ok)
             t_max, gamma = self.problem.t_max, GAMMA
-        idx, self.last_ei = propose(history, U, surrogates, t_max=t_max, gamma=gamma)
-        return raw[idx], U[idx:idx + 1]
+        X = cands.rows(surrogates.datasize)
+        idx, self.last_ei = propose(history, X, surrogates, t_max=t_max, gamma=gamma)
+        return cands.raw_row(idx), X[idx:idx + 1]

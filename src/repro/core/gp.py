@@ -15,18 +15,26 @@ the categorical-dimension count. The kernel is one function of its two
 sets of rows, :func:`mixed_kernel`; the rows carry the datasize column
 exactly when they are wider than the categorical mask. It builds the
 kernels of several lengthscales over one set of distances and mismatch
-counts (one matrix product), and is called once for all grid
-lengthscales. The kernels of all grid points, lengthscale by noise, are
-then factorized with one stacked Cholesky; only when that raises (one
-matrix is not positive definite) are the points factorized one by one,
-to keep the ones that succeed. Those factors depend on the rows only,
-so they live in a :class:`PosteriorBasis` that every GP fitted on the
-same rows shares (the objective and log-runtime GPs of one iteration):
-each GP adds its own standardization, two stacked solves for ``alpha``
-and its grid choice. The basis also memoizes, per read-only query, the
-cross-kernel and the explained variance the GPs' predicts have in
-common (Rasmussen & Williams 2006, Alg. 2.1: the targets enter the
-posterior only through ``alpha``).
+counts (one matrix product). It is two steps: :class:`KernelRows`
+encodes one set of rows once (numeric block and squared norms,
+categorical one-hot, datasize column), and its ``parts`` of a query are
+the factors no lengthscale enters (distances, Hamming factor, squared
+datasize distances: one row of them when every query row has the same
+data size, as the candidates of one pick have); :func:`_kernels` adds
+one Matérn, one SE ``exp`` and the products per lengthscale. The kernels
+of all grid points, lengthscale by noise, are factorized with one
+stacked Cholesky; only when that raises (one matrix is not positive
+definite) are the points factorized one by one, to keep the ones that
+succeed. Those factors depend on the rows only, so they live in a
+:class:`PosteriorBasis` that every GP fitted on the same rows shares
+(the objective and log-runtime GPs of one iteration): each GP adds its
+own standardization, two stacked solves for ``alpha`` and its grid
+choice. The basis encodes its rows once for the fit's kernel and every
+predict (a meta-ensemble source's basis serves a whole run), and
+memoizes, per read-only query, the parts, the cross-kernel and the
+explained variance the GPs' predicts have in common (Rasmussen &
+Williams 2006, Alg. 2.1: the targets enter the posterior only through
+``alpha``), so GPs at different lengthscales share the parts.
 """
 from __future__ import annotations
 
@@ -66,29 +74,75 @@ def mixed_kernel(A: np.ndarray, B: np.ndarray, cat_mask: np.ndarray,
     with the categorical-dimension count, or every config pair would be
     "far". Raises ``ValueError`` when ``A`` and ``B`` differ in width.
     """
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"kernel rows differ in width: {A.shape[1]} and {B.shape[1]}")
-    d = len(cat_mask)
-    num = ~cat_mask
-    An, Bn = A[:, :d][:, num], B[:, :d][:, num]
+    return _kernels(KernelRows(B, cat_mask).parts(A), lengthscales)
+
+
+class KernelRows:
+    """Rows ``B`` encoded once for the kernels of any query rows against
+    them: the numeric block and its squared norms, the categorical
+    one-hot and the datasize column. :meth:`parts` gives a query's
+    lengthscale-free factors, :func:`_kernels` the kernels from them."""
+
+    def __init__(self, B: np.ndarray, cat_mask: np.ndarray) -> None:
+        d = len(cat_mask)
+        self.B, self.cat_mask = B, cat_mask
+        self.num = B[:, :d][:, ~cat_mask]
+        self.num_sq = (self.num**2).sum(1)
+        self.onehot = None
+        n_cat = np.count_nonzero(cat_mask)
+        if n_cat:
+            # the mismatch count as one product: each B entry equals one
+            # distinct value of its column, so a one-hot over those adds the
+            # same 0/1s as a broadcast over B (small integer sums are exact)
+            Bc = B[:, :d][:, cat_mask]
+            Bs = np.sort(Bc, axis=0).T
+            first = np.ones(Bs.shape, bool)
+            first[:, 1:] = Bs[:, 1:] != Bs[:, :-1]
+            c, self.vals = np.nonzero(first)[0], Bs[first]
+            self.cat_cols = np.flatnonzero(cat_mask)[c]
+            self.onehot = (Bc.T[c] == self.vals[:, None]).astype(np.float64)
+            self.decay = max(n_cat / 2.0, 0.5)
+        self.size = B[:, d:] if B.shape[1] > d else None
+
+    def parts(self, A: np.ndarray) -> tuple:
+        """The factors of the kernel between ``A`` and these rows that no
+        lengthscale enters: the numeric distances, the Hamming factor
+        (None without categoricals) and the squared datasize distances
+        (None without that column; one row when every row of ``A`` has
+        the same data size, as every candidate of one pick has)."""
+        if A.shape[1] != self.B.shape[1]:
+            raise ValueError(
+                f"kernel rows differ in width: {A.shape[1]} and {self.B.shape[1]}")
+        d = len(self.cat_mask)
+        if A is self.B:
+            An, An_sq = self.num, self.num_sq
+        else:
+            An = A[:, :d][:, ~self.cat_mask]
+            An_sq = (An**2).sum(1)
+        D = np.sqrt(np.maximum(
+            An_sq[:, None] + self.num_sq[None, :] - 2.0 * An @ self.num.T, 0.0))
+        H = S = None
+        if self.onehot is not None:
+            mism = (np.abs(A[:, self.cat_cols] - self.vals) > 1e-9).astype(np.float64) @ self.onehot
+            H = np.exp(-mism / self.decay)
+        if self.size is not None:
+            a = A[:, d:]
+            S = _pairwise_sq(a[:1] if len(a) > 1 and (a == a[0]).all() else a, self.size)
+        return D, H, S
+
+
+def _kernels(parts: tuple, lengthscales: Sequence[float]) -> np.ndarray:
+    """The kernel stack of :func:`mixed_kernel` from a query's
+    :meth:`KernelRows.parts`: per lengthscale one Matérn, one SE ``exp``
+    and their products."""
+    D, H, S = parts
     scale = np.array([max(ls, 1e-6) for ls in lengthscales])[:, None, None]
-    K = _matern52(np.sqrt(_pairwise_sq(An, Bn)) / scale)
-    n_cat = np.count_nonzero(cat_mask)
-    if n_cat:
-        Ac, Bc = A[:, :d][:, cat_mask], B[:, :d][:, cat_mask]
-        # the mismatch count as one product: each B entry equals one
-        # distinct value of its column, so a one-hot over those adds the
-        # same 0/1s as a broadcast over B (small integer sums are exact)
-        Bs = np.sort(Bc, axis=0).T
-        first = np.ones(Bs.shape, bool)
-        first[:, 1:] = Bs[:, 1:] != Bs[:, :-1]
-        c, vals = np.nonzero(first)[0], Bs[first]
-        onehot = (Bc.T[c] == vals[:, None]).astype(np.float64)
-        mism = (np.abs(Ac[:, c] - vals) > 1e-9).astype(np.float64) @ onehot
-        K = K * np.exp(-mism / max(n_cat / 2.0, 0.5))
-    if A.shape[1] > d:
+    K = _matern52(D / scale)
+    if H is not None:
+        K = K * H
+    if S is not None:
         two_sq = np.array([2.0 * max(ls, 1e-6) ** 2 for ls in lengthscales])
-        K = K * np.exp(-_pairwise_sq(A[:, d:], B[:, d:]) / two_sq[:, None, None])
+        K = K * np.exp(-S / two_sq[:, None, None])
     return K
 
 
@@ -99,9 +153,11 @@ class PosteriorBasis:
     once. A GP's targets enter only through its own standardization and
     ``alpha``.
 
-    It also memoizes, for the last read-only query while more than one
-    GP uses it, the cross-kernel per lengthscale and the explained
-    variance per grid point (:meth:`posterior`). The memo is keyed on
+    Its rows are encoded once (``rows``, a :class:`KernelRows`). It also
+    memoizes, for the last read-only query while more than one GP uses
+    it, the query's lengthscale-free parts, the cross-kernel per
+    lengthscale and the explained variance per grid point
+    (:meth:`posterior`). The memo is keyed on
     the query array's identity, so a writeable query is recomputed on
     every call. ``len(basis)`` is its row count, as ``len(X)`` is for
     a fit on rows (the benchmark's tracer records it).
@@ -112,6 +168,7 @@ class PosteriorBasis:
         if not np.isfinite(X).all():
             raise ValueError("GP inputs and targets must be finite")
         self.cat_mask, self.X = np.asarray(cat_mask, bool), X
+        self.rows = KernelRows(X, self.cat_mask)
         # pairwise distances grow ~sqrt(d) in the unit cube, so the
         # candidate lengthscales must scale with dimensionality or a
         # high-d GP collapses to its prior mean between observations
@@ -120,7 +177,7 @@ class PosteriorBasis:
         grid = [(ls, nz) for ls in lengthscales for nz in NOISE_GRID]
         n = len(X)
         noise = (np.array(NOISE_GRID) + _JITTER)[:, None, None] * np.eye(n)
-        K = (mixed_kernel(X, X, self.cat_mask, lengthscales)[:, None] + noise).reshape(-1, n, n)
+        K = (_kernels(self.rows.parts(X), lengthscales)[:, None] + noise).reshape(-1, n, n)
         try:
             L = np.linalg.cholesky(K)
         except np.linalg.LinAlgError:
@@ -155,7 +212,10 @@ class PosteriorBasis:
         memo = self._memo_of(Q)
         Ks = memo.get(lengthscale)
         if Ks is None:
-            Ks = memo[lengthscale] = mixed_kernel(Q, self.X, self.cat_mask, [lengthscale])[0]
+            parts = memo.get("parts")
+            if parts is None:
+                parts = memo["parts"] = self.rows.parts(Q)
+            Ks = memo[lengthscale] = _kernels(parts, [lengthscale])[0]
         explained = memo.get((lengthscale, noise))
         if explained is None:
             v = np.linalg.solve(L, Ks.T)

@@ -1,6 +1,8 @@
 """Unit tests for approximate gradient descent (§4.3)."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import agd
 from repro.core.agd import AGDStepper, N_AGD
@@ -84,3 +86,32 @@ class TestAGD:
         start = space.clip(space.default_config() | {"spark.executor.instances": 100})
         nxt = _step(space, start, gp, beta=1.0)
         assert nxt["spark.executor.instances"] <= start["spark.executor.instances"]
+
+
+class TestProbeSnap:
+    """The probes go through the snap on their moved dims only; the step
+    equals the one whose probes are snapped whole, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.one_of(
+        st.none(), st.lists(st.integers(0, 29), min_size=1, max_size=30, unique=True)),
+        st.sampled_from([0.0, 0.5, 1.0]))
+    @example(seed=0, dims=[ConfigSpace().index_of("spark.memory.fraction")], beta=0.5)
+    @example(seed=1, dims=list(range(30)), beta=0.5)
+    def test_equals_step_with_whole_probe_rows(self, seed, dims, beta):
+        space, rng = ConfigSpace(), np.random.default_rng(seed)
+        X = rng.random((15, space.dim))
+        i = space.index_of("spark.executor.instances")
+        gp = GaussianProcess(space.cat_mask).fit(X, np.log(100.0 + 50.0 * X[:, i]))
+        u = space.snap(rng.random((1, space.dim)))[1][0] if seed % 2 else rng.random(space.dim)
+        surrogates = Surrogates(None, gp, None)
+        got = AGDStepper(space, beta).step(u, surrogates, dims=dims)
+        snap_subspace = space.snap_subspace
+
+        def whole_rows(B, dims, base):
+            P = np.tile(base, (len(B), 1))
+            P[:, dims] = B
+            return snap_subspace(P, range(space.dim), base)
+
+        space.snap_subspace = whole_rows
+        assert np.array_equal(got, AGDStepper(space, beta).step(u, surrogates, dims=dims))

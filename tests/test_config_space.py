@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config_space import (
@@ -293,6 +293,57 @@ class TestVectorized:
     def test_categorical_needs_two_choices(self):
         with pytest.raises(ValueError):
             Param("c", "cat", choices=("only",))
+
+
+def _kind(p: Param) -> str:
+    return "log int" if p.log else {"int": "linear int"}.get(p.kind, p.kind)
+
+
+#: One dim of each kind of the full space: a log int, a linear int, a
+#: float and a categorical.
+_ONE_OF_EACH = {_kind(p): i for i, p in reversed(list(enumerate(SPARK_PARAMS)))}
+
+
+class TestSubspaceSnap:
+    """``snap_subspace`` of a block equals ``snap`` of the full rows that
+    hold the block on its dims and the base row elsewhere, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(_SPACES | _PARTIAL)), st.integers(0, 2**32 - 1),
+           st.lists(st.integers(0, 29), min_size=1, max_size=30, unique=True),
+           st.integers(1, 40), st.booleans())
+    @example(which="spark", seed=0, dims=[_ONE_OF_EACH["log int"]], n=7, outside=True)
+    @example(which="spark", seed=1, dims=[_ONE_OF_EACH["linear int"]], n=7, outside=True)
+    @example(which="spark", seed=2, dims=[_ONE_OF_EACH["float"]], n=7, outside=True)
+    @example(which="spark", seed=3, dims=[_ONE_OF_EACH["cat"]], n=7, outside=True)
+    @example(which="spark", seed=4, dims=list(range(30)), n=7, outside=True)
+    @example(which="hibench", seed=5, dims=list(range(29, -1, -1)), n=7, outside=False)
+    def test_equals_snap_of_the_full_rows(self, which, seed, dims, n, outside):
+        space, rng = (_SPACES | _PARTIAL)[which], np.random.default_rng(seed)
+        dims = [i for i in dims if i < space.dim] or [0]
+        event("K = d" if len(dims) == space.dim else "K = 1" if len(dims) == 1 else "1 < K < d")
+        for i in dims:
+            event(_kind(space.params[i]))
+        lo, hi = (-0.3, 1.3) if outside else (0.0, 1.0)  # rows outside the cube
+        B, base = rng.uniform(lo, hi, (n, len(dims))), rng.uniform(lo, hi, space.dim)
+        U = np.tile(base, (n, 1))
+        U[:, dims] = B
+        V, S = space.snap(U)
+        got = space.snap_subspace(B, dims, base)
+        assert len(got) == n
+        assert np.array_equal(got.rows(), S) and not got.rows().flags.writeable
+        assert np.array_equal(got.rows(0.25), np.c_[S, np.full(n, 0.25)])
+        assert all(np.array_equal(got.raw_row(i), U[i]) for i in range(n))
+        columns = got.columns(space.names)
+        for j, name in enumerate(space.names):
+            assert np.array_equal(np.broadcast_to(columns[name], n), V[:, j])
+        # rows of S, some changed on one dim, as a history to find
+        X = S[rng.integers(0, n, 5)]
+        X[::2, rng.integers(0, space.dim)] = 0.123
+        assert np.array_equal(got.seen(X), (S[:, None] == X[None]).all(2).any(1))
+        keep = rng.random(n) < 0.5
+        assert np.array_equal(got.take(keep).rows(), S[keep])
+        assert got.take(np.ones(n, bool)) is got
 
 
 class TestSobol:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.agd import N_AGD
 from repro.core.bo import RunHistory, fit_surrogates
-from repro.core.config_space import ConfigSpace
+from repro.core.config_space import ConfigSpace, SubspaceRows
 from repro.core.generator import ConfigGenerator
 from repro.core.objective import ExecResult, TuningProblem, resource
 
@@ -29,6 +29,13 @@ def _history(space, problem, n=8, seed=0, runtime_fn=None):
 def _suggest(gen, history):
     """The generator's pick, as a config."""
     return gen.space.from_unit(gen.suggest(history))
+
+
+def _full(cands):
+    """Candidate blocks as full rows: as drawn, values and snapped units."""
+    V = np.empty((len(cands), len(cands.dims) + len(cands.rest)))
+    V[:, cands.rest], V[:, cands.dims] = cands.base_values, cands.values
+    return np.array([cands.raw_row(i) for i in range(len(cands))]), V, cands.rows()
 
 
 class TestSuggest:
@@ -149,7 +156,7 @@ class TestCandidates:
     def test_drops_history_configs(self, space):
         prob = TuningProblem(beta=0.5)
         h = self._history(space, prob, [space.default_config()])
-        raw, V, U = self._gen(space, prob, [self.I_FLAG])._candidates(h)
+        raw, V, U = _full(self._gen(space, prob, [self.I_FLAG])._candidates(h))
         # only the flag varies: every row left is the default with it flipped
         assert 0 < len(U) < self.N
         assert not (U[:, None, :] == h.X_unit()[None]).all(axis=2).any()
@@ -161,7 +168,7 @@ class TestCandidates:
         prob = TuningProblem(beta=0.5)
         flipped = space.default_config() | {"spark.shuffle.compress": False}
         h = self._history(space, prob, [space.default_config(), flipped])
-        raw, V, U = self._gen(space, prob, [self.I_FLAG])._candidates(h)
+        raw, V, U = _full(self._gen(space, prob, [self.I_FLAG])._candidates(h))
         assert len(raw) == len(V) == len(U) == self.N
 
     def _proposed(self, space, threshold, monkeypatch):
@@ -174,11 +181,11 @@ class TestCandidates:
 
         def spy_candidates(history):
             out = candidates(history)
-            pool.append(len(out[0]))
+            pool.append(len(out))
             return out
 
-        def spy_propose(history, cands, *args, **kwargs):
-            seen.extend(resource(space.from_unit(u)) for u in cands)
+        def spy_propose(history, X, *args, **kwargs):
+            seen.extend(resource(space.from_unit(u)) for u in X[:, :space.dim])
             return 0, 1.0
 
         gen._candidates = spy_candidates
@@ -194,6 +201,25 @@ class TestCandidates:
     def test_resource_filter_keeps_all_when_none_pass(self, space, monkeypatch):
         n, seen = self._proposed(space, 1e-3, monkeypatch)
         assert len(seen) == n > 0
+
+    def test_resource_filter_copies_nothing_when_all_pass(self, space, monkeypatch):
+        prob = TuningProblem(beta=0.5, r_max=1e12)
+        gen = self._gen(space, prob, [space.index_of("spark.executor.instances")])
+        drawn, formed = [], []
+        candidates, rows = gen._candidates, SubspaceRows.rows
+
+        def spy_candidates(history):
+            drawn.append(candidates(history))
+            return drawn[-1]
+
+        def spy_rows(cands, *args):
+            formed.append(cands)
+            return rows(cands, *args)
+
+        gen._candidates = spy_candidates
+        monkeypatch.setattr(SubspaceRows, "rows", spy_rows)
+        gen.suggest(_history(space, prob))
+        assert len(drawn) == len(formed) == 1 and formed[0] is drawn[0]
 
 
 _CAT_DIMS = [i for i, p in enumerate(ConfigSpace().params) if p.kind == "cat"]
@@ -228,20 +254,22 @@ class TestDedupEqualsBroadcast:
         h = RunHistory(space, prob)
         for rt, cfg in enumerate(configs, start=100):
             h.add(cfg, ExecResult(runtime_s=float(rt), mem_gbh=1, cpu_coreh=1, datasize_mb=1000))
-        drawn, snap = [], space.snap
+        drawn, snap = [], space.snap_subspace
 
-        def spy_snap(U):
-            drawn.append((U, *snap(U)))
-            return drawn[-1][1:]
+        def spy_snap(B, dims, base):
+            drawn.append(snap(B, dims, base))
+            return drawn[-1]
 
-        space.snap = spy_snap
+        space.snap_subspace = spy_snap
         gen = ConfigGenerator(space, prob, seed=seed % 1000, use_agd=False)
         gen.subspace.current_dims = lambda: dims
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("repro.core.generator.N_CANDIDATES", 40)
-            got = gen._candidates(h)
-        (raw, V, U), = drawn
-        keep = ~(U[:, None] == h.X_unit()[None]).all(2).any(1)
+            cands = gen._candidates(h)
+        block, = drawn
+        got, (raw, V, U) = (cands.raw, cands.values, cands.units), \
+            (block.raw, block.values, block.units)
+        keep = ~(block.rows()[:, None] == h.X_unit()[None]).all(2).any(1)
         event("every row a duplicate" if not keep.any() else
               "some rows duplicates" if not keep.all() else "no duplicates")
         keep = keep if keep.any() else np.ones(len(U), bool)

@@ -418,6 +418,49 @@ def _assert_same_gp(a, b):
     assert np.array_equal(a._L, b._L) and np.array_equal(a._alpha, b._alpha)
 
 
+class TestMemoizedParts:
+    """The lengthscale-free parts a basis memoizes for a read-only query
+    give ``mixed_kernel``'s array, and the reference kernel's, at every
+    grid lengthscale, bit for bit; they are built once per query."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["none", "constant", "varying"]),
+           st.sampled_from(["constant", "varying"]), st.integers(0, 6))
+    @example(seed=0, datasize="constant", basis_datasize="varying", repeats=3)
+    @example(seed=1, datasize="varying", basis_datasize="constant", repeats=0)
+    @example(seed=2, datasize="none", basis_datasize="constant", repeats=2)
+    def test_parts_give_the_kernel_at_every_grid_lengthscale(self, seed, datasize,
+                                                             basis_datasize, repeats):
+        rng = np.random.default_rng(seed)
+        n, d, m = rng.integers(1, 25), rng.integers(1, 13), rng.integers(1, 40)
+        cat_mask = rng.random(d) < 0.3
+        X, Q = _mixed_rows(rng, n, d, cat_mask), _mixed_rows(rng, m, d, cat_mask)
+        if basis_datasize == "constant":
+            X[:, d] = X[0, d]
+        X = np.concatenate([X, X[rng.integers(0, n, repeats)]])  # repeated basis rows
+        if datasize == "none":
+            X, Q = X[:, :d], Q[:, :d]
+        elif datasize == "constant":  # as every candidate of one pick
+            Q[:, d] = rng.choice([Q[0, d], X[0, d]])
+        Q = _read_only(Q)
+        gp_f = GaussianProcess(cat_mask).fit(X, rng.normal(size=len(X)))
+        GaussianProcess(cat_mask).fit(gp_f.basis, rng.normal(size=len(X)))
+        basis = gp_f.basis
+        parts = None
+        for (ls, nz), L in zip(basis.grid, basis.L):
+            Ks, explained = basis.posterior(Q, ls, nz, L)
+            parts = parts or basis._memo["parts"]
+            assert basis._memo["parts"] is parts  # built once for the query
+            assert np.array_equal(Ks, mixed_kernel(Q, X, cat_mask, [ls])[0])
+            assert np.array_equal(Ks, _reference_kernel(cat_mask, ls, Q, X))
+            v = np.linalg.solve(L, _reference_kernel(cat_mask, ls, Q, X).T)
+            assert np.array_equal(explained, (v**2).sum(0))
+        if datasize == "none":
+            assert parts[2] is None
+        else:  # the datasize part is one row for a constant column
+            assert len(parts[2]) == (1 if datasize == "constant" else m)
+
+
 class TestPosteriorBasis:
     #: _pair_case seeds whose independent targets fall into each case
     CASE_SEEDS = {"same grid point": 0, "same lengthscale": 5, "different lengthscales": 1}
@@ -477,7 +520,12 @@ class TestPosteriorBasis:
         gp_f = GaussianProcess(_numeric_mask(3)).fit(X, X.sum(1))
         gp_t = GaussianProcess(_numeric_mask(3)).fit(gp_f.basis, 4.0 * X.sum(1))
         assert (gp_f.lengthscale, gp_f.noise) == (gp_t.lengthscale, gp_t.noise)
-        stack, solve, calls = gp_module.mixed_kernel, np.linalg.solve, []
+        parts, stack, solve = gp_module.KernelRows.parts, gp_module._kernels, np.linalg.solve
+        calls = []
+
+        def counted_parts(*args):
+            calls.append("parts")
+            return parts(*args)
 
         def counted_stack(*args):
             calls.append("stack")
@@ -487,17 +535,18 @@ class TestPosteriorBasis:
             calls.append("solve")
             return solve(*args)
 
-        monkeypatch.setattr(gp_module, "mixed_kernel", counted_stack)
+        monkeypatch.setattr(gp_module.KernelRows, "parts", counted_parts)
+        monkeypatch.setattr(gp_module, "_kernels", counted_stack)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         Q = _read_only(np.random.default_rng(4).random((9, 3)))
         want = gp_t.predict(Q)
-        assert calls == ["stack", "solve"]
+        assert calls == ["parts", "stack", "solve"]
         for got in (gp_f.predict(Q)[1] * 4.0, gp_t.predict(Q)[1]):
             assert np.array_equal(got, want[1])
-        assert calls == ["stack", "solve"]  # both served from the memo
+        assert calls == ["parts", "stack", "solve"]  # both served from the memo
         for query in (Q.copy(), _read_only(Q)):  # writeable; another array
             calls.clear()
             for got in (gp_f.predict(query)[1] * 4.0, gp_t.predict(query)[1]):
                 assert np.array_equal(got, want[1])
-            assert calls == (["stack", "solve"] * 2 if query.flags.writeable
-                             else ["stack", "solve"])
+            assert calls == (["parts", "stack", "solve"] * 2 if query.flags.writeable
+                             else ["parts", "stack", "solve"])
