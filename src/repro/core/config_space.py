@@ -17,7 +17,7 @@ the cube, round onto the grid) and value → unit. ``to_unit``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -253,8 +253,10 @@ class ConfigSpace:
         d = self.dim
         dims = np.asarray(dims, dtype=np.intp)
         if len(dims) == d:
-            U = np.empty((len(B), d))
-            U[:, dims] = B
+            U = B
+            if (dims != np.arange(d)).any():  # B's columns in the space's order
+                U = np.empty((len(B), d))
+                U[:, dims] = B
             none = np.empty(0)
             return SubspaceRows(np.arange(d), np.arange(0), none, none, none, U, *self.snap(U))
         rest = np.ones(d, bool)
@@ -303,7 +305,6 @@ class ConfigSpace:
         return self._configs(self._blockwise(_Block.values, sobol(n, self.dim, seed=seed)))
 
 
-@dataclass(frozen=True)
 class SubspaceRows:
     """Unit rows that differ only on the columns ``dims``, kept as blocks
     over those columns (block column ``j`` is dim ``dims[j]``): as drawn
@@ -313,14 +314,12 @@ class SubspaceRows:
     :meth:`ConfigSpace.snap_subspace`; the full rows are formed only by
     :meth:`rows` and :meth:`raw_row`."""
 
-    dims: np.ndarray
-    rest: np.ndarray
-    base: np.ndarray
-    base_values: np.ndarray
-    base_units: np.ndarray
-    raw: np.ndarray
-    values: np.ndarray
-    units: np.ndarray
+    def __init__(self, dims: np.ndarray, rest: np.ndarray, base: np.ndarray,
+                 base_values: np.ndarray, base_units: np.ndarray, raw: np.ndarray,
+                 values: np.ndarray, units: np.ndarray) -> None:
+        self.dims, self.rest = dims, rest
+        self.base, self.base_values, self.base_units = base, base_values, base_units
+        self.raw, self.values, self.units = raw, values, units
 
     def __len__(self) -> int:
         return len(self.raw)
@@ -330,7 +329,8 @@ class SubspaceRows:
         it holds for every row."""
         if keep.all():
             return self
-        return replace(self, raw=self.raw[keep], values=self.values[keep], units=self.units[keep])
+        return SubspaceRows(self.dims, self.rest, self.base, self.base_values, self.base_units,
+                            self.raw[keep], self.values[keep], self.units[keep])
 
     def columns(self, names: list[str]) -> dict:
         """Each column's values by parameter name, as :func:`resource`

@@ -11,30 +11,19 @@ lengthscale (also the datasize SE lengthscale) and the noise are
 grid-searched by maximizing the exact log marginal likelihood —
 observation counts are tiny online (≤ tens), so a coarse grid is both
 robust and fast, and needs no scipy; the categorical decay is set from
-the categorical-dimension count. The kernel is one function of its two
-sets of rows, :func:`mixed_kernel`; the rows carry the datasize column
-exactly when they are wider than the categorical mask. It builds the
-kernels of several lengthscales over one set of distances and mismatch
-counts (one matrix product). It is two steps: :class:`KernelRows`
-encodes one set of rows once (numeric block and squared norms,
-categorical one-hot, datasize column), and its ``parts`` of a query are
-the factors no lengthscale enters (distances, Hamming factor, squared
-datasize distances: one row of them when every query row has the same
-data size, as the candidates of one pick have); :func:`_kernels` adds
-one Matérn, one SE ``exp`` and the products per lengthscale. The kernels
-of all grid points, lengthscale by noise, are factorized with one
-stacked Cholesky; only when that raises (one matrix is not positive
-definite) are the points factorized one by one, to keep the ones that
-succeed. Those factors depend on the rows only, so they live in a
-:class:`PosteriorBasis` that every GP fitted on the same rows shares
-(the objective and log-runtime GPs of one iteration): each GP adds its
-own standardization, two stacked solves for ``alpha`` and its grid
-choice. The basis encodes its rows once for the fit's kernel and every
-predict (a meta-ensemble source's basis serves a whole run), and
-memoizes, per read-only query, the parts, the cross-kernel and the
-explained variance the GPs' predicts have in common (Rasmussen &
-Williams 2006, Alg. 2.1: the targets enter the posterior only through
-``alpha``), so GPs at different lengthscales share the parts.
+the categorical-dimension count. The kernel, :func:`mixed_kernel`, is
+:class:`KernelRows`, one set of rows encoded once, whose ``parts`` of
+query rows are the factors no lengthscale enters, and :func:`_kernels`,
+which adds one Matérn, one SE ``exp`` and the products per lengthscale;
+rows carry the datasize column exactly when they are wider than the
+categorical mask. The kernels of all grid points are factorized with
+one stacked Cholesky (point by point only when that raises, keeping the
+points that succeed) in a :class:`PosteriorBasis` that every GP fitted
+on the same rows shares: each GP adds its own standardization, two
+stacked solves for ``alpha`` and its grid choice. Per read-only query,
+the basis memoizes the parts, the cross-kernel and the explained
+variance (Rasmussen & Williams 2006, Alg. 2.1: the targets enter the
+posterior only through ``alpha``).
 """
 from __future__ import annotations
 
