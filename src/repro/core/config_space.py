@@ -353,15 +353,12 @@ class SubspaceRows:
     def rows(self, extra: float | None = None) -> np.ndarray:
         """The snapped unit rows, read-only, with a last column of the
         value ``extra`` when it is given."""
-        n, d = len(self), len(self.dims) + len(self.rest)
-        if extra is None and not len(self.rest):
-            X = self.units.view()
-        else:
-            X = np.empty((n, d + (extra is not None)))
-            X[:, self.rest] = self.base_units
-            X[:, self.dims] = self.units
-            if extra is not None:
-                X[:, d] = extra
+        d = len(self.dims) + len(self.rest)
+        X = np.empty((len(self), d + (extra is not None)))
+        X[:, self.rest] = self.base_units
+        X[:, self.dims] = self.units
+        if extra is not None:
+            X[:, d] = extra
         X.flags.writeable = False
         return X
 
