@@ -86,7 +86,7 @@ class FixedSubspaceTuner(Tuner):
         if self._dims is None:
             self._dims = self._pick_dims()
         surrogates = fit_surrogates(self.history, with_datasize=self.with_datasize)
-        # the draw of sample_unit(n_candidates, rng, subspace=dims), kept as a block
+        # uniform draws on the fixed dims, kept as a block around the incumbent
         block = self.rng.random((self.n_candidates, len(self._dims)))
         cands = self.space.snap_subspace(block, self._dims, self.history.best().unit)
         idx, _ = propose(self.history, cands.rows(surrogates.datasize), surrogates)

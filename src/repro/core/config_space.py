@@ -248,18 +248,9 @@ class ConfigSpace:
         """The unit rows that equal ``base`` outside the columns ``dims``
         and hold the block ``B`` on them (column ``j`` of ``B`` is dim
         ``dims[j]``), snapped as :meth:`snap` snaps them: only ``B`` and
-        one ``base`` row go through the maps. Where ``dims`` cover every
-        column the rows are snapped whole."""
-        d = self.dim
+        one ``base`` row go through the maps."""
         dims = np.asarray(dims, dtype=np.intp)
-        if len(dims) == d:
-            U = B
-            if (dims != np.arange(d)).any():  # B's columns in the space's order
-                U = np.empty((len(B), d))
-                U[:, dims] = B
-            none = np.empty(0)
-            return SubspaceRows(np.arange(d), np.arange(0), none, none, none, U, *self.snap(U))
-        rest = np.ones(d, bool)
+        rest = np.ones(self.dim, bool)
         rest[dims] = False
         rest = np.flatnonzero(rest)
         base_V, base_S = self.snap(base[None])
@@ -281,23 +272,12 @@ class ConfigSpace:
             kind[b.cols], pos[b.cols] = k, np.arange(len(b.cols))
         return kind, pos
 
-    def sample_unit(
-        self, n: int, rng: np.random.Generator, *, subspace: list[int] | None = None,
-        base: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``n`` uniform unit rows, not yet snapped; if ``subspace`` is
-        given, only those dims vary and the rest are pinned at the unit
-        row ``base``, which must be given then."""
-        if subspace is None:
-            return rng.random((n, self.dim))
-        if base is None:
-            raise ValueError("a sub-space sample needs the base row")
-        U = np.tile(base, (n, 1))
-        U[:, subspace] = rng.random((n, len(subspace)))
-        return U
+    def sample_unit(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """``n`` uniform unit rows, not yet snapped."""
+        return rng.random((n, self.dim))
 
     def sample_random(self, n: int, rng: np.random.Generator) -> list[dict]:
-        """:meth:`sample_unit` over the whole space, as configs."""
+        """:meth:`sample_unit`, as configs."""
         return self._configs(self._blockwise(_Block.values, self.sample_unit(n, rng)))
 
     def sample_sobol(self, n: int, *, seed: int = 0) -> list[dict]:

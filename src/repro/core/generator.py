@@ -60,8 +60,8 @@ class ConfigGenerator:
         base = history.best().unit
         dims = self.subspace.current_dims() if self.use_subspace else list(range(self.space.dim))
         n_rand = int(N_CANDIDATES * 0.7)
-        # the draw of sample_unit(n_rand, rng, subspace=dims), then local
-        # Gaussian perturbations of the incumbent (exploitation pool)
+        # uniform draws on the sub-space's dims, then local Gaussian
+        # perturbations of the incumbent (exploitation pool)
         rand = self._rng.random((n_rand, len(dims)))
         noise = self._rng.normal(0.0, 0.12, (N_CANDIDATES - n_rand, len(dims)))
         local = np.clip(base[dims] + noise, 0.0, 1.0)

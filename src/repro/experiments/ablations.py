@@ -29,7 +29,6 @@ from repro.simcluster.eventlog import meta_features
 PAPER = {
     "safe_pct_with": 93.00, "safe_pct_without": 69.67,
     "agd_extra_reduction": 7.47,
-    "meta_speedup_iters": 3,
 }
 
 

@@ -32,11 +32,6 @@ METHODS = (
     TunefulTuner, LOCATTuner, OnlineTuner,
 )
 
-#: §6.3 headline ranges for EXPERIMENTS.md: ours 3.08–8.96× speedup vs
-#: random (second-best 2.54–6.80×); cost reduction 71.22–88.97% vs random.
-PAPER_RANGES = {"speedup_ours": (3.08, 8.96), "speedup_second": (2.54, 6.80),
-                "cost_reduction_ours": (71.22, 88.97)}
-
 
 def hibench_env():
     """The HiBench space and the 384-core cluster it is tuned on."""

@@ -29,9 +29,6 @@ PAPER_TABLE3 = {
     "runtime": {"under": 1.63, "post": 10.72},
 }
 
-#: Fig. 2 headline numbers recorded alongside (same experiment).
-PAPER_AVG_REDUCTION = {"memory": 57.00, "cpu": 34.93}
-
 
 @dataclass
 class PopulationResult:

@@ -28,14 +28,6 @@ PAIRS = (
     ("kmeans", "svd"),
 )
 
-#: Paper Table 4 costs, for EXPERIMENTS.md (absolute scales differ).
-PAPER_TABLE4 = {
-    ("terasort", "sort"): (844.70, 91.3, 54.51, 40.66, 43.77),
-    ("terasort", "wordcount"): (835.00, 131.60, 97.48, 113.30, 104.71),
-    ("lr", "pagerank"): (1431.21, 245.90, 183.35, 333.39, 214.73),
-    ("kmeans", "svd"): (400.92, 232.33, 136.20, 166.41, 171.57),
-}
-
 #: "Manually tuned" HiBench settings — per-family expert configs (the
 #: paper's manual rows are per-task engineer settings): shuffle-heavy
 #: sorts get many mid-memory executors and matched parallelism,

@@ -1,8 +1,8 @@
 """Synthetic OLAP data at a configurable scale factor.
 
-SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+SF=1.0 is roughly TPC-H SF1 (~1 GB across tables); tests and the
+profiling runner use SF<=0.01. Generators are deterministic in ``seed``
+so the DuckDB oracle sees identical input.
 """
 import numpy as np
 import pandas as pd
@@ -75,23 +75,6 @@ def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFra
         }
     )
     return spark.createDataFrame(pdf)
-
-
-def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )
 
 
 # ---------------------------------------------------------------------------

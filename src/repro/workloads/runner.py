@@ -58,10 +58,6 @@ class RunMetrics:
     def shuffle_frac(self) -> float:
         return self.shuffle_mb / self.input_mb if self.input_mb else 0.0
 
-    def metrics_dict(self) -> dict:
-        """Shape-compatible with ``ExecResult.metrics`` for eventlog."""
-        return {"stages": self.stages, "workload": self.name}
-
 
 @dataclass(frozen=True)
 class _Workload:

@@ -17,8 +17,3 @@ def wordcount(text: DataFrame) -> DataFrame:
         .groupBy("word")
         .agg(F.count("*").alias("cnt"))
     )
-
-
-def top_words(text: DataFrame, n: int = 10) -> DataFrame:
-    """The n most frequent words (adds the sort stage HiBench reports)."""
-    return wordcount(text).orderBy(F.desc("cnt"), "word").limit(n)

@@ -111,30 +111,27 @@ class TestSpace:
         assert mask[space.index_of("spark.serializer")]
         assert not mask[space.index_of("spark.executor.instances")]
 
-    # random configs inside a sub-space are sample_unit rows, as the
-    # generator and the fixed-sub-space baselines draw them
+    # random configs inside a sub-space are uniform blocks on its dims
+    # around a base row, as the generator and the fixed-sub-space
+    # baselines draw them
     def test_sample_random_respects_subspace(self, space):
         rng = np.random.default_rng(0)
         base = space.default_config()
         dims = [0, 2]
-        for u in space.sample_unit(10, rng, subspace=dims, base=space.to_unit(base)):
-            c = space.from_unit(u)
+        cands = space.snap_subspace(rng.random((10, len(dims))), dims, space.to_unit(base))
+        for r in range(len(cands)):
+            c = space.from_unit(cands.raw_row(r))
             for i, p in enumerate(space.params):
                 if i not in dims:
                     assert c[p.name] == base[p.name]
 
     def test_sample_random_varies_subspace(self, space):
         rng = np.random.default_rng(0)
-        vals = {
-            space.from_unit(u)["spark.executor.instances"]
-            for u in space.sample_unit(20, rng, subspace=[0],
-                                       base=space.to_unit(space.default_config()))
-        }
+        cands = space.snap_subspace(rng.random((20, 1)), [0],
+                                    space.to_unit(space.default_config()))
+        vals = {space.from_unit(cands.raw_row(i))["spark.executor.instances"]
+                for i in range(len(cands))}
         assert len(vals) > 3
-
-    def test_sample_unit_in_a_subspace_needs_a_base(self, space):
-        with pytest.raises(ValueError):
-            space.sample_unit(3, np.random.default_rng(0), subspace=[0])
 
     def test_clip_snaps_to_grid(self, space):
         cfg = space.default_config() | {"spark.executor.instances": 12345}
@@ -270,14 +267,15 @@ class TestVectorized:
            st.one_of(st.none(), st.sets(st.integers(0, 29), max_size=30).map(sorted)),
            st.lists(_UNIT, min_size=30, max_size=30))
     def test_sample_random_equals_scalar_loop(self, which, n, seed, subspace, base_u):
-        """``sample_random``, and ``sample_unit`` in a sub-space, as configs."""
+        """``sample_random``, and a uniform block in a sub-space, as configs."""
         space = _SPACES[which]
         base = space.from_unit(np.array(base_u))
         if subspace is None:  # every dim drawn: the base does not matter
             got = space.sample_random(n, np.random.default_rng(seed))
         else:
-            got = [space.from_unit(u) for u in space.sample_unit(
-                n, np.random.default_rng(seed), subspace=subspace, base=space.to_unit(base))]
+            B = np.random.default_rng(seed).random((n, len(subspace)))
+            cands = space.snap_subspace(B, subspace, space.to_unit(base))
+            got = [space.from_unit(cands.raw_row(i)) for i in range(n)]
         rng, u0, expect = np.random.default_rng(seed), space.to_unit(base), []
         for _ in range(n):
             u = u0.copy()

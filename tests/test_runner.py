@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from pyspark import StorageLevel
 
+from repro.core.objective import ExecResult
 from repro.simcluster.eventlog import _TASK_KEYS, meta_features
 from repro.simcluster.profile import PROFILES
 from repro.workloads import runner
@@ -148,9 +149,6 @@ class TestRunner:
 
     def test_meta_features_from_real_run(self, measured):
         m = measured("wordcount")
-
-        class R:  # minimal ExecResult stand-in carrying the metrics
-            metrics = m.metrics_dict()
-
-        v = meta_features(R())
+        r = ExecResult(runtime_s=m.wall_s, mem_gbh=1, cpu_coreh=1, metrics={"stages": m.stages})
+        v = meta_features(r)
         assert v.shape == (75,) and np.all(np.isfinite(v)) and v.any()

@@ -1,7 +1,4 @@
 """Tests for the synthetic data generators (provided + HiBench-lite)."""
-import numpy as np
-import pytest
-
 from repro import synth_data
 
 
@@ -19,16 +16,6 @@ class TestTpchLite:
         a = synth_data.lineitem(spark, sf=0.0005, seed=7).toPandas()
         b = synth_data.lineitem(spark, sf=0.0005, seed=7).toPandas()
         assert a.equals(b)
-
-    def test_zipf_skewed(self, spark):
-        pdf = synth_data.zipf_keys(spark, n=5000, n_keys=100).toPandas()
-        counts = pdf.k.value_counts()
-        assert counts.iloc[0] > 5 * counts.iloc[-1]
-
-    def test_uniform_not_skewed(self, spark):
-        pdf = synth_data.uniform_keys(spark, n=5000, n_keys=100).toPandas()
-        counts = pdf.k.value_counts()
-        assert counts.iloc[0] < 4 * counts.iloc[-1]
 
 
 class TestHiBenchInputs:

@@ -31,12 +31,6 @@ class TestWordCount:
         total = wordcount.wordcount(text).agg(F.sum("cnt")).collect()[0][0]
         assert total == 500 * 6
 
-    def test_top_words_sorted(self, spark):
-        text = synth_data.text_corpus(spark, n_lines=800, seed=3)
-        top = wordcount.top_words(text, n=5).toPandas()
-        assert len(top) == 5
-        assert list(top.cnt) == sorted(top.cnt, reverse=True)
-
 
 class TestSort:
     def test_sorted_output(self, spark):
