@@ -5,10 +5,11 @@ Tuneful tunes in-memory cluster computing systems online (NOER ✓) and
 shrinks the search space by identifying influential parameters with
 random-forest sensitivity analysis — but only after an initial batch of
 executions (10–20), and the chosen sub-space is then *fixed* (Table 1:
-Adaptive space △). It also reuses tuning knowledge across similar
-workloads (Meta-learn ✓) via workload similarity; in this harness the
-similarity store is optional and the HiBench comparisons run it cold,
-matching the paper's setup.
+Adaptive space △). The paper also credits it with reusing tuning
+knowledge across similar workloads via workload similarity (Meta-learn
+✓). That ✓ is declared from the paper, not implemented: this class has
+no similarity store and always tunes cold, as in the paper's HiBench
+comparisons.
 """
 from __future__ import annotations
 

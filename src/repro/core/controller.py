@@ -4,9 +4,10 @@ Orchestrates one tuning task: initial design (Sobol low-discrepancy
 samples, or meta-learned warm-start configs when a fitted
 :class:`repro.core.meta.MetaLearner` is supplied), the per-iteration
 configuration generator (Algorithm 2), the stopping criterion (EI below
-a threshold, or budget exhausted → keep serving the best-found config)
-and the restarting criterion (continuous degradation between expected
-and actual results → resume tuning).
+a threshold → keep serving the best-found config) and the restarting
+criterion (continuous degradation between expected and actual results →
+resume tuning). The tuner has no budget of its own: the caller's loop
+(:func:`repro.experiments.harness.run_tuning`) stops calling it.
 
 Ablation flags (``use_subspace`` / ``use_agd`` / ``use_safe``) switch
 the §4 techniques individually; the §6.5 experiments use them.

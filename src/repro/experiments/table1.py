@@ -1,9 +1,11 @@
 """Table 1 — capability summary of the compared tuning methods.
 
 The paper's Table 1 is a qualitative feature matrix; here every method
-class *declares* its capabilities, so the table is generated from the
-actual implementations and the test suite asserts it matches the
-paper's claims symbol for symbol.
+class *declares* its capabilities, the table is generated from those
+declarations, and the test suite asserts it matches the paper's claims
+symbol for symbol. A declaration need not be implemented: Tuneful's
+Meta-learn ✓ comes from the paper, and :class:`TunefulTuner` has no
+similarity store.
 """
 from __future__ import annotations
 

@@ -12,6 +12,5 @@ package implements the needed model classes from scratch:
 """
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import GradientBoostedRegressor
-from repro.ml.tree import RegressionTree
 
-__all__ = ["RegressionTree", "RandomForestRegressor", "GradientBoostedRegressor"]
+__all__ = ["RandomForestRegressor", "GradientBoostedRegressor"]

@@ -114,6 +114,6 @@ def _importances(stack: TreeStack, dim: int) -> np.ndarray:
 def fanova_importance(forest: RandomForestRegressor, dim: int) -> np.ndarray:
     """fANOVA single-parameter importance fraction of each of the ``dim``
     dimensions, averaged over the trees."""
-    if not forest.trees:
+    if forest.stack is None:
         raise RuntimeError("forest is not fitted")
-    return _importances(forest._stack, dim).mean(axis=0)
+    return _importances(forest.stack, dim).mean(axis=0)

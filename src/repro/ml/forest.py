@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree, TreeGrower, TreeStack
+from repro.ml.tree import TreeGrower, TreeStack
 
 
 def draw_subsets(seeds, d: int, m: int, k: int) -> np.ndarray:
@@ -55,8 +55,7 @@ class RandomForestRegressor:
     min_samples_leaf: int = 1
     max_features: int | None = None
     seed: int = 0
-    trees: list[RegressionTree] = field(init=False, default_factory=list)
-    _stack: TreeStack | None = field(init=False, default=None)
+    stack: TreeStack | None = field(init=False, default=None, repr=False)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         """Each tree fits a bootstrap sample, and its nodes' feature
@@ -77,12 +76,11 @@ class RandomForestRegressor:
         subsets = None
         if mf < d:
             subsets = draw_subsets(seeds, d, mf, min(2**self.max_depth - 1, n - 1))
-        self.trees = [RegressionTree(self.max_depth, self.min_samples_leaf) for _ in boot]
-        TreeGrower(X, np.array(boot)).fit(self.trees, y, subsets)
-        self._stack = TreeStack(self.trees)
+        self.stack = TreeGrower(X, np.array(boot)).fit(
+            y, self.max_depth, self.min_samples_leaf, subsets)[0]
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self.trees:
+        if self.stack is None:
             raise RuntimeError("forest is not fitted")
-        return np.mean(self._stack.leaf_values(X), axis=0)
+        return np.mean(self.stack.leaf_values(X), axis=0)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree, TreeGrower, TreeStack
+from repro.ml.tree import TreeGrower, TreeStack
 
 LEARNING_RATE = 0.1  # shrinkage of each boosting stage
 
@@ -24,28 +24,31 @@ class GradientBoostedRegressor:
     max_depth: int = 3
     min_samples_leaf: int = 2
     _init: float = field(init=False, default=0.0)
-    _trees: list[RegressionTree] = field(init=False, default_factory=list)
-    _stack: TreeStack | None = field(init=False, default=None)
+    stack: TreeStack | None = field(init=False, default=None, repr=False)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedRegressor":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         self._init = float(y.mean())
         pred = np.full(len(y), self._init)
-        self._trees, grower = [], TreeGrower(X, np.arange(len(y))[None])
+        stages, grower = [], TreeGrower(X, np.arange(len(y))[None])
         for _ in range(self.n_estimators):
-            t = RegressionTree(max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf)
+            stage, fitted = grower.fit(y - pred, self.max_depth, self.min_samples_leaf)
             # the values of the leaves the training rows end in: what predict(X) walks to
-            pred += LEARNING_RATE * grower.fit([t], y - pred)[0]
-            self._trees.append(t)
-        self._stack = TreeStack(self._trees)
+            pred += LEARNING_RATE * fitted[0]
+            stages.append(stage)
+        # the stages end to end: tree t's child indices shift with its root
+        roots = np.cumsum([0] + [len(s.feature) for s in stages[:-1]])
+        arrays = zip(*[(s.feature, s.threshold, s.left + r, s.right + r, s.value)
+                       for s, r in zip(stages, roots)])
+        self.stack = TreeStack(roots, *map(np.concatenate, arrays), max(s.depth for s in stages))
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees:
+        if self.stack is None:
             raise RuntimeError("model is not fitted")
         X = np.asarray(X, dtype=np.float64)
         out = np.full(len(X), self._init)
-        for v in self._stack.leaf_values(X):  # the trees in fit order
+        for v in self.stack.leaf_values(X):  # the trees in fit order
             out += LEARNING_RATE * v
         return out

@@ -9,52 +9,19 @@ A fitted tree is five arrays over its nodes in depth-first preorder:
 ``feature`` (−1 at a leaf), ``threshold`` (a row goes left iff
 ``x[feature] <= threshold``), ``left``, ``right`` (a leaf's are itself)
 and ``value`` (the node's mean target). :class:`TreeGrower` is the one
-build and :class:`TreeStack` the one predict path of the tree, the forest
-and the boosted trees; fANOVA reads the leaves' boxes off the same arrays.
+build, and :class:`TreeStack` the one fitted type and predict path, of
+the forest and the boosted trees; fANOVA reads the leaves' boxes off the
+same arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 #: a search pass's fixed cost, in padded (node, row, candidate) cells
 PASS_CELLS = 4000
-
-
-@dataclass
-class RegressionTree:
-    """CART regression tree minimizing within-node variance.
-
-    Parameters mirror sklearn's ``DecisionTreeRegressor`` where they
-    share a name. ``depth`` is the deepest leaf's depth once fitted.
-    """
-
-    max_depth: int = 12
-    min_samples_leaf: int = 1
-    # the fitted node arrays
-    feature: np.ndarray | None = field(init=False, default=None, repr=False)
-    threshold: np.ndarray | None = field(init=False, default=None, repr=False)
-    left: np.ndarray | None = field(init=False, default=None, repr=False)
-    right: np.ndarray | None = field(init=False, default=None, repr=False)
-    value: np.ndarray | None = field(init=False, default=None, repr=False)
-    depth: int = field(init=False, default=0)
-
-    def fit(self, X: np.ndarray, y: np.ndarray,
-            subsets: np.ndarray | None = None) -> "RegressionTree":
-        """Grow the tree on ``(X, y)``, given ``subsets`` (``(k, m)``
-        feature indices) or not: :class:`TreeGrower` for one tree."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
-            raise ValueError("X must be 2-D and aligned with non-empty y")
-        TreeGrower(X, np.arange(len(y))[None]).fit(
-            [self], y, None if subsets is None else subsets[None])
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return TreeStack([self]).leaf_values(X)[0]
 
 
 def _sums(A: np.ndarray, lens: list[int]) -> np.ndarray:
@@ -142,14 +109,14 @@ class TreeGrower:
             keep |= _firsts(np.concatenate([src[b], valid[b]])) & valid[b].any(axis=0)
         return keep
 
-    def fit(self, trees: list[RegressionTree], y: np.ndarray,
-            subsets: np.ndarray | None = None) -> np.ndarray:
-        """Grow ``trees[t]`` (all with ``trees[0]``'s options) on its rows of
-        ``(X, y)``, tree ``t``'s ``j``-th search scoring ``subsets[t, j]``
-        (in preorder; running out raises) or every feature; return the
-        ``(T, n)`` values of the leaves the rows end in."""
+    def fit(self, y: np.ndarray, max_depth: int, min_samples_leaf: int,
+            subsets: np.ndarray | None = None) -> tuple[TreeStack, np.ndarray]:
+        """Grow tree ``t`` on its rows of ``(X, y)``, its ``j``-th search
+        scoring ``subsets[t, j]`` (in preorder; running out raises) or
+        every feature; return the trees and the ``(T, n)`` values of the
+        leaves the rows end in."""
         (T, n), pad, Xp, nl, nr = self.shape, self.pad, self.X, self.nl, self.nr
-        max_depth, msl = trees[0].max_depth, trees[0].min_samples_leaf
+        msl = min_samples_leaf
         yp, sorted_y = np.append(y, np.nan)[self.src], np.append(y, 0.0)[self.sorted_src]
         # per node: tree, depth, code, rows, mean, feature (-1 at a leaf), threshold and
         # the children's codes (a leaf's: its own); codes sort by tree, then in preorder
@@ -292,32 +259,28 @@ class TreeGrower:
         at = {c: i for i, c in enumerate(code)}
         feat, thr, value, left, right = map(np.array, (feat, thr, value, [at[c] for c in left],
                                                        [at[c] for c in right]))
-        ends = np.cumsum(np.bincount(tree, minlength=T)).tolist()
-        for tr, a, b in zip(trees, [0] + ends, ends):
-            tr.feature, tr.threshold, tr.value = feat[a:b], thr[a:b], value[a:b]
-            tr.left, tr.right, tr.depth = left[a:b] - a, right[a:b] - a, max(depth[a:b])
+        roots = np.searchsorted(tree, np.arange(T))  # each tree's first node
         leaf = feat < 0
         fitted = np.empty(pad)
         fitted[np.concatenate([r for r, is_leaf in zip(rows, leaf) if is_leaf])] = np.repeat(
             value[leaf], [len(r) for r, is_leaf in zip(rows, leaf) if is_leaf])
-        return fitted.reshape(T, n)
+        return TreeStack(roots, feat, thr, left, right, value, max(depth)), fitted.reshape(T, n)
 
 
+@dataclass(frozen=True, eq=False)
 class TreeStack:
     """Fitted trees' node arrays laid end to end: tree ``t`` starts at
-    ``roots[t]``, its child indices shifted with it. One walk takes every
-    (tree, row) pair down at once, one level per step."""
+    ``roots[t]``, and child indices count from the first tree's root.
+    ``depth`` is the deepest leaf's. One walk takes every (tree, row) pair
+    down at once, one level per step."""
 
-    def __init__(self, trees: list[RegressionTree]):
-        if not trees or any(t.feature is None for t in trees):
-            raise RuntimeError("tree is not fitted")
-        self.roots = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
-        self.feature = np.concatenate([t.feature for t in trees])
-        self.threshold = np.concatenate([t.threshold for t in trees])
-        self.value = np.concatenate([t.value for t in trees])
-        self.left = np.concatenate([t.left + r for t, r in zip(trees, self.roots)])
-        self.right = np.concatenate([t.right + r for t, r in zip(trees, self.roots)])
-        self.depth = max(t.depth for t in trees)
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    depth: int
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
         """``(n_trees, n_rows)`` values of the leaf each row reaches in

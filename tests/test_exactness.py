@@ -21,10 +21,11 @@ Table 5's are pinned on their own: a sha256 over every tree's node
 arrays and one over the fANOVA importances, recorded before the feature
 subsets were drawn once per forest. So are two boosted-tree fits shaped
 like the meta-learner's and DAC's: a sha256 over every stage's node
-arrays, recorded before the trees grew in lockstep. The 30-iteration and
-meta-learned ``OnlineTuner`` runs also pin the acquisition value of
-every EIC pick, recorded before the candidates were scored as sub-space
-blocks.
+arrays, recorded before the trees grew in lockstep. A tree's arrays are
+its slice of the model's stack, child indices counted from its root.
+The 30-iteration and meta-learned ``OnlineTuner`` runs also pin the
+acquisition value of every EIC pick, recorded before the candidates were
+scored as sub-space blocks.
 
 A change meant to keep behaviour (a refactor, a speed-up) must keep
 every digest. A change meant to alter what the tuners suggest updates
@@ -49,6 +50,7 @@ from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import GradientBoostedRegressor
 from repro.simcluster import get_profile
 from repro.simcluster.eventlog import meta_features
+from tests.test_tree import _trees
 
 DIGESTS = {
     "Ours": "ebaec21d5822353d47b95346da355b6f83e14fd07363313906588f4c1920f0ba",
@@ -228,7 +230,7 @@ def _sha(arrays) -> str:
 @pytest.mark.parametrize("case", FOREST_CASES)
 def test_forest_and_fanova_unchanged(case):
     forest, dim = _forest(case)
-    nodes = _sha(np.asarray(a, dtype=dt) for t in forest.trees
+    nodes = _sha(np.asarray(a, dtype=dt) for t in _trees(forest.stack)
                  for a, dt in ((t.feature, np.int64), (t.threshold, np.float64),
                                (t.left, np.int64), (t.right, np.int64),
                                (t.value, np.float64)))
@@ -273,8 +275,8 @@ def _gbm(case: str):
 @pytest.mark.parametrize("case", GBM_CASES)
 def test_gbm_unchanged(case):
     model = _gbm(case)
-    assert len(model._trees) == GBM_CASES[case][2]["n_estimators"]
-    assert _sha(np.asarray(a, dtype=dt) for t in model._trees
+    assert len(model.stack.roots) == GBM_CASES[case][2]["n_estimators"]
+    assert _sha(np.asarray(a, dtype=dt) for t in _trees(model.stack)
                 for a, dt in ((t.feature, np.int64), (t.threshold, np.float64),
                               (t.left, np.int64), (t.right, np.int64),
                               (t.value, np.float64))) == GBM_DIGESTS[case]

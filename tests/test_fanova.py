@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.ml.fanova import _importances, fanova_importance
 from repro.ml.forest import RandomForestRegressor, draw_subsets
-from repro.ml.tree import RegressionTree, TreeStack
+from tests.test_tree import _fit_tree, _trees
 
 
 def _fit_forest(fn, d=4, n=400, seed=0, **kw):
@@ -124,12 +124,12 @@ def _tree_case(draw):
     X = rng.uniform(-spill, 1.0 + spill, (n, d)).round(draw(st.integers(0, 3)))
     y = rng.normal(size=n).round(draw(st.integers(0, 3)))
     max_depth = draw(st.integers(0, 6))
-    tree = RegressionTree(max_depth=max_depth, min_samples_leaf=draw(st.integers(1, 3)))
+    msl = draw(st.integers(1, 3))
     max_features = draw(st.one_of(st.none(), st.integers(1, d)))
     subsets = None
     if max_features is not None and max_features < d:
         subsets = draw_subsets([seed], d, max_features, min(2**max_depth - 1, n - 1))[0]
-    return tree.fit(X, y, subsets), d
+    return _fit_tree(X, y, max_depth, msl, subsets), d
 
 
 class TestExactness:
@@ -137,7 +137,7 @@ class TestExactness:
     @given(_tree_case())
     def test_equals_per_dimension_reference(self, case):
         tree, d = case
-        got = _importances(TreeStack([tree]), d)[0]
+        got = _importances(tree, d)[0]
         assert np.array_equal(got, _reference_tree_importance(tree, np.zeros(d), np.ones(d)))
         unsplit = np.setdiff1d(np.arange(d), tree.feature)
         assert np.all(got[unsplit] == 0.0)
@@ -151,8 +151,9 @@ class TestExactness:
         forest = RandomForestRegressor(n_estimators=16, max_depth=5, max_features=10,
                                        seed=0).fit(X, y)
         lower, upper = np.zeros(30), np.ones(30)
-        ref = np.array([_reference_tree_importance(t, lower, upper) for t in forest.trees])
+        ref = np.array([_reference_tree_importance(t, lower, upper)
+                        for t in _trees(forest.stack)])
         got = fanova_importance(forest, 30)
         assert np.array_equal(got, ref.mean(axis=0))
-        split = np.unique(np.concatenate([t.feature for t in forest.trees]))
+        split = np.unique(np.concatenate([t.feature for t in _trees(forest.stack)]))
         assert np.all(got[np.setdiff1d(np.arange(30), split)] == 0.0)

@@ -38,7 +38,7 @@ class TestForest:
     def test_n_estimators(self):
         X, y = _friedman(60)
         f = RandomForestRegressor(n_estimators=9, seed=0).fit(X, y)
-        assert len(f.trees) == 9
+        assert len(f.stack.roots) == 9
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):

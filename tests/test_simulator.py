@@ -127,6 +127,20 @@ class TestSecondOrderKnobs:
         off = space.clip(space.default_config() | {"spark.speculation": False})
         assert sim.run(p, on, seed=0).runtime_s < sim.run(p, off, seed=0).runtime_s
 
+    def test_short_network_timeout_slows_large_clusters(self, space, sim):
+        """A network timeout under 90 s slows every stage by 3% on more
+        than 300 executors; start-up is not scaled, so the whole run
+        slows by a little less."""
+        def runtime(workload, instances, timeout):
+            c = _cfg(space, executor_instances=instances, network_timeout=timeout)
+            return sim.run(get_profile(workload), c, seed=3).runtime_s
+
+        for workload in ("terasort", "wordcount"):
+            assert runtime(workload, 300, 60) == runtime(workload, 300, 120)
+            for instances in (301, 400):
+                ratio = runtime(workload, instances, 60) / runtime(workload, instances, 120)
+                assert 1.0 < ratio <= 1.03
+
 
 class TestMetrics:
     def test_stage_metrics_emitted(self, space, sim):

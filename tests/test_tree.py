@@ -9,7 +9,29 @@ from hypothesis import strategies as st
 from repro.ml.fanova import _leaf_boxes
 from repro.ml.forest import RandomForestRegressor, draw_subsets
 from repro.ml.gbm import LEARNING_RATE, GradientBoostedRegressor
-from repro.ml.tree import RegressionTree, TreeGrower, TreeStack
+from repro.ml.tree import TreeGrower
+
+
+def _fit_tree(X, y, max_depth=12, msl=1, subsets=None):
+    """One tree grown on every row of ``(X, y)``, reading the ``(k, m)``
+    feature ``subsets`` or every feature: a stack of one tree."""
+    subsets = None if subsets is None else subsets[None]
+    return TreeGrower(X, np.arange(len(y))[None]).fit(y, max_depth, msl, subsets)[0]
+
+
+def _predict(tree, X):
+    """A one-tree stack's predictions."""
+    return tree.leaf_values(X)[0]
+
+
+def _trees(stack):
+    """Each tree of ``stack`` on its own: its slice of the node arrays,
+    with child indices counted from its root."""
+    ends = [*stack.roots[1:].tolist(), len(stack.feature)]
+    for a, b in zip(stack.roots.tolist(), ends):
+        yield SimpleNamespace(feature=stack.feature[a:b], threshold=stack.threshold[a:b],
+                              left=stack.left[a:b] - a, right=stack.right[a:b] - a,
+                              value=stack.value[a:b])
 
 
 def _xor_data(n=200, seed=0):
@@ -22,69 +44,57 @@ def _xor_data(n=200, seed=0):
 class TestFitPredict:
     def test_constant_target(self):
         X = np.random.default_rng(0).random((50, 3))
-        t = RegressionTree().fit(X, np.full(50, 7.0))
-        assert np.allclose(t.predict(X), 7.0)
+        t = _fit_tree(X, np.full(50, 7.0))
+        assert np.allclose(_predict(t, X), 7.0)
 
     def test_perfect_split_1d(self):
         X = np.array([[0.1], [0.2], [0.8], [0.9]])
         y = np.array([1.0, 1.0, 5.0, 5.0])
-        t = RegressionTree().fit(X, y)
-        assert np.allclose(t.predict(X), y)
-        assert np.allclose(t.predict(np.array([[0.0], [1.0]])), [1.0, 5.0])
+        t = _fit_tree(X, y)
+        assert np.allclose(_predict(t, X), y)
+        assert np.allclose(_predict(t, np.array([[0.0], [1.0]])), [1.0, 5.0])
 
     def test_xor_interaction(self):
         X, y = _xor_data()
-        t = RegressionTree(max_depth=4).fit(X, y)
+        t = _fit_tree(X, y, max_depth=4)
         # XOR needs depth >= 2; a full CART recovers it almost exactly
-        assert np.mean((t.predict(X) - y) ** 2) < 0.05
+        assert np.mean((_predict(t, X) - y) ** 2) < 0.05
 
     def test_max_depth_limits_structure(self):
         X, y = _xor_data()
-        stump = RegressionTree(max_depth=0).fit(X, y)
-        assert np.allclose(stump.predict(X), y.mean())
+        stump = _fit_tree(X, y, max_depth=0)
+        assert np.allclose(_predict(stump, X), y.mean())
 
     def test_min_samples_leaf(self):
         X = np.arange(10, dtype=float)[:, None]
         y = np.arange(10, dtype=float)
-        t = RegressionTree(min_samples_leaf=5).fit(X, y)
+        t = _fit_tree(X, y, msl=5)
         # only one split possible (5|5)
-        preds = np.unique(t.predict(X))
+        preds = np.unique(_predict(t, X))
         assert len(preds) <= 2
 
     def test_deterministic_given_rng(self):
         X, y = _xor_data()
         subsets = draw_subsets([3], 2, 1, len(y) - 1)[0]
-        t1 = RegressionTree().fit(X, y, subsets)
-        t2 = RegressionTree().fit(X, y, subsets)
+        t1 = _fit_tree(X, y, subsets=subsets)
+        t2 = _fit_tree(X, y, subsets=subsets)
         grid = np.random.default_rng(1).random((50, 2))
-        assert np.array_equal(t1.predict(grid), t2.predict(grid))
+        assert np.array_equal(_predict(t1, grid), _predict(t2, grid))
 
     def test_exhausted_subsets_raise(self):
         X, y = _xor_data()
         with pytest.raises(ValueError, match="ran out"):
-            RegressionTree(max_depth=4).fit(X, y, draw_subsets([0], 2, 1, 2)[0])
+            _fit_tree(X, y, 4, subsets=draw_subsets([0], 2, 1, 2)[0])
         # a depth-4 tree searches for a split at most 2**4 - 1 times
-        RegressionTree(max_depth=4).fit(X, y, draw_subsets([0], 2, 1, 15)[0])
+        _fit_tree(X, y, 4, subsets=draw_subsets([0], 2, 1, 15)[0])
 
     def test_adjacent_values_split_between_them(self):
         """A midpoint that rounds up to the right value would send both
         rows left; the split keeps the left value as its threshold."""
         lo, hi = 1.0 + 2.0**-52, 1.0 + 2.0**-51
         assert (lo + hi) / 2.0 == hi
-        t = RegressionTree().fit(np.array([[lo], [hi]]), np.array([0.0, 1.0]))
+        t = _fit_tree(np.array([[lo], [hi]]), np.array([0.0, 1.0]))
         assert t.threshold[0] == lo and t.value.tolist() == [0.5, 0.0, 1.0]
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            RegressionTree().predict(np.zeros((1, 2)))
-
-    def test_bad_input_raises(self):
-        with pytest.raises(ValueError):
-            RegressionTree().fit(np.zeros(5), np.zeros(5))
-        with pytest.raises(ValueError):
-            RegressionTree().fit(np.zeros((5, 2)), np.zeros(4))
-        with pytest.raises(ValueError):
-            RegressionTree().fit(np.zeros((0, 2)), np.zeros(0))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=5, max_value=60), st.integers(min_value=0, max_value=10))
@@ -92,14 +102,14 @@ class TestFitPredict:
         rng = np.random.default_rng(seed)
         X = rng.random((n, 3))
         y = rng.normal(size=n)
-        t = RegressionTree().fit(X, y)
-        p = t.predict(rng.random((20, 3)))
+        t = _fit_tree(X, y)
+        p = _predict(t, rng.random((20, 3)))
         assert p.min() >= y.min() - 1e-9 and p.max() <= y.max() + 1e-9
 
 
 def _boxes(tree, dim):
     """One tree's leaf values and boxes."""
-    leaves, lo, hi = _leaf_boxes(TreeStack([tree]), dim)
+    leaves, lo, hi = _leaf_boxes(tree, dim)
     return tree.value[leaves], lo, hi
 
 
@@ -114,31 +124,27 @@ class TestLeafBoxes:
 
     def test_boxes_partition_domain(self):
         X, y = _xor_data()
-        t = RegressionTree(max_depth=3).fit(X, y)
+        t = _fit_tree(X, y, max_depth=3)
         _, lo, hi = _boxes(t, 2)
         vol = np.clip(hi - lo, 0.0, None).prod(axis=1).sum()
         assert vol == pytest.approx(1.0)
 
     def test_boxes_predict_consistent(self):
         X, y = _xor_data()
-        t = RegressionTree(max_depth=4).fit(X, y)
+        t = _fit_tree(X, y, max_depth=4)
         vals, lo, hi = self._nonempty(t, 2)
         rng = np.random.default_rng(2)
         pts = rng.random((100, 2))
-        preds = t.predict(pts)
+        preds = _predict(t, pts)
         for p, pred in zip(pts, preds):
             matching = ((lo <= p) & (p <= hi)).all(axis=1)
             assert np.any(vals[matching] == pred)
 
     def test_stump_single_box(self):
-        t = RegressionTree(max_depth=0).fit(np.zeros((5, 2)), np.ones(5))
+        t = _fit_tree(np.zeros((5, 2)), np.ones(5), max_depth=0)
         vals, lo, hi = _boxes(t, 2)
         assert vals.tolist() == [1.0]
         assert lo.tolist() == [[0.0, 0.0]] and hi.tolist() == [[1.0, 1.0]]
-
-    def test_unfitted_boxes_raises(self):
-        with pytest.raises(RuntimeError):
-            _boxes(RegressionTree(), 2)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 60), st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -148,13 +154,13 @@ class TestLeafBoxes:
         predict."""
         rng = np.random.default_rng(seed)
         X = rng.uniform(-0.6, 1.6, (n, d)).round(1)
-        t = RegressionTree().fit(X, rng.normal(size=n))
+        t = _fit_tree(X, rng.normal(size=n))
         vals, lo, hi = self._nonempty(t, d)
         assert (hi - lo).prod(axis=1).sum() == pytest.approx(1.0)
         pts = rng.random((30, d))
         inside = (lo[None] < pts[:, None]) & (pts[:, None] <= hi[None])
         assert np.all(inside.all(axis=2).sum(axis=1) <= 1)
-        for p, pred, box in zip(pts, t.predict(pts), inside.all(axis=2)):
+        for p, pred, box in zip(pts, _predict(t, pts), inside.all(axis=2)):
             assert np.all(vals[box] == pred)
 
 
@@ -193,15 +199,15 @@ class TestPredictExact:
     @given(_predict_case(), st.integers(0, 8))
     def test_tree(self, case, max_depth):
         X, y, Q, seed = case
-        t = RegressionTree(max_depth=max_depth).fit(X, y)
-        assert np.array_equal(t.predict(Q), _walk(t, Q))
+        t = _fit_tree(X, y, max_depth)
+        assert np.array_equal(_predict(t, Q), _walk(t, Q))
 
     @settings(max_examples=50, deadline=None)
     @given(_predict_case(), st.integers(1, 12))
     def test_forest_mean(self, case, n_trees):
         X, y, Q, seed = case
         f = RandomForestRegressor(n_estimators=n_trees, max_depth=6, seed=seed % 1000).fit(X, y)
-        ref = np.mean([_walk(t, Q) for t in f.trees], axis=0)
+        ref = np.mean([_walk(t, Q) for t in _trees(f.stack)], axis=0)
         assert np.array_equal(f.predict(Q), ref)
 
     @settings(max_examples=50, deadline=None)
@@ -211,7 +217,7 @@ class TestPredictExact:
         m = GradientBoostedRegressor(n_estimators=n_trees, max_depth=3,
                                      min_samples_leaf=1).fit(X, y)
         ref = np.full(len(Q), m._init)
-        for t in m._trees:
+        for t in _trees(m.stack):
             ref += LEARNING_RATE * _walk(t, Q)
         assert np.array_equal(m.predict(Q), ref)
 
@@ -254,8 +260,7 @@ def _reference_best_split(msl, X, y, feats):
 def _best_split(msl, X, y, feats):
     """The root's split of a depth-1 tree over ``feats`` (every column
     when None): the one split search a fit makes there."""
-    t = RegressionTree(max_depth=1, min_samples_leaf=msl)
-    t.fit(X, y, None if feats is None else feats[None])
+    t = _fit_tree(X, y, 1, msl, None if feats is None else feats[None])
     return int(t.feature[0]), float(t.threshold[0])
 
 
@@ -375,7 +380,7 @@ class TestBoostedBuild:
         model = GradientBoostedRegressor(n_estimators=n_estimators, max_depth=max_depth,
                                          min_samples_leaf=msl).fit(X, y)
         ref = _reference_gbm(X, y, n_estimators, max_depth, msl)
-        for tree, arrays in zip(model._trees, ref, strict=True):
+        for tree, arrays in zip(_trees(model.stack), ref, strict=True):
             assert _same_bits(tree, arrays)
 
 
@@ -393,7 +398,7 @@ class TestForestBuild:
                                        seed=seed).fit(X, y)
         mf = max_features or max(1, X.shape[1] // 3)
         ref = _reference_forest(X, y, n_estimators, max_depth, msl, mf, seed)
-        for tree, arrays in zip(forest.trees, ref, strict=True):
+        for tree, arrays in zip(_trees(forest.stack), ref, strict=True):
             assert _same_bits(tree, arrays)
 
     @settings(max_examples=12, deadline=None)
@@ -409,7 +414,7 @@ class TestForestBuild:
         forest = RandomForestRegressor(n_estimators=3, max_depth=6, max_features=mf,
                                        seed=seed).fit(X, y)
         ref = _reference_forest(X, y, 3, 6, 1, mf, seed)
-        for tree, arrays in zip(forest.trees, ref, strict=True):
+        for tree, arrays in zip(_trees(forest.stack), ref, strict=True):
             assert _same_bits(tree, arrays)
 
     @settings(max_examples=25, deadline=None)
@@ -422,16 +427,15 @@ class TestForestBuild:
         forest = RandomForestRegressor(n_estimators=3, max_depth=8, min_samples_leaf=msl,
                                        max_features=d - 1, seed=seed).fit(X, y)
         ref = _reference_forest(X, y, 3, 8, msl, d - 1, seed)
-        for tree, arrays in zip(forest.trees, ref, strict=True):
+        for tree, arrays in zip(_trees(forest.stack), ref, strict=True):
             assert _same_bits(tree, arrays)
 
     def test_exhausted_subsets_raise_in_lockstep(self):
         X, y = _xor_data()
         rows = np.stack([np.arange(len(y))] * 2)
-        trees = [RegressionTree(max_depth=4), RegressionTree(max_depth=4)]
         with pytest.raises(ValueError, match="ran out"):
-            TreeGrower(X, rows).fit(trees, y, draw_subsets([0, 1], 2, 1, 2))
-        TreeGrower(X, rows).fit(trees, y, draw_subsets([0, 1], 2, 1, 15))
+            TreeGrower(X, rows).fit(y, 4, 1, draw_subsets([0, 1], 2, 1, 2))
+        TreeGrower(X, rows).fit(y, 4, 1, draw_subsets([0, 1], 2, 1, 15))
 
 
 def _isolating(ys, n=10):
@@ -465,12 +469,13 @@ def _near_tie(taken):
 
 def _grower_equals_reference(X, y, max_depth, msl):
     """A tree and a boosted fit equal the node-by-node references to the bit."""
-    tree = RegressionTree(max_depth=max_depth, min_samples_leaf=msl).fit(X, y)
+    tree = _fit_tree(X, y, max_depth, msl)
     assert _same_bits(tree, _reference_tree(X, y, max_depth, msl,
                                             lambda: np.arange(X.shape[1])))
     model = GradientBoostedRegressor(n_estimators=6, max_depth=max_depth,
                                      min_samples_leaf=msl).fit(X, y)
-    for tree, arrays in zip(model._trees, _reference_gbm(X, y, 6, max_depth, msl), strict=True):
+    for tree, arrays in zip(_trees(model.stack), _reference_gbm(X, y, 6, max_depth, msl),
+                            strict=True):
         assert _same_bits(tree, arrays)
 
 
@@ -537,13 +542,13 @@ class TestReusedState:
         reuses it, and every stage equals the node-by-node reference."""
         X, y = _pair_rows(n_tasks, d, seed)
         model = GradientBoostedRegressor(n_estimators=20, max_depth=max_depth).fit(X, y)
-        for tree, arrays in zip(model._trees, _reference_gbm(X, y, 20, max_depth, 2), strict=True):
+        for tree, arrays in zip(_trees(model.stack), _reference_gbm(X, y, 20, max_depth, 2),
+                                strict=True):
             assert _same_bits(tree, arrays)
         grower, pred = TreeGrower(X, np.arange(len(y))[None]), np.full(len(y), y.mean())
         grower.layouts = _CountingDict()
         for _ in range(20):
-            tree = RegressionTree(max_depth=max_depth, min_samples_leaf=2)
-            pred += LEARNING_RATE * grower.fit([tree], y - pred)[0]
+            pred += LEARNING_RATE * grower.fit(y - pred, max_depth, 2)[1][0]
         assert grower.layouts.hits >= 19  # at least every later stage's root pass
 
     def test_one_node_rounds(self):
@@ -551,6 +556,6 @@ class TestReusedState:
         round holds one node, searched without padding."""
         X = np.arange(9.0)[:, None] * [1.0, -1.0]
         y = 10.0 ** np.arange(9) - 1.0
-        t = RegressionTree(max_depth=6, min_samples_leaf=1).fit(X, y)
+        t = _fit_tree(X, y, 6, 1)
         assert (t.feature >= 0).sum() == 6 and t.depth == 6
         _grower_equals_reference(X, y, 6, 1)
