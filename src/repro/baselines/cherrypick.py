@@ -29,6 +29,5 @@ class CherryPickTuner(Tuner):
         t_max = self.problem.t_max
         surrogates = fit_surrogates(self.history, runtime=t_max is not None)
         raw = self.space.sample_unit(self.n_candidates, self.rng)
-        X = surrogates.rows(self.space.snap(raw)[1])
-        idx, _ = propose(self.history, X, surrogates, t_max=t_max)
+        idx, _ = propose(self.history, self.space.snap(raw)[1], surrogates, t_max=t_max)
         return self.space.from_unit(raw[idx])

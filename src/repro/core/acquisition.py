@@ -6,8 +6,9 @@ log-runtime surrogate) and Eq. 8 (safe region via the GP upper bound
 ``u(x) = mu(x) + gamma * sigma(x) <= threshold``). No scipy offline:
 the standard normal CDF uses ``math.erf``. :func:`propose` is the one
 scoring step that Ours and the BO baselines share: the candidates'
-model inputs → posteriors → EI/EIC (masked to the safe region) →
-argmax; only the winning row becomes a config dict, in the caller.
+model inputs → posteriors (the two GPs of one fit share their work on
+one read-only view of the inputs) → EI/EIC (masked to the safe region)
+→ argmax; only the winning row becomes a config dict, in the caller.
 """
 from __future__ import annotations
 
@@ -81,16 +82,20 @@ def propose(
     """Index of the candidate to run next, and its acquisition value.
 
     Scores the candidates, one model input each: a snapped unit row (see
-    :meth:`repro.core.config_space.ConfigSpace.snap`) formed by
-    :meth:`Surrogates.rows` or :meth:`SubspaceRows.rows`, read-only so
-    that the GPs share their posterior work. The score is EI over the
-    incumbent, times Pr[runtime <= t_max] when ``t_max`` is set (EIC;
+    :meth:`repro.core.config_space.ConfigSpace.snap`), with the datasize
+    column when the surrogates model it. It scores a read-only view of
+    ``X``: the GPs of one fit share their posterior work on a read-only
+    query (see :class:`repro.core.gp.PosteriorBasis`), and the caller's
+    array is left as it is. The score is EI over the incumbent, times
+    Pr[runtime <= t_max] when ``t_max`` is set (EIC;
     ``surrogates.runtime`` must be fitted then, on log-runtime). With
     ``gamma`` set too, the argmax is restricted to the safe region of
     ``t_max``; when no candidate is in it, the most plausibly safe one
     (least ``mu + gamma*sigma``, as in SafeOpt-style search) is returned
     with value ``inf``.
     """
+    X = X.view()
+    X.flags.writeable = False
     runtime = safe = None
     if t_max is not None:
         mu_t, sd_t = surrogates.runtime.predict(X)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bo import Surrogates
+from repro.core.bo import Surrogates, model_rows
 from repro.core.config_space import ConfigSpace
 from repro.core.objective import resource
 
@@ -52,7 +52,7 @@ class AGDStepper:
         dims = [i for i in (dims if dims is not None else range(self.space.dim)) if not cat[i]]
 
         def predict_T(uu: np.ndarray) -> float:
-            mu, _ = surrogates.runtime.predict(surrogates.rows(uu[None, :]))
+            mu, _ = surrogates.runtime.predict(model_rows(uu[None, :], surrogates.datasize))
             # the generator's runtime GP is fit on log-runtime; Eq. 9/10
             # need T itself, so map back before differencing
             return float(np.exp(mu[0]))

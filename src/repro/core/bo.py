@@ -6,8 +6,8 @@ feasibility. It keeps the configs as a unit matrix, one row appended
 per run, for surrogate fitting (optionally with the datasize feature
 used by the mixed kernel, Eq. 4, as a last column).
 :func:`fit_surrogates` fits the models one BO iteration scores its
-candidates with, and :meth:`Surrogates.rows` turns candidate unit rows
-into their inputs; the loop itself is
+candidates with, and :func:`model_rows` turns candidate unit rows into
+their inputs; the loop itself is
 :func:`repro.experiments.harness.run_tuning`.
 """
 from __future__ import annotations
@@ -119,23 +119,12 @@ class Surrogates(NamedTuple):
     runtime: GaussianProcess | None  # log-runtime GP, when asked for
     datasize: float | None           # the next run's datasize feature, if modelled
 
-    def rows(self, U: np.ndarray) -> np.ndarray:
-        """Model inputs for the configs with unit rows ``U`` at the next
-        run, read-only: the GPs of one fit share their posterior work
-        on a read-only query (see :class:`repro.core.gp.PosteriorBasis`).
-        Candidates kept as sub-space blocks form the same rows with
-        :meth:`repro.core.config_space.SubspaceRows.rows` and this
-        ``datasize``; every such row has one data size, so the kernel's
-        datasize factor is one row."""
-        X = model_rows(U, self.datasize)
-        X = X.view() if X is U else X
-        X.flags.writeable = False
-        return X
-
 
 def model_rows(U: np.ndarray, datasize: float | None) -> np.ndarray:
     """Model inputs for unit rows ``U`` at a run of datasize feature
-    ``datasize``: ``U`` with that column appended, unless it is None."""
+    ``datasize``: ``U`` with that column appended, unless it is None.
+    Candidates kept as sub-space blocks form the same rows with
+    :meth:`repro.core.config_space.SubspaceRows.rows`."""
     if datasize is not None:
         U = np.concatenate([U, np.full((len(U), 1), datasize)], axis=1)
     return U

@@ -331,15 +331,14 @@ class SubspaceRows:
         return seen
 
     def rows(self, extra: float | None = None) -> np.ndarray:
-        """The snapped unit rows, read-only, with a last column of the
-        value ``extra`` when it is given."""
+        """The snapped unit rows, with a last column of the value
+        ``extra`` when it is given."""
         d = len(self.dims) + len(self.rest)
         X = np.empty((len(self), d + (extra is not None)))
         X[:, self.rest] = self.base_units
         X[:, self.dims] = self.units
         if extra is not None:
             X[:, d] = extra
-        X.flags.writeable = False
         return X
 
     def raw_row(self, i: int) -> np.ndarray:

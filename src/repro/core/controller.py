@@ -61,21 +61,17 @@ class OnlineTuner(Tuner):
             use_subspace=use_subspace, use_agd=use_agd, use_safe=use_safe,
             meta_sources=sources,
         )
+        # the design's head; Sobol rows fill the rest
         if meta:
-            # fewer sources than the design's size: Sobol rows fill the rest
-            self._init_configs = [t.history.best().config for t, _ in sources] + space.sample_sobol(
-                self.n_init - len(sources), seed=seed
-            )
+            head = [t.history.best().config for t, _ in sources]
         elif reference_config is not None:
             # online production setting: the pre-tuning (manual/default)
             # configuration is evaluated first — it is the known-safe
-            # anchor the safe region grows from, then low-discrepancy
-            # samples widen the design
-            self._init_configs = [space.clip(reference_config)] + space.sample_sobol(
-                self.n_init - 1, seed=seed
-            )
+            # anchor the safe region grows from
+            head = [space.clip(reference_config)]
         else:
-            self._init_configs = space.sample_sobol(self.n_init, seed=seed)
+            head = []
+        self._init_configs = head + space.sample_sobol(self.n_init - len(head), seed=seed)
         if use_safe:
             self._init_configs = [self._repair(c) for c in self._init_configs]
 

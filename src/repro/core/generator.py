@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.acquisition import propose
 from repro.core.agd import AGDStepper, N_AGD
-from repro.core.bo import RunHistory, Surrogates, fit_surrogates
+from repro.core.bo import RunHistory, Surrogates, fit_surrogates, model_rows
 from repro.core.config_space import ConfigSpace, SubspaceRows
 from repro.core.objective import TuningProblem, resource
 from repro.core.subspace import SubspaceManager
@@ -87,7 +87,7 @@ class ConfigGenerator:
                 history.best().unit, surrogates,
                 dims=self.subspace.current_dims() if self.use_subspace else None,
             )
-            x = surrogates.rows(self.space.snap(u[None, :])[1])
+            x = model_rows(self.space.snap(u[None, :])[1], surrogates.datasize)
         else:
             u, x = self._eic_pick(history, surrogates)
         mu, _ = surrogates.objective.predict(x)

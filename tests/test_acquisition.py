@@ -7,7 +7,8 @@ import pytest
 from repro.core.acquisition import (
     eic, expected_improvement, norm_cdf, norm_pdf, prob_below, propose, safe_mask,
 )
-from repro.core.bo import RunHistory, Surrogates, datasize_feature
+from repro.core import gp as gp_module
+from repro.core.bo import RunHistory, Surrogates, datasize_feature, fit_surrogates, model_rows
 from repro.core.config_space import ConfigSpace
 from repro.core.objective import ExecResult, TuningProblem
 
@@ -160,3 +161,24 @@ class TestPropose:
         idx, value = propose(h, cands, s, t_max=1e-3, gamma=0.5)
         assert idx == int(np.argmin(self.LOG_RT.mu + 0.5 * self.LOG_RT.sd)) == 3
         assert value == float("inf")
+
+    def test_gps_share_the_query_of_a_writeable_matrix(self, monkeypatch):
+        """The objective and log-runtime GPs of one fit build the query's
+        kernel parts once, and the caller's matrix stays writeable."""
+        space, rng = ConfigSpace(), np.random.default_rng(0)
+        h = RunHistory(space, TuningProblem(beta=1.0))
+        for cfg in space.sample_random(6, rng):
+            h.add(cfg, ExecResult(runtime_s=float(rng.uniform(50, 150)), mem_gbh=1,
+                                  cpu_coreh=1, datasize_mb=1000))
+        s = fit_surrogates(h, with_datasize=True, runtime=True)
+        X = model_rows(space.snap(space.sample_unit(50, rng))[1], s.datasize)
+        parts, calls = gp_module.KernelRows.parts, []
+
+        def counted(*args):
+            calls.append(args)
+            return parts(*args)
+
+        monkeypatch.setattr(gp_module.KernelRows, "parts", counted)
+        _, value = propose(h, X, s, t_max=1e4, gamma=0.5)
+        assert value != float("inf")  # the safe region is not empty
+        assert len(calls) == 1 and X.flags.writeable

@@ -11,6 +11,9 @@ from repro.baselines.locat import spearman
 from repro.core.config_space import ConfigSpace
 from repro.core.controller import OnlineTuner
 from repro.core.objective import ExecResult, TuningProblem
+from repro.experiments.harness import SimEvaluator, run_tuning
+from repro.experiments.hibench import hibench_env
+from repro.simcluster import get_profile
 
 ALL_TUNERS = (
     RandomSearchTuner, RFHOCTuner, DACTuner, CherryPickTuner,
@@ -63,6 +66,34 @@ class TestProtocol:
         best = t.history.best()
         i = space.index_of("spark.executor.instances")
         assert space.to_unit(best.config)[i] > 0.5
+
+
+class TestInfeasibleHistory:
+    def test_tuners_keep_to_the_grid_with_no_feasible_run(self, monkeypatch):
+        """Under a runtime bound no run meets, the BO tuners still
+        suggest configs on the grid, Ours does not stop, and each of its
+        EIC picks falls back to the most plausibly safe candidate."""
+        space, sim = hibench_env()
+        profile = get_profile("terasort")
+        for cls in (OnlineTuner, CherryPickTuner, TunefulTuner, LOCATTuner):
+            tuner = cls(space, TuningProblem(0.5, t_max=1e-3), seed=0)
+            eic_picks = []
+            if cls is OnlineTuner:
+                gen = tuner.generator
+                pick = gen._eic_pick
+
+                def recorded(history, surrogates):
+                    out = pick(history, surrogates)
+                    eic_picks.append((len(history) + 1, gen.last_ei))
+                    return out
+
+                monkeypatch.setattr(gen, "_eic_pick", recorded)
+            h = run_tuning(tuner, SimEvaluator(profile, sim, seed=0), 14)
+            assert h.best_feasible() is None, cls.name
+            assert all(space.clip(o.config) == o.config for o in h.observations), cls.name
+            if cls is OnlineTuner:
+                assert not tuner.stopped
+                assert eic_picks == [(it, float("inf")) for it in (*range(4, 10), *range(11, 15))]
 
 
 class TestCapabilities:

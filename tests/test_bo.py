@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core import gp as gp_module
-from repro.core.bo import RunHistory, datasize_feature, fit_surrogates
+from repro.core.bo import RunHistory, datasize_feature, fit_surrogates, model_rows
 from repro.core.config_space import ConfigSpace
 from repro.core.objective import ExecResult, TuningProblem
 
@@ -130,9 +130,9 @@ class TestFitSurrogates:
         assert s.runtime.basis is s.objective.basis
 
     @pytest.mark.parametrize("with_datasize", [False, True])
-    def test_rows_are_read_only(self, history, with_datasize):
+    def test_model_rows_lead_with_the_unit_rows(self, history, with_datasize):
         s = fit_surrogates(_runs(history, 4), with_datasize=with_datasize)
         U = np.random.default_rng(0).random((5, history.space.dim))
-        rows = s.rows(U)
-        assert not rows.flags.writeable and U.flags.writeable
+        rows = model_rows(U, s.datasize)
+        assert rows.shape == (5, history.space.dim + with_datasize)
         assert np.array_equal(rows[:, :history.space.dim], U)

@@ -329,7 +329,7 @@ class TestSubspaceSnap:
         V, S = space.snap(U)
         got = space.snap_subspace(B, dims, base)
         assert len(got) == n
-        assert np.array_equal(got.rows(), S) and not got.rows().flags.writeable
+        assert np.array_equal(got.rows(), S)
         assert np.array_equal(got.rows(0.25), np.c_[S, np.full(n, 0.25)])
         assert all(np.array_equal(got.raw_row(i), U[i]) for i in range(n))
         columns = got.columns(space.names)

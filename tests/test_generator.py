@@ -5,7 +5,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.agd import N_AGD
-from repro.core.bo import RunHistory, fit_surrogates
+from repro.core.bo import RunHistory, fit_surrogates, model_rows
 from repro.core.config_space import ConfigSpace, SubspaceRows
 from repro.core.generator import ConfigGenerator
 from repro.core.objective import ExecResult, TuningProblem, resource
@@ -55,7 +55,8 @@ class TestSuggest:
         h = _history(space, prob, n=n)
         u = gen.suggest(h)
         s = fit_surrogates(h, with_datasize=True, runtime=True)
-        mu, _ = s.objective.predict(s.rows(space.to_unit(space.from_unit(u))[None, :]))
+        mu, _ = s.objective.predict(
+            model_rows(space.to_unit(space.from_unit(u))[None, :], s.datasize))
         assert gen.expected == float(mu[0])
 
     def test_agd_cadence(self, space):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bo import RunHistory, fit_surrogates
+from repro.core.bo import RunHistory, fit_surrogates, model_rows
 from repro.core.config_space import ConfigSpace
 from repro.core.gp import GaussianProcess
 from repro.core.meta import (
@@ -223,7 +223,8 @@ def test_meta_surrogates_on_a_shared_basis_equal_lone_fits(space, seed, case):
     for gp, ref in ((gp_f, lone.current), (gp_t, lone_t)):
         assert (gp.lengthscale, gp.noise) == (ref.lengthscale, ref.noise)
         assert np.array_equal(gp._L, ref._L) and np.array_equal(gp._alpha, ref._alpha)
-    Q = s.rows(space.snap(space.sample_unit(50, rng))[1])
+    Q = model_rows(space.snap(space.sample_unit(50, rng))[1], s.datasize)
+    Q.flags.writeable = False  # a query the two GPs share, as in propose
     for model, ref in ((gp_t, lone_t), (s.objective, lone), (gp_t, lone_t)):
         for got, want in zip(model.predict(Q), ref.predict(Q)):
             assert np.array_equal(got, want)
