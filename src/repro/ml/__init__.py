@@ -10,7 +10,3 @@ package implements the needed model classes from scratch:
 - :mod:`repro.ml.fanova` — functional-ANOVA importance over a forest,
 - :mod:`repro.ml.gbm`    — least-squares gradient-boosted trees.
 """
-from repro.ml.forest import RandomForestRegressor
-from repro.ml.gbm import GradientBoostedRegressor
-
-__all__ = ["RandomForestRegressor", "GradientBoostedRegressor"]

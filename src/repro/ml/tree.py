@@ -20,10 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-#: a search pass's fixed cost, in padded (node, row, candidate) cells
-PASS_CELLS = 4000
-
-
 def _sums(A: np.ndarray, lens: list[int]) -> np.ndarray:
     """Each row's sum over its first ``lens`` entries as NumPy's ``.sum()``
     of them rounds it: a running sum from +0.0 below 8, pairwise above."""
@@ -35,20 +31,6 @@ def _sums(A: np.ndarray, lens: list[int]) -> np.ndarray:
         if k >= 8:
             out[i] = np.add.reduce(A[i, :k])
     return out
-
-
-def _passes(lens: list[int], m: int) -> list[list[int]]:
-    """Nodes (indices into their sizes ``lens``) grouped into search passes
-    over ``m`` features, largest first: nodes of like size share a pass,
-    and another is taken once the padding it saves outweighs PASS_CELLS."""
-    order = sorted(range(len(lens)), key=lens.__getitem__, reverse=True)
-    passes, start = [], 0
-    for end in range(1, len(order) + 1):
-        if end == len(order) or (
-                lens[order[start]] - lens[order[end]]) * (len(order) - end) * m > PASS_CELLS:
-            passes.append(order[start:end])
-            start = end
-    return passes
 
 
 def _firsts(key: np.ndarray) -> np.ndarray:
@@ -64,7 +46,7 @@ class TreeGrower:
     in lockstep, each exactly as it would grow alone node by node: the
     same splits, every sum rounded as over the node's own rows. Successive
     fits (boosting stages) share the column orders and, over every feature,
-    each pass's state that does not depend on y."""
+    each round's state that does not depend on y."""
 
     def __init__(self, X: np.ndarray, rows: np.ndarray):
         (T, n), d = rows.shape, X.shape[1]
@@ -87,7 +69,7 @@ class TreeGrower:
         self.rank = rank  # NaN rows tie the all-NaN row, above every value
         self.nl = np.arange(1.0, n)  # left sizes 1 … n−1
         self.nr = np.maximum(np.arange(n + 1)[:, None] - self.nl, 1.0)  # by node size, ≥ 1
-        # (min_samples_leaf, each node's rows) → a pass's search state over every
+        # (min_samples_leaf, each node's rows) → a round's search state over every
         # feature, which does not depend on y: boosting stages meet the same row sets
         self.layouts: dict[tuple, tuple] = {}
 
@@ -99,7 +81,7 @@ class TreeGrower:
         return not _firsts(self.rank[:, self.varying]).all()
 
     def _distinct(self, g: np.ndarray, valid: np.ndarray) -> np.ndarray:
-        """Which columns of a pass over every feature some node can take: at
+        """Which columns of a round over every feature some node can take: at
         each node, the first of each order of its targets and valid cuts. A
         later column of that order scores the first one's gain to the bit,
         which the scan never takes over it, and a column with no valid cut
@@ -144,7 +126,7 @@ class TreeGrower:
             return R, lens, ns, Y, mean
 
         def layout(R, ns, F):
-            # a pass's state that does not depend on y: its nodes' candidate features
+            # a round's state that does not depend on y: its nodes' candidate features
             # (given, or every one), each one's rows sorted stably (as slots) and their
             # values, the valid cuts, the sizes either side of each cut and, over every
             # feature, a table of the splits taken
@@ -163,7 +145,7 @@ class TreeGrower:
             return F, g, xs, valid, nl[c, None], nr[ns, c, None], {} if every else None
 
         def search(batch, R, lens, base, state):
-            # splits: (node in the pass, column, cut) → the split's feature, threshold
+            # splits: (node in the round, column, cut) → the split's feature, threshold
             # and rows left and right, none of which depends on y
             F, g, xs, valid, left_n, right_n, splits = state
             ys = sorted_y[g]
@@ -184,7 +166,7 @@ class TreeGrower:
             k = sse[w, :, j].argmin(axis=1)
             if splits is None:
                 found = cut(R, lens, F, xs, w, j, k)
-            else:  # the splits this pass has not taken before
+            else:  # the splits no earlier round on these rows has taken
                 wins = list(zip(w.tolist(), j.tolist(), k.tolist()))
                 if new := [a for a, win in enumerate(wins) if win not in splits]:
                     splits.update(zip([wins[a] for a in new], cut(R, lens, F, xs, w[new], j[new], k[new])))
@@ -236,21 +218,13 @@ class TreeGrower:
                     raise ValueError("the feature subsets ran out")
                 F = subsets[ts, reads]
             base = _sums((Y - mean[:, None]) ** 2, lens)
-            m = len(self.varying) if F is None else F.shape[1]
-            for idx in [[0]] if len(batch) == 1 else _passes(lens, m):
-                if len(idx) == len(batch):  # one pass: no gathers
-                    rows, plens, pR, pns, pbase, pF = batch, lens, R, ns, base, F
-                else:
-                    rows, plens = [batch[i] for i in idx], [lens[i] for i in idx]
-                    pR, pns, pbase = R[idx, : plens[0]], ns[idx], base[idx]
-                    pF = None if F is None else F[idx]
-                if pF is None:  # the state depends on the rows alone: fits reuse it
-                    key = (msl, *(nodes[i][3].tobytes() for i in rows))
-                    if (state := self.layouts.get(key)) is None:
-                        state = self.layouts[key] = layout(pR, pns, None)
-                else:
-                    state = layout(pR, pns, pF)
-                search(rows, pR, plens, pbase, state)
+            if F is None:  # the state depends on the rows alone: fits reuse it
+                key = (msl, *(nodes[i][3].tobytes() for i in batch))
+                if (state := self.layouts.get(key)) is None:
+                    state = self.layouts[key] = layout(R, ns, None)
+            else:
+                state = layout(R, ns, F)
+            search(batch, R, lens, base, state)
 
         if unsearched := [i for i, node in enumerate(nodes) if node[4] is None]:
             means(unsearched)
